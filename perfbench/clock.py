@@ -5,12 +5,20 @@ over seconds (other tenants share the cores); raw job times measured
 this way spread by about 25% between runs.  A fixed calibration
 computation, independent of mefcon, is therefore timed between
 operations, and each operation's wall time is scaled by ``CAL_REF_S``
-over the mean of the calibrations just before and after it.  The
-calibration is shaped like one simulation step of the workload (a
-gather, a weighted bincount over its edge count and a few node-vector
-operations), because interpreter-bound and array-bound code slow down
-differently when the host is busy.  On a host that runs the calibration
-in ``CAL_REF_S`` the scaled time equals the wall time.
+over the mean of the calibrations just before and after it, raised to
+the workload's sensitivity (below).  The calibration is shaped like one
+simulation step of the workload (a gather, a weighted bincount over its
+edge count and a few node-vector operations), because interpreter-bound
+and array-bound code slow down differently when the host is busy.
+
+A workload's operations need not slow down in proportion to the
+calibration, so each workload has a sensitivity ``s`` and the factor is
+``(CAL_REF_S / calibration) ** s``.  ``s`` was chosen on the host this
+was tuned on as the value under which runs made in different host
+states agree best: 1 for the sweep and the pipeline, 0.6 for compare,
+whose operations slow down less than the calibration when the host is
+busy.  On a host that runs the calibration in ``CAL_REF_S`` the scaled
+time equals the wall time.
 """
 
 from __future__ import annotations
@@ -40,21 +48,25 @@ def calibrate(nodes: int, edges: int) -> float:
     return time.perf_counter() - start
 
 
-def scaled(seconds: float, before: float, after: float) -> float:
+def scaled(seconds: float, before: float, after: float,
+           sensitivity: float) -> float:
     """``seconds`` at reference speed, given calibrations around it."""
-    return seconds * CAL_REF_S / ((before + after) / 2)
+    return seconds * (CAL_REF_S / ((before + after) / 2)) ** sensitivity
 
 
 class Clock:
     """Raw and scaled wall time of the operations of one job.
 
-    ``shape`` is the (nodes, edges) of the workload's simulation step.
-    ``span(name)`` wraps each operation inside the timed region (the
-    tracer's span in traced runs); calibrations run outside it.
+    ``shape`` is the (nodes, edges) of the workload's simulation step and
+    ``sensitivity`` its exponent of the calibration.  ``span(name)``
+    wraps each operation inside the timed region (the tracer's span in
+    traced runs); calibrations run outside it.
     """
 
-    def __init__(self, shape: tuple[int, int], span=None) -> None:
+    def __init__(self, shape: tuple[int, int], sensitivity: float,
+                 span=None) -> None:
         self.shape = shape
+        self.sensitivity = sensitivity
         self.raw = 0.0
         self.adjusted = 0.0
         self._span = span or (lambda name: nullcontext())
@@ -69,4 +81,4 @@ class Clock:
         wall = time.perf_counter() - start
         self._last = calibrate(*self.shape)
         self.raw += wall
-        self.adjusted += scaled(wall, before, self._last)
+        self.adjusted += scaled(wall, before, self._last, self.sensitivity)

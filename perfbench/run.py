@@ -13,12 +13,11 @@ least two jobs); a job that would end past them is not started.
 ``--trace 0`` prints the end-to-end metrics: the median job time
 ``run_s``, RK4 steps per second of it, the median of several fresh-process
 set-up timings ``setup_s``, and the process's peak resident memory.
-Job times are wall times scaled to a reference host speed (see
-clock.py); raw wall-time quartiles are printed too.  ``setup_s`` is raw:
-it runs in child processes, where the scaling does not follow it.  ``--trace 1`` alternates
-untraced and traced jobs and prints the per-layer metrics (medians over
-traced jobs) with the tracing overhead; its spans go to
-``.perfbench_out/trace-<workload>-seed<n>.json``.
+Job and set-up times are wall times scaled to a reference host speed
+(see clock.py and setup_probe.py); raw wall-time quartiles are printed
+too.  ``--trace 1`` alternates untraced and traced jobs and prints the
+per-layer metrics (medians over traced jobs) with the tracing overhead;
+its spans go to ``.perfbench_out/trace-<workload>-seed<n>.json``.
 
 The last line of standard output is one JSON object with the keys
 ``correct``, ``attempted``, ``failed`` and ``metrics``; metric names
@@ -44,7 +43,7 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_out"
-SETUP_PROBES = 7
+SETUP_PROBES = 9
 MIN_JOBS = 2
 
 
@@ -80,15 +79,15 @@ def environment() -> dict:
     }
 
 
-def setup_probe(workload, workdir: Path) -> float:
-    """``setup_s`` of one fresh interpreter running ``setup_probe.py``."""
+def setup_probe(workload, workdir: Path) -> dict:
+    """Timings of one fresh interpreter running ``setup_probe.py``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, str(HERE / "setup_probe.py"),
                            *workload.probe_args],
                           cwd=workdir, env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    return float(json.loads(done.stdout.splitlines()[-1])["setup_s"])
+    return json.loads(done.stdout.splitlines()[-1])
 
 
 def run_job(workload, out: Path, span=None):
@@ -97,7 +96,7 @@ def run_job(workload, out: Path, span=None):
 
     shutil.rmtree(out, ignore_errors=True)
     out.mkdir(parents=True)
-    timer = Clock(workload.step_shape, span)
+    timer = Clock(workload.step_shape, workload.host_sensitivity, span)
     result = workload.job(out, timer.op)
     return timer, workload.check(result, out)
 
@@ -119,7 +118,8 @@ def artifact_bytes(out: Path) -> int:
 
 
 def timed_run(workload, workdir: Path, seconds: float):
-    setup = [setup_probe(workload, workdir) for _ in range(SETUP_PROBES)]
+    probes = [setup_probe(workload, workdir) for _ in range(SETUP_PROBES)]
+    setup = [p["setup_s"] for p in probes]
     timers, jobs = [], []
     for _ in repeat(seconds, MIN_JOBS):
         timer, ops = run_job(workload, workdir / "out")
@@ -136,7 +136,8 @@ def timed_run(workload, workdir: Path, seconds: float):
           f"{statistics.quantiles([t.adjusted for t in timers], n=4)}, raw wall "
           f"{statistics.quantiles([t.raw for t in timers], n=4)}")
     print(f"setup probes {len(setup)}: setup_s quartiles "
-          f"{statistics.quantiles(setup, n=4)}")
+          f"{statistics.quantiles(setup, n=4)}, raw wall "
+          f"{statistics.quantiles([p['raw_s'] for p in probes], n=4)}")
     return metrics, jobs, None
 
 

@@ -9,10 +9,11 @@ is edited.
 A span is ``[name, start, end, parent, folded]``.  ``parent`` is the
 index of the enclosing span (-1 at the root).  ``folded`` holds the time
 of hot leaf calls that are counted instead of recorded one by one:
-``DisturbanceRealization.at`` runs four times per RK4 step, and a span
-per call would hold millions of records in one run.  A span's self time
-is its duration minus the time its child spans cover, minus its folded
-leaf time.
+``DisturbanceRealization.at`` runs five times per RK4 step of
+``simulate_mef`` (four stages plus the recorded grid point), and a span
+per call would hold millions of records in one run.  A span's self
+time is its duration minus the time its child spans cover, minus its
+folded leaf time.
 """
 
 from __future__ import annotations

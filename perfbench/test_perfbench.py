@@ -155,7 +155,7 @@ def test_compare_check_rejects_corrupted_summaries(code, summary, ok):
 
 def test_sweep_check_rejects_a_corrupted_terminal_state():
     cases, _, _ = workloads.sweep_cases(0, 1)
-    result = workloads.sweep_case(cases[0], T=50.0)
+    result = workloads.sweep_case(cases[0])
     assert workloads.sweep_op(result).ok
     n, q, stable, x_star, x, x_hat = result
     bad_x = x.copy()
@@ -168,7 +168,7 @@ def test_sweep_check_rejects_a_corrupted_terminal_state():
 def test_pipeline_check_rejects_corrupted_artifacts(tmp_path):
     wl = workloads.make_pipeline(5, tmp_path, n=6, T=1.0)
     out = tmp_path / "out"
-    codes = wl.job(out, clock.Clock(wl.step_shape).op)
+    codes = wl.job(out, clock.Clock(wl.step_shape, wl.host_sensitivity).op)
     assert [op.ok for op in wl.check(codes, out)] == [True, True, True]
 
     env_path = out / "envelope" / "envelope.json"
@@ -197,7 +197,8 @@ def test_artifact_digest_ignores_only_duration(tmp_path):
 
 
 def test_verdicts_fail_changed_outputs_and_unstable_scenarios():
-    wl = workloads.Workload(1, [], None, None, rk4_margin=0.9, step_shape=(8, 32))
+    wl = workloads.Workload(1, [], None, None, rk4_margin=0.9, step_shape=(8, 32),
+                            host_sensitivity=1.0)
     jobs = [[Op(True, "a"), Op(True, "b")],
             [Op(True, "a"), Op(True, "changed")],
             [Op(False, "a", "bad"), Op(True, "b")]]
@@ -214,16 +215,33 @@ def test_rk4_margin():
     assert workloads.rk4_margin(np.array([0.0, -300.0]), 0.01) > 1
 
 
-def test_clock_scales_operations_by_the_calibration_around_them(monkeypatch):
+def test_setup_probe_scales_set_up_by_its_own_calibration(tmp_path):
+    import setup_probe
+
+    cases, _, _ = workloads.sweep_cases(0, 2)
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    probe = workloads.Workload(1, ["sweep", str(path)], None, None, 0.9, (8, 8), 1.0)
+    got = run.setup_probe(probe, tmp_path)
+    assert got["raw_s"] > 0 and got["calibration_s"] > 0
+    assert got["setup_s"] == pytest.approx(
+        got["raw_s"] * setup_probe.CAL_REF_S / got["calibration_s"])
+
+
+@pytest.mark.parametrize("sensitivity", [1.0, 0.6])
+def test_clock_scales_operations_by_the_calibration_around_them(
+        monkeypatch, sensitivity):
     cals = iter([0.04, 0.02, 0.01])
     monkeypatch.setattr(clock, "calibrate", lambda nodes, edges: next(cals))
     ticks = iter([0.0, 1.0, 5.0, 6.0])
     monkeypatch.setattr(clock.time, "perf_counter", lambda: next(ticks))
-    timer = clock.Clock((8, 32))
+    timer = clock.Clock((8, 32), sensitivity)
     for _ in range(2):
         with timer.op("x"):
             pass
     assert timer.raw == 2.0
-    # each operation is scaled by CAL_REF_S / mean(calibration before, after)
+    # each 1 s operation is scaled by
+    # (CAL_REF_S / mean(calibration before, after)) ** sensitivity
     assert timer.adjusted == pytest.approx(
-        clock.CAL_REF_S * (1 / 0.03 + 1 / 0.015))
+        (clock.CAL_REF_S / 0.03) ** sensitivity
+        + (clock.CAL_REF_S / 0.015) ** sensitivity)

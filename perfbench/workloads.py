@@ -66,6 +66,7 @@ class Workload:
     check: Callable[[object, Path], list[Op]]
     rk4_margin: float
     step_shape: tuple[int, int]  # (nodes, edges) of a typical simulation step
+    host_sensitivity: float  # exponent of the host-speed calibration, see clock.py
     rejected_candidates: int = 0
 
 
@@ -158,8 +159,8 @@ def compare_seeds(seed: int) -> list[int]:
     return [int(s) for s in rng.integers(0, 2 ** 31, COMPARE["seeds"])]
 
 
-def make_compare(seed: int, workdir: Path, n: int = COMPARE["n"],
-                 T: float = COMPARE["T"]) -> Workload:
+def make_compare(seed: int, workdir: Path) -> Workload:
+    n = COMPARE["n"]
     noise_seeds = compare_seeds(seed)
     path = workdir / "compare.yaml"
     _write_yaml(path, {
@@ -167,9 +168,9 @@ def make_compare(seed: int, workdir: Path, n: int = COMPARE["n"],
         "params": {"B": 1.0, "R": 1.0, "S": 1.0, "G": 1.0},
         "initial": {"x0": {"random_uniform": {"low": -1.0, "high": 1.0}}},
         "disturbance": {"kind": "white", "sigma": COMPARE["sigma"]},
-        "integration": {"h": COMPARE["h"], "T": T},
+        "integration": {"h": COMPARE["h"], "T": COMPARE["T"]},
     })
-    steps = int(round(T / COMPARE["h"]))
+    steps = int(round(COMPARE["T"] / COMPARE["h"]))
 
     def job(out: Path, op) -> list[int]:
         codes = []
@@ -192,7 +193,8 @@ def make_compare(seed: int, workdir: Path, n: int = COMPARE["n"],
         return ops
 
     return Workload(2 * steps * len(noise_seeds), ["scenario", str(path)], job,
-                    check, _scenario_margin(path, classical=True), (n, n * (n - 1)))
+                    check, _scenario_margin(path, classical=True), (n, n * (n - 1)),
+                    host_sensitivity=0.6)
 
 
 # --- sweep-digraph -------------------------------------------------------
@@ -252,7 +254,7 @@ def sweep_cases(seed: int, count: int) -> tuple[list[dict], int, float]:
     return cases, rejected, margin
 
 
-def sweep_case(case: dict, T: float) -> tuple:
+def sweep_case(case: dict) -> tuple:
     """Run one case through the library; keep what its check needs."""
     n = case["n"]
     x0, e0 = np.array(case["x0"]), np.array(case["e0"])
@@ -262,7 +264,7 @@ def sweep_case(case: dict, T: float) -> tuple:
     omega = mefcon.left_null_vector_of(top)
     eq = mefcon.predict_equilibrium(system, omega, x0, e0)
     traj = mefcon.simulate_mef(mefcon.ScenarioConfig(
-        top, params, x0, x0 + e0, h=SWEEP["h"], T=T))
+        top, params, x0, x0 + e0, h=SWEEP["h"], T=SWEEP["T"]))
     return n, report.q, report.stable_count, eq.x_star, traj.x, traj.x_hat
 
 
@@ -278,9 +280,8 @@ def sweep_op(result) -> Op:
               f"N={n}: |x_T - x*| {dx:.2e}, |e_T| {de:.2e}, q={q}")
 
 
-def make_sweep(seed: int, workdir: Path, cases: int = SWEEP["cases"],
-               T: float = SWEEP["T"]) -> Workload:
-    specs, rejected, margin = sweep_cases(seed, cases)
+def make_sweep(seed: int, workdir: Path) -> Workload:
+    specs, rejected, margin = sweep_cases(seed, SWEEP["cases"])
     path = workdir / "sweep_cases.json"
     path.write_text(json.dumps(specs))
 
@@ -289,7 +290,7 @@ def make_sweep(seed: int, workdir: Path, cases: int = SWEEP["cases"],
         for case in specs:
             with op("sweep.case"):
                 try:
-                    results.append(sweep_case(case, T))
+                    results.append(sweep_case(case))
                 except Exception as exc:  # a failed case is counted, the sweep goes on
                     results.append(f"{type(exc).__name__}: {exc}")
         return results
@@ -297,9 +298,10 @@ def make_sweep(seed: int, workdir: Path, cases: int = SWEEP["cases"],
     def check(results: list, out: Path) -> list[Op]:
         return [sweep_op(r) for r in results]
 
-    return Workload(cases * int(round(T / SWEEP["h"])),
+    return Workload(SWEEP["cases"] * int(round(SWEEP["T"] / SWEEP["h"])),
                     ["sweep", str(path)], job, check, margin,
-                    (8, max(len(c["edges"]) for c in specs)), rejected)
+                    (8, max(len(c["edges"]) for c in specs)),
+                    host_sensitivity=1.0, rejected_candidates=rejected)
 
 
 # --- pipeline-digraph100 -------------------------------------------------
@@ -373,7 +375,8 @@ def make_pipeline(seed: int, workdir: Path, n: int = PIPELINE["n"],
 
     return Workload(2 * steps,
                     ["scenario", str(sinusoid)], job, check,
-                    _scenario_margin(sinusoid, classical=False), (n, len(edges)))
+                    _scenario_margin(sinusoid, classical=False), (n, len(edges)),
+                    host_sensitivity=1.0)
 
 
 WORKLOADS = {
