@@ -21,14 +21,30 @@ from .errors import (BoundViolationError, ConfigError, MefconError,
 from .filtering import (EnergyBudget, FilterParams, control_input,
                         eta_star, evaluate_energy, integrate_riccati,
                         neighbor_estimate, observer_rhs, reduced_energy,
-                        riccati_rhs, steady_gains, steady_state_gain,
+                        riccati_rhs, steady_state_gain, steady_gains,
                         uniform_params)
 from .graphs import (NetworkTopology, adjacency, degree_matrix, is_balanced,
                      is_strongly_connected, laplacian, left_null_vector,
                      make_graph, standard_laplacian)
-from .simulate import (ScenarioConfig, Trajectory, basic_scenario,
-                       closed_loop_drift, rk4_step, simulate_classical,
-                       simulate_mef, synthesize_measurements)
+from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, basic_scenario,
+                       measurements, rk4_step, simulate_classical, simulate_mef)
 from .config import build_scenario, load_config
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BoundViolationError", "ClosedLoop", "CoherenceReport", "ComparisonResult",
+    "ConfigError", "DisturbanceProfile", "DisturbanceRealization",
+    "EnergyBudget", "EquilibriumPrediction", "FilterParams", "GlobalSystem",
+    "ISSBound", "MefconError", "NetworkTopology", "ScenarioConfig",
+    "SimulationError", "SolverError", "SpectralReport", "Trajectory",
+    "adjacency", "analytical_coherence", "assemble_global", "basic_scenario",
+    "build_scenario", "control_input", "degree_matrix", "deviation_series",
+    "disagreement_norms", "disagreement_state", "empirical_deviation",
+    "eta_star", "evaluate_energy", "exp_bound_constants", "integrate_riccati",
+    "is_balanced", "is_strongly_connected", "iss_envelope", "laplacian",
+    "left_null_vector", "left_null_vector_of", "load_config", "make_graph",
+    "measurements", "neighbor_estimate", "observer_rhs", "phi_max",
+    "predict_equilibrium", "reduced_energy", "riccati_rhs", "rk4_step",
+    "run_comparison", "sample_disturbances", "simulate_classical",
+    "simulate_mef", "spectral_report", "standard_laplacian",
+    "steady_gains", "steady_state_gain", "uniform_params",
+]

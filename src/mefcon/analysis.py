@@ -16,7 +16,7 @@ slowest of them sets the decay rate of the consensus transient.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -274,18 +274,19 @@ def analytical_coherence(topology: NetworkTopology, tol: float = 1e-8) -> Cohere
     return CoherenceReport(value, lam)
 
 
-def empirical_deviation(series: np.ndarray) -> float:
-    """Time average over the second half of sum_i (x_i - mean(x))^2."""
-    series = np.asarray(series, dtype=float)
-    dev = np.sum((series - series.mean(axis=1, keepdims=True)) ** 2, axis=1)
-    half = dev.shape[0] // 2
-    return float(dev[half:].mean())
-
-
 def deviation_series(series: np.ndarray) -> np.ndarray:
     """Instantaneous sum_i (x_i - mean(x))^2 at every grid point."""
     series = np.asarray(series, dtype=float)
     return np.sum((series - series.mean(axis=1, keepdims=True)) ** 2, axis=1)
+
+
+def empirical_deviation(series: np.ndarray) -> float:
+    """Time average over the second half of sum_i (x_i - mean(x))^2."""
+    return _second_half_mean(deviation_series(series))
+
+
+def _second_half_mean(dev: np.ndarray) -> float:
+    return float(dev[dev.shape[0] // 2:].mean())
 
 
 @dataclass(frozen=True)
@@ -333,23 +334,16 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     except ConfigError:
         d_ave = math.nan
 
-    base_stats, est_stats, state_stats = [], [], []
-    t = series_b = series_e = series_x = None
-    for idx, s in enumerate(seed_list):
-        cfg = replace(config.with_seed(s), record_measurements=False)
-        tb = simulate_classical(cfg)
-        tm = simulate_mef(cfg)
-        base_stats.append(empirical_deviation(tb.x))
-        est_stats.append(empirical_deviation(tm.x_hat))
-        state_stats.append(empirical_deviation(tm.x))
-        if idx == 0:
-            t = tb.t
-            series_b = deviation_series(tb.x)
-            series_e = deviation_series(tm.x_hat)
-            series_x = deviation_series(tm.x)
-    return ComparisonResult(seed_list, d_ave, np.array(base_stats),
-                            np.array(est_stats), np.array(state_stats),
-                            t, series_b, series_e, series_x)
+    stats, first = [], None
+    for s in seed_list:
+        cfg = config.with_seed(s)
+        tb, tm = simulate_classical(cfg), simulate_mef(cfg)
+        series = [deviation_series(a) for a in (tb.x, tm.x_hat, tm.x)]
+        stats.append([_second_half_mean(dev) for dev in series])
+        if first is None:
+            first = (tb.t, *series)
+    base, est, state = np.array(stats).T
+    return ComparisonResult(seed_list, d_ave, base, est, state, *first)
 
 
 def left_null_vector_of(system: GlobalSystem | NetworkTopology) -> np.ndarray:

@@ -93,14 +93,6 @@ def uniform_params(topology: NetworkTopology, B: float | np.ndarray = 1.0,
     return FilterParams(Bv, Rv, Sv, Gv, Xiv)
 
 
-@dataclass
-class FilterState:
-    """Evolving per-node quantities: the estimate and the Riccati gain."""
-
-    x_hat: float
-    Q: float
-
-
 def eta_star(y_ij: float, x_i: float, G_ij: float, R_ij: float) -> float:
     """Inner-minimizing neighbor-approximation error.
 

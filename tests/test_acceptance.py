@@ -13,7 +13,7 @@ from scipy.integrate import cumulative_trapezoid
 from mefcon import (DisturbanceProfile, NetworkTopology, ScenarioConfig,
                     analytical_coherence, assemble_global, disagreement_norms,
                     exp_bound_constants, integrate_riccati, iss_envelope,
-                    left_null_vector_of, make_graph, phi_max,
+                    left_null_vector_of, make_graph, measurements, phi_max,
                     predict_equilibrium, reduced_energy, run_comparison,
                     simulate_mef, spectral_report, uniform_params)
 
@@ -148,8 +148,9 @@ def test_criterion_6_minimum_energy_oracle():
 
     u0 = traj.u[:, 0]
     Uc = cumulative_trapezoid(u0, dx=h, initial=0.0)
-    y_self0 = traj.y_self[:, 0]
-    y_edge0 = traj.y_nbr[:, 0]
+    y_self, y_edge = measurements(config, traj)
+    y_self0 = y_self[:, 0]
+    y_edge0 = y_edge[:, 0]
     B0, Xi0 = params.B[0], params.Xi[0]
     R, S = 1.0, 2.0
     prior0 = x0[0]

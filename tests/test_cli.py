@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
-from mefcon import build_scenario, load_config
+from mefcon import ConfigError, build_scenario, load_config
 from mefcon.cli import main
 
 TWO_NODE = """
@@ -84,6 +84,17 @@ def test_manifest_round_trip(tmp_path):
     assert main(["simulate", "--config", replay_cfg, "--out", str(second)]) == 0
     assert (first / "trajectory.csv").read_bytes() \
         == (second / "trajectory.csv").read_bytes()
+
+
+def test_resolved_echo_rebuilds_the_scenario():
+    config, resolved = build_scenario(yaml.safe_load(TWO_NODE))
+    again, echo = build_scenario(resolved)
+    assert echo == resolved
+    assert again.steps == config.steps
+    assert np.array_equal(again.x0, config.x0)
+    resolved["integration"]["steps"] += 1
+    with pytest.raises(ConfigError, match="integration.steps"):
+        build_scenario(resolved)
 
 
 def test_simulate_baseline_algorithm(tmp_path):
@@ -245,6 +256,20 @@ def test_config_error_paths(tmp_path, capsys):
     assert "graph.n" in capsys.readouterr().err
     notyaml = _write(tmp_path, "{:::", "broken.yaml")
     assert main(["simulate", "--config", notyaml, "--out", str(tmp_path)]) == 2
+    for name, text, field in (
+            ("n_text", "graph: {family: complete, n: abc}\n", "graph.n"),
+            ("delta_text", "graph: {family: complete, n: 3}\n"
+                           "disturbance: {kind: sinusoid, delta_max: x}\n",
+             "disturbance.delta_max"),
+            ("nested_typo", "graph: {family: complete, n: 3}\n"
+                            "params: {RR: 5}\n", "params.RR"),
+            ("seeds_bool", "graph: {family: complete, n: 3}\n"
+                           "compare_seeds: true\n", "compare_seeds"),
+            ("ragged_T", "graph: {family: complete, n: 3}\n"
+                         "integration: {h: 0.01, T: 0.015}\n", "integration.T")):
+        bad = _write(tmp_path, text, name + ".yaml")
+        assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2, name
+        assert field in capsys.readouterr().err, name
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

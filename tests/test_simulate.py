@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from mefcon import (ConfigError, DisturbanceProfile, ScenarioConfig,
-                    SimulationError, Trajectory, assemble_global,
-                    basic_scenario, closed_loop_drift, disagreement_norms,
-                    exp_bound_constants, left_null_vector_of, make_graph,
-                    predict_equilibrium, rk4_step, sample_disturbances,
-                    simulate_classical, simulate_mef, steady_gains,
-                    synthesize_measurements, uniform_params)
-from conftest import random_case
+from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
+                    NetworkTopology, ScenarioConfig, SimulationError,
+                    Trajectory, assemble_global, basic_scenario,
+                    control_input, disagreement_norms, exp_bound_constants,
+                    left_null_vector_of, make_graph, measurements,
+                    neighbor_estimate, observer_rhs, predict_equilibrium,
+                    rk4_step, sample_disturbances, simulate_classical,
+                    simulate_mef, steady_gains, uniform_params)
 
 
 def test_rk4_zero_field():
@@ -43,19 +45,73 @@ def test_rk4_rejects_non_finite():
         rk4_step(lambda t, z: z * np.inf, np.array([1.0]), 0.0, 0.1)
 
 
-def test_synthesize_measurements():
+def _loop(top, R_self, S, G):
+    n, m = top.node_count, top.edge_count
+    return ClosedLoop(top, FilterParams(np.ones(n), np.asarray(R_self, float),
+                                        np.full(m, S), np.full(m, G), np.ones(n)))
+
+
+def test_measurement_map():
     top = make_graph("custom", 3, edges=[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
     x = np.array([1.0, 10.0, 100.0])
-    y_self, y_edge = synthesize_measurements(
-        x, np.array([0.5, 0.0, 0.0]), np.zeros(3), top,
-        D_self=np.array([2.0, 1.0, 1.0]), D_edge=np.zeros(3))
+    loop = _loop(top, [4.0, 1.0, 1.0], S=1.0, G=1.0)  # D_self = 2, 1, 1; D_edge = 0
+    y_self, y_edge = loop.measure(x, np.array([0.5, 0.0, 0.0]), np.ones(3))
     assert y_self[0] == 2.0  # x + D eps
     assert np.array_equal(y_self[1:], x[1:])
     # edge (i, j) observes x_j, never x_i
     assert np.array_equal(y_edge, [10.0, 100.0, 1.0])
-    _, y_noisy = synthesize_measurements(x, np.zeros(3), np.ones(3), top,
-                                         np.zeros(3), np.full(3, 0.25))
+    noisy = _loop(top, [1.0, 1.0, 1.0], S=1.0625, G=1.0)  # D_edge = 0.25
+    _, y_noisy = noisy.measure(x, np.zeros(3), np.ones(3))
     assert np.array_equal(y_noisy, [10.25, 100.25, 1.25])
+
+
+@st.composite
+def _noisy_loops(draw):
+    """A strongly connected weighted digraph with non-uniform R, S, G <= S,
+    plus a state, an estimate, gains and nonzero measurement noise."""
+    n = draw(st.integers(2, 6))
+    perm = draw(st.permutations(range(n)))
+    pairs = {(perm[k], perm[(k + 1) % n]) for k in range(n)}
+    pairs |= draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1])))
+    pairs = sorted(pairs)
+    m = len(pairs)
+
+    def vec(size, lo, hi):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size,
+                                      max_size=size)))
+
+    w = vec(m, 0.2, 3.0)
+    S = vec(m, 0.5, 4.0)
+    G = S * vec(m, 0.05, 1.0)
+    top = NetworkTopology(n, tuple((i, j, float(wt)) for (i, j), wt in zip(pairs, w)))
+    params = FilterParams(vec(n, 0.5, 2.0), vec(n, 0.2, 3.0), S, G, np.ones(n))
+    eps_self = vec(n, 0.1, 1.0) * draw(st.sampled_from([-1.0, 1.0]))
+    eps_edge = vec(m, 0.1, 1.0) * draw(st.sampled_from([-1.0, 1.0]))
+    return (top, params, vec(n, -2.0, 2.0), vec(n, -2.0, 2.0), vec(n, 0.1, 2.0),
+            eps_self, eps_edge)
+
+
+@given(_noisy_loops())
+def test_closed_loop_matches_scalar_node_forms(case):
+    top, params, x, xh, q, eps_self, eps_edge = case
+    loop = ClosedLoop(top, params)
+    u, innov = loop.coupling(x, xh, eps_self, eps_edge)
+    xh_dot = u + q * innov
+    y_self, y_edge = loop.measure(x, eps_self, eps_edge)
+    src, dst, w = top.edge_arrays()
+    for i in range(top.node_count):
+        mine = src == i
+        # the scalar forms carry no edge weight: S/w scales both G/S and 1/S
+        S_eff = params.S_edge[mine] / w[mine]
+        ests = [neighbor_estimate(xh[i], y, g, s)
+                for y, g, s in zip(y_edge[mine], params.G_edge[mine], S_eff)]
+        assert u[i] == pytest.approx(control_input(xh[i], ests), rel=1e-12, abs=1e-12)
+        ref = observer_rhs(xh[i], y_self[i], y_edge[mine], params.R_self[i],
+                           S_eff, params.G_edge[mine], q[i])
+        assert xh_dot[i] == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        assert y_self[i] == x[i] + np.sqrt(params.R_self[i]) * eps_self[i]
+    assert np.array_equal(y_edge, x[dst] + np.sqrt(params.R_nbr_edge) * eps_edge)
 
 
 def _white_config(n=3, T=0.5, h=0.01, seed=4, **kw):
@@ -115,13 +171,15 @@ def test_classical_reaches_average_on_balanced_graph():
     assert np.array_equal(traj.x_hat, traj.x)
 
 
-def test_closed_loop_drift_matches_global_matrix(admissible_sweep):
+def test_closed_loop_matches_global_matrix(admissible_sweep):
     rng = np.random.default_rng(0)
     for top, params, system, _ in admissible_sweep[:10]:
         n = top.node_count
         x = rng.uniform(-1, 1, n)
         xh = rng.uniform(-1, 1, n)
-        xdot, xhdot = closed_loop_drift(top, params, x, xh)
+        loop = ClosedLoop(top, params)
+        u, innov = loop.coupling(x, xh, np.zeros(n), np.zeros(top.edge_count))
+        xdot, xhdot = u, u + loop.q_star * innov
         z = np.concatenate([x, xh - x])
         Fz = system.F @ z
         assert xdot == pytest.approx(Fz[:n], abs=1e-12)
@@ -191,15 +249,25 @@ def test_default_xi_makes_dynamic_equal_steady():
 def test_measurement_recording():
     cfg = basic_scenario(2, x0=[0.0, 1.0], T=0.2)
     traj = simulate_mef(cfg)
-    assert traj.y_self is not None and traj.y_nbr is not None
+    y_self, y_edge = measurements(cfg, traj)
     # zero disturbance: y_ii = x_i and edge (i, j) reads x_j exactly
-    assert np.array_equal(traj.y_self, traj.x)
+    assert np.array_equal(y_self, traj.x)
     src, dst, _ = cfg.topology.edge_arrays()
-    assert np.array_equal(traj.y_nbr, traj.x[:, dst])
-    quiet = simulate_mef(ScenarioConfig(cfg.topology, cfg.params, cfg.x0, None,
-                                        cfg.profile, cfg.h, cfg.T, cfg.seed,
-                                        record_measurements=False))
-    assert quiet.y_self is None and quiet.y_nbr is None
+    assert np.array_equal(y_edge, traj.x[:, dst])
+
+    # white noise, R = S - G = 1 so D = 1: grid point k reads the draw of
+    # step min(k, steps - 1)
+    cfg = _white_config(S=2.0, G=1.0, T=0.05)
+    traj = simulate_mef(cfg)
+    y_self, y_edge = measurements(cfg, traj)
+    _, dst, _ = cfg.topology.edge_arrays()
+    real = sample_disturbances(cfg.profile, 3, 6, cfg.steps, cfg.h, cfg.seed)
+    assert y_self.shape == (cfg.steps + 1, 3) and y_edge.shape == (cfg.steps + 1, 6)
+    for k in range(cfg.steps + 1):
+        _, es, ee = real.at(traj.t[k], min(k, cfg.steps - 1))
+        assert np.array_equal(y_self[k], traj.x[k] + es)
+        assert np.array_equal(y_edge[k], traj.x[k, dst] + ee)
+    assert not np.allclose(y_edge[0] - traj.x[0, dst], y_edge[1] - traj.x[1, dst])
 
 
 def test_warns_when_not_strongly_connected():
@@ -239,6 +307,10 @@ def test_scenario_validation():
 def test_steps_and_with_seed():
     cfg = basic_scenario(2, h=0.002, T=5.0, seed=1)
     assert cfg.steps == 2500
+    assert basic_scenario(2, h=0.1, T=0.3).steps == 3  # 0.3 / 0.1 < 3 in floats
+    # a horizon that is not a whole number of steps is refused, not rounded
+    with pytest.raises(ConfigError, match="integration.T"):
+        basic_scenario(2, h=0.01, T=0.015)
     assert cfg.with_seed(9).seed == 9
     assert cfg.with_seed(9).profile.seed == 9
 
