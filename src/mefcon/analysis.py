@@ -74,9 +74,6 @@ class ISSBound:
     phi_max: float
     Q_max: float
 
-    def envelope(self, z0_norm: float, t: np.ndarray | float) -> np.ndarray | float:
-        return iss_envelope(self.a, self.b, z0_norm, self.phi_max, t)
-
     @property
     def asymptotic_ball(self) -> float:
         return self.b * self.phi_max / self.a
@@ -84,12 +81,10 @@ class ISSBound:
 
 @dataclass(frozen=True)
 class CoherenceReport:
-    """Analytical and empirical squared deviation from the network average."""
+    """Analytical squared deviation from the network average."""
 
     analytical: float
     eigenvalues: np.ndarray
-    empirical: float | None = None
-    window: str = "second half of the horizon"
 
 
 def assemble_global(topology: NetworkTopology, params: FilterParams) -> GlobalSystem:
@@ -141,16 +136,23 @@ def spectral_report(system: GlobalSystem, zero_tolerance: float = 1e-8) -> Spect
 
 def predict_equilibrium(system: GlobalSystem, omega: np.ndarray,
                         x0: np.ndarray, e0: np.ndarray) -> EquilibriumPrediction:
-    """Consensus value from initial conditions and the left null vector.
+    """Consensus value of the steady loop F from initial conditions and
+    the left null vector.
 
-    x* = [w (I + R D~) x0 - w (R Xi D~) e0] / [w (I + R D~) 1]
-    with Xi the diagonal of initial-error weights.
+    x* = [w (I + R D~) x0 - w (R Q*^-1 D~) e0] / [w (I + R D~) 1]:
+    the gain is frozen at Q*, so e0 is weighted by 1/Q* whatever Xi is.
+    A dynamic gain started at Q(0) = 1/Xi reaches this value only when
+    Xi = 1/Q* (the default), where it stays at Q*.
     """
+    if np.any(system.q_star <= 0):
+        raise SolverError("x* needs a positive steady gain Q* at every node "
+                          "(nonzero B); a node with Q* = 0 keeps its error")
     n = system.n
     I = np.eye(n)
     M = I + system.R * system.Delta_tilde
     lead = omega @ M
-    num = float(lead @ x0 - omega @ (system.R * np.diag(system.Xi) @ system.Delta_tilde) @ e0)
+    num = float(lead @ x0 - omega @ (system.R / system.q_star[:, None]
+                                     * system.Delta_tilde) @ e0)
     den = float(lead @ np.ones(n))
     if den <= 0:
         raise SolverError(f"equilibrium denominator {den} is not positive; "

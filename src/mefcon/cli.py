@@ -57,6 +57,22 @@ def _prepare(args) -> tuple:
     return config, resolved, out
 
 
+def _equilibrium(config, system):
+    """The consensus value x* the configured run converges to.
+
+    A steady run weights e0 by 1/Q* (``predict_equilibrium``); a dynamic
+    run reaches that value only when its gain starts at Q*, i.e. Xi = 1/Q*.
+    """
+    if config.riccati == "dynamic" and not np.allclose(
+            system.Xi * system.q_star, 1.0, rtol=0.0, atol=1e-9):
+        raise ConfigError(
+            "params.Xi must be 1/Q* (leave it null) for riccati: dynamic: "
+            "a gain started elsewhere reaches a consensus value x* that "
+            "is not predicted here")
+    omega = left_null_vector_of(config.topology)
+    return predict_equilibrium(system, omega, config.x0, config.prior - config.x0)
+
+
 def cmd_simulate(args) -> int:
     config, resolved, out = _prepare(args)
     algorithm = resolved["algorithm"]
@@ -114,9 +130,7 @@ def cmd_analyze(args) -> int:
         "warnings": [],
     }
     if connected:
-        omega = left_null_vector_of(config.topology)
-        e0 = config.prior - config.x0
-        eq = predict_equilibrium(system, omega, config.x0, e0)
+        eq = _equilibrium(config, system)
         a, b = exp_bound_constants(system, report, args.tolerance)
         phi = phi_max(config.params, config.topology,
                       config.profile.delta_max, config.profile.eps_max)
@@ -199,8 +213,7 @@ def cmd_envelope(args) -> int:
     system = assemble_global(config.topology, config.params)
     report = spectral_report(system, args.tolerance)
     a, b = exp_bound_constants(system, report, args.tolerance)
-    omega = left_null_vector_of(config.topology)
-    eq = predict_equilibrium(system, omega, config.x0, config.prior - config.x0)
+    eq = _equilibrium(config, system)
     phi = phi_max(config.params, config.topology,
                   config.profile.delta_max, config.profile.eps_max)
     traj = simulate_mef(config)

@@ -115,29 +115,55 @@ class ClosedLoop:
 
     Built once per run from the topology and the params.  Edge (i, j)
     measures y_ij = x_j + D_ij eps_ij and feeds node i the residual
-    r = y_ij - x_hat_i.  One sparse 2N x E map sums every node's
-    residuals with weights w G/S (rows 0..N-1: the consensus input u)
-    and w/S (rows N..2N-1: the neighbor part of the innovation), so both
-    come from one matvec.  Residuals are edge differences, so a
-    consensus state with x_hat = x is an exact fixed point.
+    r = y_ij - x_hat_i.  One sparse 2N x (4N + E) map acts on the stacked
+    point v = (x, x_hat, delta, eps_self, eps_edge): rows 0..N-1 sum each
+    node's residuals with weights w G/S (the consensus input u), rows
+    N..2N-1 add w/S-weighted residuals to (y_self - x_hat)/R (the
+    innovation).  Under the steady gain Q* the loop is zdot = A z +
+    inputs w for z = (x, x_hat) and w = (delta, eps_self, eps_edge), with
+    u = u_state z + u_noise w; ``A``, ``inputs``, ``u_state`` and
+    ``u_noise`` are column blocks of that map, and w drops eps_edge when
+    no edge measurement is noisy (``edge_noise`` false).  Residuals are edge
+    differences, so A annihilates the constant vector: a consensus state
+    with x_hat = x is an exact fixed point.
     """
 
     def __init__(self, topology: NetworkTopology, params: FilterParams) -> None:
         n = topology.node_count
         src, dst, w = topology.edge_arrays()
+        m = src.size
         self.n, self.src, self.dst = n, src, dst
         self.B = params.B
-        self.R_self = params.R_self
         self.D_self = np.sqrt(params.R_self)
         self.D_edge = np.sqrt(params.R_nbr_edge)
+        self.edge_noise = bool(np.any(self.D_edge > 0))
         sgain = w / params.S_edge
-        self.edge_sum = sparse.csr_array(
-            (np.concatenate([w * params.G_edge / params.S_edge, sgain]),
-             (np.concatenate([src, src + n]), np.tile(np.arange(src.size), 2))),
-            shape=(2 * n, src.size))
         self.ricc_coeff = 1.0 / params.R_self + np.bincount(
             src, weights=sgain, minlength=n)
         self.q_star = steady_gains(topology, params.B, params.R_self, params.S_edge)
+
+        # columns of v: x 0..N-1, x_hat N.., delta 2N.., eps_self 3N.., eps_edge 4N..
+        edges, nodes, width = np.arange(m), np.arange(n), 4 * n + m
+        residual = sparse.csr_array(
+            (np.concatenate([np.ones(m), -np.ones(m), self.D_edge]),
+             (np.tile(edges, 3), np.concatenate([dst, n + src, 4 * n + edges]))),
+            shape=(m, width))
+        own = sparse.csr_array(
+            (np.concatenate([np.ones(n), -np.ones(n), self.D_self]) / np.tile(params.R_self, 3),
+             (np.tile(nodes, 3), np.concatenate([nodes, n + nodes, 3 * n + nodes]))),
+            shape=(n, width))
+        u = sparse.csr_array((w * params.G_edge / params.S_edge, (src, edges)),
+                             shape=(n, m)) @ residual
+        innov = own + sparse.csr_array((sgain, (src, edges)), shape=(n, m)) @ residual
+        self.coupling_map = sparse.vstack([u, innov], format="csr")
+        self.coupling_map.eliminate_zeros()
+
+        drive = sparse.csr_array((params.B, (nodes, 2 * n + nodes)), shape=(n, width))
+        steady = sparse.vstack([u + drive, u + sparse.diags_array(self.q_star) @ innov],
+                               format="csr")
+        noise = slice(2 * n, width if self.edge_noise else 4 * n)
+        self.A, self.inputs = steady[:, :2 * n], steady[:, noise]
+        self.u_state, self.u_noise = u[:, :2 * n], u[:, noise]
 
     def measure(self, x: np.ndarray, eps_self: np.ndarray,
                 eps_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -150,16 +176,16 @@ class ClosedLoop:
     def coupling(self, x: np.ndarray, x_hat: np.ndarray, eps_self: np.ndarray,
                  eps_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Consensus input u and innovation at one point."""
-        y_self, y_edge = self.measure(x, eps_self, eps_edge)
-        s = self.edge_sum @ (y_edge - x_hat[self.src])
-        return s[:self.n], (y_self - x_hat) / self.R_self + s[self.n:]
+        s = self.coupling_map @ np.concatenate(
+            [x, x_hat, np.zeros(self.n), eps_self, eps_edge])
+        return s[:self.n], s[self.n:]
 
 
 def _realization(config: ScenarioConfig, loop: ClosedLoop):
     """The filter run's disturbances; the edge stream only when it is used."""
     return sample_disturbances(config.profile, loop.n, loop.src.size,
                                config.steps, config.h, config.seed,
-                               need_edge_noise=bool(np.any(loop.D_edge > 0)))
+                               need_edge_noise=loop.edge_noise)
 
 
 def _integrate(f, z: np.ndarray, n: int, steps: int, h: float):
@@ -179,12 +205,105 @@ def _integrate(f, z: np.ndarray, n: int, steps: int, h: float):
     return ts, z_rec, u_rec
 
 
+_DENSE_FILL = 0.25  # a map with more nonzeros than this share is stored dense
+
+
+def _stored(M):
+    """M as CSR while at most a quarter of its entries are nonzero, dense after."""
+    if sparse.issparse(M):
+        M = sparse.csr_array(M, copy=True)
+        M.eliminate_zeros()
+        nnz = M.nnz
+    else:
+        nnz = np.count_nonzero(M)
+    if nnz <= _DENSE_FILL * M.shape[0] * M.shape[1]:
+        return sparse.csr_array(M)
+    return M.toarray() if sparse.issparse(M) else M
+
+
+def _rk4_maps(A, h: float, kind: str) -> list:
+    """The RK4 step of zdot = A z + g(t) as linear maps, M = h A.
+
+    One step is z + (P - I) z + K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h)
+    with P - I = M + M^2/2 + M^3/6 + M^4/24, K1 = h/6 (I + M + M^2/2 +
+    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  Returns [P - I], plus the
+    held-input map K1 + K2 + h/6 I = h (I + M/2 + M^2/6 + M^3/24) for
+    white noise, or K1 and K2 for sinusoids.  Each power of M, and each
+    map, is stored by its fill (see ``_stored``).
+    """
+    powers = [sparse.eye_array(A.shape[0], format="csr"), _stored(h * A)]
+    for _ in range(3):
+        powers.append(_stored(powers[1] @ powers[-1]))
+
+    def poly(*coeffs):
+        out = coeffs[0] * powers[0]
+        for c, Mk in zip(coeffs[1:], powers[1:]):
+            out = out + c * Mk
+        return _stored(out)
+
+    maps = [poly(0.0, 1.0, 1 / 2, 1 / 6, 1 / 24)]
+    if kind == "white":
+        maps.append(poly(h, h / 2, h / 6, h / 24))
+    elif kind == "sinusoid":
+        maps += [poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12)]
+    return maps
+
+
+def _propagate(A, inputs, u_state, u_noise, streams: int, z: np.ndarray,
+               real, h: float, steps: int):
+    """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), one
+    precomputed linear map per step; returns (t, z records, u records).
+
+    w(t) stacks the first ``streams`` arrays of ``real.at(t, k)``; u =
+    u_state z + u_noise w at each grid point (``u_noise`` None: u sees no
+    noise).  A annihilates the constant vector, so the step and the
+    readout act on z - z[0] and a consensus state stays exact.  Noise is
+    read once per step (white, held), twice (sinusoid, at t + h/2 and at
+    t_{k+1}, which starts the next step) or never (zero).
+    """
+    kind = real.profile.kind
+    step, *K = _rk4_maps(A, h, kind)
+    inputs = _stored(inputs)
+    u_state = _stored(u_state)
+    if u_noise is not None:
+        u_noise = _stored(u_noise) if kind != "zero" and u_noise.count_nonzero() else None
+    ts = np.arange(steps + 1) * h
+    z_rec = np.empty((steps + 1, z.size))
+    u_rec = np.empty((steps + 1, u_state.shape[0]))
+    if kind == "sinusoid":
+        w = np.concatenate(real.at(ts[0], 0)[:streams])
+        g = inputs @ w
+    for k in range(steps + 1):
+        if kind == "white" and k < steps:  # the last grid point keeps the last draw
+            w = np.concatenate(real.at(ts[k], k)[:streams])
+            g = inputs @ w
+        d = z - z[0]
+        z_rec[k] = z
+        u_rec[k] = u_state @ d if u_noise is None else u_state @ d + u_noise @ w
+        if k == steps:
+            break
+        z = z + step @ d
+        if kind == "white":
+            z += K[0] @ g
+        elif kind == "sinusoid":
+            g_mid = inputs @ np.concatenate(real.at(ts[k] + 0.5 * h, k)[:streams])
+            w = np.concatenate(real.at(ts[k + 1], k + 1)[:streams])
+            g_end = inputs @ w
+            z += K[0] @ g + K[1] @ g_mid + (h / 6.0) * g_end
+            g = g_end
+        if not np.all(np.isfinite(z)):
+            raise SimulationError(f"non-finite state after the step from t={ts[k]:.6g}")
+    return ts, z_rec, u_rec
+
+
 def simulate_mef(config: ScenarioConfig) -> Trajectory:
     """Integrate the filter network (states and estimates jointly).
 
-    Estimates start at the configured priors; gains stay frozen at the
+    Estimates start at the configured priors.  Gains stay frozen at the
     steady value Q* unless ``riccati='dynamic'``, which integrates the
-    gain equation from Q(0) = 1/Xi alongside the states.
+    gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
+    is linear and time-invariant, so each RK4 step is one precomputed
+    linear map (``_propagate``); the dynamic loop evaluates its stages.
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -192,23 +311,24 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     loop = ClosedLoop(config.topology, config.params)
     real = _realization(config, loop)
     n = loop.n
-    dynamic = config.riccati == "dynamic"
+    if config.riccati == "steady":
+        ts, z_rec, u_rec = _propagate(
+            loop.A, loop.inputs, loop.u_state, loop.u_noise, 2 + loop.edge_noise,
+            np.concatenate([config.x0, config.prior]), real, config.h, config.steps)
+        q_rec = np.tile(loop.q_star, (ts.size, 1))
+    else:
+        def f(t: float, k: int, z: np.ndarray):
+            x, xh, q = z[:n], z[n:2 * n], z[2 * n:]
+            delta, es, ee = real.at(t, k)
+            u, innov = loop.coupling(x, xh, es, ee)
+            # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
+            return np.concatenate([u + loop.B * delta, u + q * innov,
+                                   loop.B ** 2 - q ** 2 * loop.ricc_coeff]), u
 
-    def f(t: float, k: int, z: np.ndarray):
-        x, xh = z[:n], z[n:2 * n]
-        q = z[2 * n:] if dynamic else loop.q_star
-        delta, es, ee = real.at(t, k)
-        u, innov = loop.coupling(x, xh, es, ee)
-        out = [u + loop.B * delta, u + q * innov]
-        if dynamic:  # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
-            out.append(loop.B ** 2 - q ** 2 * loop.ricc_coeff)
-        return np.concatenate(out), u
-
-    z0 = np.concatenate([config.x0, config.prior]
-                        + ([1.0 / config.params.Xi] if dynamic else []))
-    ts, z_rec, u_rec = _integrate(f, z0, n, config.steps, config.h)
+        z0 = np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi])
+        ts, z_rec, u_rec = _integrate(f, z0, n, config.steps, config.h)
+        q_rec = z_rec[:, 2 * n:]
     x_rec, xh_rec = z_rec[:, :n], z_rec[:, n:2 * n]
-    q_rec = z_rec[:, 2 * n:] if dynamic else np.tile(loop.q_star, (ts.size, 1))
     return Trajectory(ts, x_rec, xh_rec, xh_rec - x_rec, u_rec, q_rec)
 
 
@@ -238,12 +358,8 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     n = top.node_count
     real = sample_disturbances(config.profile, n, top.edge_count, config.steps,
                                config.h, config.seed, need_edge_noise=False)
-
-    def f(t: float, k: int, x: np.ndarray):
-        u = Lp @ x
-        return u + real.at(t, k)[0], u
-
-    ts, x_rec, u_rec = _integrate(f, config.x0, n, config.steps, config.h)
+    ts, x_rec, u_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), Lp, None,
+                                  1, config.x0, real, config.h, config.steps)
     zeros = np.zeros_like(x_rec)
     return Trajectory(ts, x_rec, x_rec.copy(), zeros, u_rec, zeros.copy())
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 import yaml
 
+import mefcon
 from mefcon import ConfigError, build_scenario, load_config
 from mefcon.cli import main
 
@@ -131,6 +133,36 @@ def test_analyze_report(tmp_path):
     assert rep["iss"]["phi_max"] == pytest.approx(0.68284, abs=1e-5)
     ball = rep["iss"]["b"] * rep["iss"]["phi_max"] / rep["iss"]["a"]
     assert rep["iss"]["asymptotic_ball"] == pytest.approx(ball)
+
+
+def test_equilibrium_follows_the_gain_mode(tmp_path, capsys):
+    # Xi = 3 is not 1/Q* = sqrt(2); e0 = (0.1, 0.1)
+    cfg = _write(tmp_path, TWO_NODE.replace("G: 1.0}", "G: 1.0, Xi: 3.0}")
+                 .replace("x0: [0.0, 1.0]", "x0: [0.0, 1.0]\n  prior: [0.1, 1.1]"))
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+    x_star = json.loads((tmp_path / "rep" / "report.json").read_text())[
+        "equilibrium"]["x_star"]
+    # the steady gain weights e0 by 1/Q*, not by Xi (which would give 0.350)
+    assert x_star == pytest.approx((2 - 0.2 * np.sqrt(2)) / 4, abs=1e-12)
+    assert x_star == pytest.approx(0.4293, abs=1e-4)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "st")]) == 0
+    _, data = _read_csv(tmp_path / "st" / "trajectory.csv")
+    assert data[-1, 1:3] == pytest.approx([x_star, x_star], abs=1e-6)
+    capsys.readouterr()
+    # a dynamic gain from Q(0) = 1/3 settles elsewhere, so no x* is reported
+    for verb in ("analyze", "envelope"):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / verb),
+                     "--riccati", "dynamic"]) == 2
+        assert "params.Xi" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "dyn"),
+                 "--riccati", "dynamic"]) == 0
+    _, data = _read_csv(tmp_path / "dyn" / "trajectory.csv")
+    assert data[-1, 1:3] == pytest.approx([0.4134, 0.4134], abs=1e-4)
+    # B = 0 at a node freezes its gain at Q* = 0: there is no x* to report
+    cfg = _write(tmp_path, TWO_NODE.replace("B: 1.0", "B: [1.0, 0.0]")
+                 .replace("G: 1.0}", "G: 1.0, Xi: 1.0}"), "b0.yaml")
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "b0")]) == 4
+    assert "Q*" in capsys.readouterr().err
 
 
 def test_analyze_disconnected_graph(tmp_path):
@@ -309,10 +341,14 @@ def test_json_config_accepted(tmp_path):
 
 def test_console_entry_point(tmp_path):
     cfg = _write(tmp_path, TWO_NODE.replace("T: 50.0", "T: 1.0"))
+    # the child imports the same mefcon as this test, installed or not
+    src = str(Path(mefcon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
     proc = subprocess.run(
         [sys.executable, "-m", "mefcon", "simulate", "--config", cfg,
          "--out", str(tmp_path / "sub")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert (tmp_path / "sub" / "trajectory.csv").exists()
 

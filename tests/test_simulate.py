@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given
+from scipy import sparse
 from hypothesis import strategies as st
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
@@ -13,6 +14,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
                     rk4_step, sample_disturbances, simulate_classical,
                     simulate_mef, steady_gains, uniform_params)
+from mefcon.simulate import _rk4_maps
 
 
 def test_rk4_zero_field():
@@ -234,16 +236,62 @@ def test_steady_gain_column_recorded():
     assert np.array_equal(traj.Q, np.tile(qstar, (traj.t.size, 1)))
 
 
+def _weighted_digraph():
+    """A strongly connected weighted digraph with non-uniform B, R, S and
+    G < S (so edge measurements are noisy), and Xi = 1/Q*."""
+    top = NetworkTopology(4, ((0, 1, 1.5), (1, 2, 0.7), (2, 3, 2.0),
+                              (3, 0, 1.1), (0, 2, 0.6), (2, 1, 1.3)))
+    B = np.array([1.0, 0.6, 1.7, 1.2])
+    R = np.array([0.5, 1.0, 2.0, 0.8])
+    S = np.array([1.0, 2.0, 1.5, 3.0, 1.2, 2.5])
+    G = S * np.array([0.3, 0.9, 0.5, 0.7, 1.0, 0.4])
+    return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
+
+
 def test_default_xi_makes_dynamic_equal_steady():
-    # Xi = 1/Q* starts the gain at its fixed point, so both modes agree
-    top = make_graph("complete", 3)
-    params = uniform_params(top, B=1.0, R=1.0, S=1.0, G=1.0)
-    x0 = np.array([0.1, 0.5, -0.2])
-    kw = dict(profile=DisturbanceProfile(), h=0.01, T=2.0, seed=0)
-    steady = simulate_mef(ScenarioConfig(top, params, x0, None, riccati="steady", **kw))
-    dynamic = simulate_mef(ScenarioConfig(top, params, x0, None, riccati="dynamic", **kw))
-    assert dynamic.x[-1] == pytest.approx(steady.x[-1], abs=1e-12)
-    assert dynamic.Q[-1] == pytest.approx(steady.Q[-1], abs=1e-12)
+    # Xi = 1/Q* starts the gain at its fixed point, so both modes agree:
+    # the stage-by-stage dynamic run is the oracle of the steady propagator
+    top3 = make_graph("complete", 3)
+    top, params = _weighted_digraph()
+    x0 = np.array([0.4, -0.3, 0.9, 0.1])
+    cases = [(top3, uniform_params(top3, B=1.0, R=1.0, S=1.0, G=1.0),
+              np.array([0.1, 0.5, -0.2]), None, DisturbanceProfile())]
+    for prof in (DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
+                                    frequency=0.8),
+                 DisturbanceProfile(kind="white", sigma=0.5)):
+        cases.append((top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3], prof))
+    for top, params, x0, prior, prof in cases:
+        kw = dict(profile=prof, h=0.01, T=2.0, seed=5)
+        steady = simulate_mef(ScenarioConfig(top, params, x0, prior,
+                                             riccati="steady", **kw))
+        dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
+                                              riccati="dynamic", **kw))
+        for name in ("x", "x_hat", "u", "Q"):
+            assert getattr(dynamic, name) == pytest.approx(
+                getattr(steady, name), rel=0, abs=1e-12), (prof.kind, name)
+    assert np.abs(steady.u).max() > 1.0  # the noise reaches u
+
+
+def test_consensus_is_exact_on_weighted_digraph():
+    # non-uniform weights leave (P - I) 1 at rounding level, not zero, so
+    # only a step on z - z[0] keeps consensus exact
+    top, params = _weighted_digraph()
+    for run in (simulate_mef, simulate_classical):
+        traj = run(ScenarioConfig(top, params, np.full(4, 3.1), h=0.4, T=40.0))
+        assert np.array_equal(traj.x, np.full_like(traj.x, 3.1))
+        assert np.array_equal(traj.x_hat, traj.x)
+        assert not np.any(traj.u)
+
+
+def test_propagator_storage_follows_fill():
+    ring = make_graph("undirected_ring", 500)
+    loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
+    assert loop.A.nnz <= 8 * 500
+    for M in _rk4_maps(loop.A, 0.01, "sinusoid"):
+        assert sparse.issparse(M) and M.nnz <= 40 * 500
+    complete = make_graph("complete", 20)
+    A = ClosedLoop(complete, uniform_params(complete)).A
+    assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, "white"))
 
 
 def test_measurement_recording():
