@@ -222,8 +222,15 @@ def cmd_envelope(args) -> int:
     csv_path = out / "envelope.csv"
     _write_csv(csv_path, ["t", "disagreement_norm", "envelope"],
                [traj.t, norms, env])
-    ratio = norms / env
-    violations = int(np.sum(norms > env))
+    # rounding leaves about eps |x| per coordinate and step in the norm; an
+    # envelope below that floor (phi = 0, late t) certifies nothing finer
+    floor = ((config.steps + 1) * np.finfo(float).eps
+             * math.sqrt(2 * config.topology.node_count) * float(np.abs(traj.x).max()))
+    bound = env + floor
+    above = norms > bound
+    violations = int(np.sum(above))
+    positive = bound > 0  # all zero only when x = 0 throughout: no ratio
+    ratio = float(np.max(norms[positive] / bound[positive])) if positive.any() else None
     summary = {
         "tool": "mefcon",
         "version": __version__,
@@ -235,15 +242,17 @@ def cmd_envelope(args) -> int:
         "x_star": eq.x_star,
         "z0_norm": float(norms[0]),
         "asymptotic_ball": b * phi / a if a > 0 else None,
-        "max_ratio": float(ratio.max()),
+        "max_ratio": ratio,
+        "floor": floor,
         "violations": violations,
     }
     _write_json(out / "envelope.json", summary)
+    shown = "undefined" if ratio is None else f"{ratio:.6g}"
     print(f"envelope: a={a:.6g}, b={b:.6g}, phi_max={phi:.6g}, "
-          f"max norm/envelope ratio {ratio.max():.6g}")
+          f"max norm/(envelope + floor) ratio {shown}, floor {floor:.3g}")
     print(f"wrote {csv_path} and {out / 'envelope.json'}")
     if violations:
-        first = int(np.argmax(norms > env))
+        first = int(np.argmax(above))
         raise BoundViolationError(
             f"disagreement norm {norms[first]:.6g} exceeds envelope "
             f"{env[first]:.6g} at t={traj.t[first]:.6g} "

@@ -173,6 +173,9 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         compare_seeds = [_integer(s, "compare_seeds") for s in cs]
     else:
         compare_seeds = list(range(seed, seed + _integer(cs, "compare_seeds")))
+    if not compare_seeds:
+        raise ConfigError(f"field 'compare_seeds' must be a positive count or a "
+                          f"nonempty list of seeds, got {cs!r}")
 
     config = ScenarioConfig(topology, params, x0, prior, profile, it["h"],
                             it["T"], seed, riccati)

@@ -16,9 +16,9 @@ Three kinds:
 
 Three independent streams are spawned from the seed: one for the input
 disturbances delta, one for the self-measurement errors, one for the
-neighbor-measurement errors.  Sharing a seed between two runs therefore
-shares the delta realization even if one run never consumes the
-measurement streams.
+neighbor-measurement errors.  A run builds only the streams it reads,
+stacked in that order, and sharing a seed between two runs shares the
+delta realization even if one run never reads the measurement streams.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ import numpy as np
 from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
+_BLOCK = 1 << 16  # white draws per block: bounds the temporary of one draw call
 
 
 @dataclass(frozen=True)
@@ -72,62 +73,61 @@ class DisturbanceProfile:
 class DisturbanceRealization:
     """Concrete signal source for one run.
 
-    ``at(t, step)`` returns ``(delta, eps_self, eps_edge)`` arrays of
-    shapes (N,), (N,), (E,).  Sinusoids are evaluated at the exact time
-    ``t`` (RK4 stages included); white draws depend only on ``step``.
+    ``sizes`` are the lengths of the streams the run reads, a prefix of
+    (delta: N, eps_self: N, eps_edge: E); ``at(t, step)`` returns them
+    stacked into one input vector w.  Sinusoids are evaluated at the
+    exact time ``t`` (RK4 stages included); white draws depend only on
+    ``step``, clamped to the drawn steps.
     """
 
-    def __init__(self, profile: DisturbanceProfile, n_nodes: int, n_edges: int,
-                 steps: int, h: float, seed: int,
-                 need_edge_noise: bool = True) -> None:
+    def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
+                 steps: int, h: float, seed: int) -> None:
+        if len(sizes) > 3:
+            raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
         self.profile = profile
-        self.n = n_nodes
-        self.m = n_edges
         self.steps = steps
-        self._zero_n = np.zeros(n_nodes)
-        self._zero_m = np.zeros(n_edges)
+        width = sum(sizes)
         kind = profile.kind
         use_seed = profile.seed if profile.seed is not None else seed
-        if kind == "sinusoid":
-            kids = np.random.SeedSequence(use_seed).spawn(3)
-            self._ph_delta = np.random.default_rng(kids[0]).uniform(0, 2 * math.pi, n_nodes)
-            self._ph_self = np.random.default_rng(kids[1]).uniform(0, 2 * math.pi, n_nodes)
-            self._ph_edge = np.random.default_rng(kids[2]).uniform(0, 2 * math.pi, n_edges)
+        rngs = [np.random.default_rng(kid)
+                for kid in np.random.SeedSequence(use_seed).spawn(3)]
+        if kind == "zero":
+            self._zero = np.zeros(width)
+        elif kind == "sinusoid":
+            self._phase = np.concatenate(
+                [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
+            bounds = (profile.delta_max, profile.eps_max, profile.eps_max)
+            self._amp = np.repeat(bounds[:len(sizes)], sizes)
             self._omega = 2 * math.pi * profile.frequency
-        elif kind == "white":
+        else:
+            # row k holds step k's draws; each stream fills its own columns
+            # in row blocks, which draws the same numbers as one call
             std = profile.sigma / math.sqrt(h)
-            kids = np.random.SeedSequence(use_seed).spawn(3)
-            self._delta = np.random.default_rng(kids[0]).normal(0.0, std, (steps, n_nodes))
-            self._eps_self = np.random.default_rng(kids[1]).normal(0.0, std, (steps, n_nodes))
-            # the edge stream is skipped when no edge measurement uses it;
-            # stream independence keeps the other draws unchanged either way
-            if need_edge_noise and n_edges:
-                self._eps_edge = np.random.default_rng(kids[2]).normal(0.0, std, (steps, n_edges))
-            else:
-                self._eps_edge = None
+            self._draws = np.empty((steps, width))
+            start = 0
+            for rng, size in zip(rngs, sizes):
+                block = max(1, _BLOCK // max(size, 1))
+                for r in range(0, steps, block):
+                    rows = min(block, steps - r)
+                    self._draws[r:r + rows, start:start + size] = rng.normal(
+                        0.0, std, (rows, size))
+                start += size
 
-    def at(self, t: float, step: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def at(self, t: float, step: int) -> np.ndarray:
         kind = self.profile.kind
         if kind == "zero":
-            return self._zero_n, self._zero_n, self._zero_m
+            return self._zero
         if kind == "sinusoid":
-            p = self.profile
-            arg = self._omega * t
-            return (p.delta_max * np.sin(arg + self._ph_delta),
-                    p.eps_max * np.sin(arg + self._ph_self),
-                    p.eps_max * np.sin(arg + self._ph_edge))
-        k = min(max(step, 0), self.steps - 1)
-        edge = self._eps_edge[k] if self._eps_edge is not None else self._zero_m
-        return self._delta[k], self._eps_self[k], edge
+            return self._amp * np.sin(self._omega * t + self._phase)
+        return self._draws[min(max(step, 0), self.steps - 1)]
 
 
-def sample_disturbances(profile: DisturbanceProfile, n_nodes: int, n_edges: int,
-                        steps: int, h: float, seed: int = 0,
-                        need_edge_noise: bool = True) -> DisturbanceRealization:
-    """Materialize a profile into a reproducible signal source."""
+def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],
+                        steps: int, h: float, seed: int = 0) -> DisturbanceRealization:
+    """Materialize a profile into a reproducible signal source for the
+    streams of lengths ``sizes`` (see ``DisturbanceRealization``)."""
     if steps < 1:
         raise ConfigError("need at least one integration step")
     if h <= 0:
         raise ConfigError("step size h must be positive")
-    return DisturbanceRealization(profile, n_nodes, n_edges, steps, h, seed,
-                                  need_edge_noise=need_edge_noise)
+    return DisturbanceRealization(profile, sizes, steps, h, seed)

@@ -115,17 +115,16 @@ class ClosedLoop:
 
     Built once per run from the topology and the params.  Edge (i, j)
     measures y_ij = x_j + D_ij eps_ij and feeds node i the residual
-    r = y_ij - x_hat_i.  One sparse 2N x (4N + E) map acts on the stacked
-    point v = (x, x_hat, delta, eps_self, eps_edge): rows 0..N-1 sum each
-    node's residuals with weights w G/S (the consensus input u), rows
-    N..2N-1 add w/S-weighted residuals to (y_self - x_hat)/R (the
-    innovation).  Under the steady gain Q* the loop is zdot = A z +
-    inputs w for z = (x, x_hat) and w = (delta, eps_self, eps_edge), with
-    u = u_state z + u_noise w; ``A``, ``inputs``, ``u_state`` and
-    ``u_noise`` are column blocks of that map, and w drops eps_edge when
-    no edge measurement is noisy (``edge_noise`` false).  Residuals are edge
-    differences, so A annihilates the constant vector: a consensus state
-    with x_hat = x is an exact fixed point.
+    r = y_ij - x_hat_i.  The noise w stacks (delta, eps_self, eps_edge),
+    of lengths ``noise_sizes``, without eps_edge when no edge measurement
+    is noisy.  One sparse map acts on the stacked point (z, w), z = (x,
+    x_hat): rows 0..N-1 sum each node's residuals with weights w G/S (the
+    consensus input u), rows N..2N-1 add w/S-weighted residuals to
+    (y_self - x_hat)/R (the innovation).  Under the steady gain Q* the
+    loop is zdot = A z + inputs w, with u = u_state z + u_noise w; ``A``,
+    ``inputs``, ``u_state`` and ``u_noise`` are column blocks of that
+    map.  Residuals are edge differences, so A annihilates the constant
+    vector: a consensus state with x_hat = x is an exact fixed point.
     """
 
     def __init__(self, topology: NetworkTopology, params: FilterParams) -> None:
@@ -136,13 +135,13 @@ class ClosedLoop:
         self.B = params.B
         self.D_self = np.sqrt(params.R_self)
         self.D_edge = np.sqrt(params.R_nbr_edge)
-        self.edge_noise = bool(np.any(self.D_edge > 0))
+        self.noise_sizes = (n, n, m) if np.any(self.D_edge > 0) else (n, n)
         sgain = w / params.S_edge
         self.ricc_coeff = 1.0 / params.R_self + np.bincount(
             src, weights=sgain, minlength=n)
         self.q_star = steady_gains(topology, params.B, params.R_self, params.S_edge)
 
-        # columns of v: x 0..N-1, x_hat N.., delta 2N.., eps_self 3N.., eps_edge 4N..
+        # columns: x 0..N-1, x_hat N.., delta 2N.., eps_self 3N.., eps_edge 4N..
         edges, nodes, width = np.arange(m), np.arange(n), 4 * n + m
         residual = sparse.csr_array(
             (np.concatenate([np.ones(m), -np.ones(m), self.D_edge]),
@@ -155,37 +154,31 @@ class ClosedLoop:
         u = sparse.csr_array((w * params.G_edge / params.S_edge, (src, edges)),
                              shape=(n, m)) @ residual
         innov = own + sparse.csr_array((sgain, (src, edges)), shape=(n, m)) @ residual
-        self.coupling_map = sparse.vstack([u, innov], format="csr")
+        cols = 2 * n + sum(self.noise_sizes)  # (z, w)
+        self.coupling_map = sparse.vstack([u, innov], format="csr")[:, :cols]
         self.coupling_map.eliminate_zeros()
 
         drive = sparse.csr_array((params.B, (nodes, 2 * n + nodes)), shape=(n, width))
         steady = sparse.vstack([u + drive, u + sparse.diags_array(self.q_star) @ innov],
                                format="csr")
-        noise = slice(2 * n, width if self.edge_noise else 4 * n)
-        self.A, self.inputs = steady[:, :2 * n], steady[:, noise]
-        self.u_state, self.u_noise = u[:, :2 * n], u[:, noise]
+        self.A, self.inputs = steady[:, :2 * n], steady[:, 2 * n:cols]
+        self.u_state, self.u_noise = u[:, :2 * n], u[:, 2 * n:cols]
 
-    def measure(self, x: np.ndarray, eps_self: np.ndarray,
-                eps_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """y_self = x + D_self eps_self and y_edge = x[dst] + D_edge eps_edge.
+    def measure(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """y_self = x + D_self eps_self and y_edge = x[dst] + D_edge eps_edge
+        under the noise w; a w without eps_edge leaves y_edge = x[dst].
 
         y_edge follows the topology's edge order; edge (i, j) observes x_j.
         """
-        return x + self.D_self * eps_self, x[self.dst] + self.D_edge * eps_edge
+        n, y_edge = self.n, x[self.dst]
+        if w.size > 2 * n:
+            y_edge = y_edge + self.D_edge * w[2 * n:]
+        return x + self.D_self * w[n:2 * n], y_edge
 
-    def coupling(self, x: np.ndarray, x_hat: np.ndarray, eps_self: np.ndarray,
-                 eps_edge: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Consensus input u and innovation at one point."""
-        s = self.coupling_map @ np.concatenate(
-            [x, x_hat, np.zeros(self.n), eps_self, eps_edge])
+    def coupling(self, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Consensus input u and innovation at z = (x, x_hat) under noise w."""
+        s = self.coupling_map @ np.concatenate([z, w])
         return s[:self.n], s[self.n:]
-
-
-def _realization(config: ScenarioConfig, loop: ClosedLoop):
-    """The filter run's disturbances; the edge stream only when it is used."""
-    return sample_disturbances(config.profile, loop.n, loop.src.size,
-                               config.steps, config.h, config.seed,
-                               need_edge_noise=loop.edge_noise)
 
 
 def _integrate(f, z: np.ndarray, n: int, steps: int, h: float):
@@ -249,14 +242,13 @@ def _rk4_maps(A, h: float, kind: str) -> list:
     return maps
 
 
-def _propagate(A, inputs, u_state, u_noise, streams: int, z: np.ndarray,
-               real, h: float, steps: int):
+def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
+               steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), one
     precomputed linear map per step; returns (t, z records, u records).
 
-    w(t) stacks the first ``streams`` arrays of ``real.at(t, k)``; u =
-    u_state z + u_noise w at each grid point (``u_noise`` None: u sees no
-    noise).  A annihilates the constant vector, so the step and the
+    w(t) = ``real.at(t, k)``; u = u_state z + u_noise w at each grid point
+    (``u_noise`` None: u sees no noise).  A annihilates the constant vector, so the step and the
     readout act on z - z[0] and a consensus state stays exact.  Noise is
     read once per step (white, held), twice (sinusoid, at t + h/2 and at
     t_{k+1}, which starts the next step) or never (zero).
@@ -271,11 +263,11 @@ def _propagate(A, inputs, u_state, u_noise, streams: int, z: np.ndarray,
     z_rec = np.empty((steps + 1, z.size))
     u_rec = np.empty((steps + 1, u_state.shape[0]))
     if kind == "sinusoid":
-        w = np.concatenate(real.at(ts[0], 0)[:streams])
+        w = real.at(ts[0], 0)
         g = inputs @ w
     for k in range(steps + 1):
         if kind == "white" and k < steps:  # the last grid point keeps the last draw
-            w = np.concatenate(real.at(ts[k], k)[:streams])
+            w = real.at(ts[k], k)
             g = inputs @ w
         d = z - z[0]
         z_rec[k] = z
@@ -286,8 +278,8 @@ def _propagate(A, inputs, u_state, u_noise, streams: int, z: np.ndarray,
         if kind == "white":
             z += K[0] @ g
         elif kind == "sinusoid":
-            g_mid = inputs @ np.concatenate(real.at(ts[k] + 0.5 * h, k)[:streams])
-            w = np.concatenate(real.at(ts[k + 1], k + 1)[:streams])
+            g_mid = inputs @ real.at(ts[k] + 0.5 * h, k)
+            w = real.at(ts[k + 1], k + 1)
             g_end = inputs @ w
             z += K[0] @ g + K[1] @ g_mid + (h / 6.0) * g_end
             g = g_end
@@ -309,20 +301,20 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
         warnings.warn("topology is not strongly connected; consensus is not "
                       "guaranteed", RuntimeWarning, stacklevel=2)
     loop = ClosedLoop(config.topology, config.params)
-    real = _realization(config, loop)
+    real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
+                               config.h, config.seed)
     n = loop.n
     if config.riccati == "steady":
         ts, z_rec, u_rec = _propagate(
-            loop.A, loop.inputs, loop.u_state, loop.u_noise, 2 + loop.edge_noise,
+            loop.A, loop.inputs, loop.u_state, loop.u_noise,
             np.concatenate([config.x0, config.prior]), real, config.h, config.steps)
         q_rec = np.tile(loop.q_star, (ts.size, 1))
     else:
         def f(t: float, k: int, z: np.ndarray):
-            x, xh, q = z[:n], z[n:2 * n], z[2 * n:]
-            delta, es, ee = real.at(t, k)
-            u, innov = loop.coupling(x, xh, es, ee)
+            q, w = z[2 * n:], real.at(t, k)
+            u, innov = loop.coupling(z[:2 * n], w)
             # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
-            return np.concatenate([u + loop.B * delta, u + q * innov,
+            return np.concatenate([u + loop.B * w[:n], u + q * innov,
                                    loop.B ** 2 - q ** 2 * loop.ricc_coeff]), u
 
         z0 = np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi])
@@ -340,8 +332,9 @@ def measurements(config: ScenarioConfig,
     the nodes saw at that grid point.
     """
     loop = ClosedLoop(config.topology, config.params)
-    real = _realization(config, loop)
-    rows = [loop.measure(x, *real.at(t, k)[1:])
+    real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
+                               config.h, config.seed)
+    rows = [loop.measure(x, real.at(t, k))
             for k, (t, x) in enumerate(zip(traj.t, traj.x))]
     return tuple(np.array(col) for col in zip(*rows))
 
@@ -356,10 +349,10 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     top = config.topology
     Lp = laplacian(top)  # -L_std
     n = top.node_count
-    real = sample_disturbances(config.profile, n, top.edge_count, config.steps,
-                               config.h, config.seed, need_edge_noise=False)
+    real = sample_disturbances(config.profile, (n,), config.steps, config.h,
+                               config.seed)
     ts, x_rec, u_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), Lp, None,
-                                  1, config.x0, real, config.h, config.steps)
+                                  config.x0, real, config.h, config.steps)
     zeros = np.zeros_like(x_rec)
     return Trajectory(ts, x_rec, x_rec.copy(), zeros, u_rec, zeros.copy())
 

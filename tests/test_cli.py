@@ -259,6 +259,29 @@ def test_envelope_violation_exits_5(tmp_path, monkeypatch):
     assert (out / "envelope.csv").exists()
 
 
+def _refuse_constant(name):
+    raise ValueError(f"envelope.json holds the non-JSON constant {name}")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_envelope_rounding_floor_and_strict_json(tmp_path):
+    # phi = 0: by t = 100 the envelope decays below the rounding residue of
+    # the run; x0 at consensus makes the envelope zero throughout (0/0)
+    for name, text in (("late", TWO_NODE.replace("T: 50.0", "T: 100.0")),
+                       ("flat", TWO_NODE.replace("[0.0, 1.0]", "[0.5, 0.5]"))):
+        out = tmp_path / name
+        cfg = _write(tmp_path, text, name + ".yaml")
+        assert main(["envelope", "--config", cfg, "--out", str(out)]) == 0, name
+        summary = json.loads((out / "envelope.json").read_text(),
+                             parse_constant=_refuse_constant)
+        assert summary["violations"] == 0, name
+        assert 0 < summary["floor"] < 1e-10, name
+        assert 0 <= summary["max_ratio"] <= 1, name
+        if name == "late":
+            _, data = _read_csv(out / "envelope.csv")
+            assert np.any(data[:, 1] > data[:, 2])  # only the floor absorbs it
+
+
 def test_envelope_solver_failure_exits_4(tmp_path):
     text = """
 graph:
@@ -297,6 +320,12 @@ def test_config_error_paths(tmp_path, capsys):
                             "params: {RR: 5}\n", "params.RR"),
             ("seeds_bool", "graph: {family: complete, n: 3}\n"
                            "compare_seeds: true\n", "compare_seeds"),
+            ("seeds_zero", "graph: {family: complete, n: 3}\n"
+                           "compare_seeds: 0\n", "compare_seeds"),
+            ("seeds_negative", "graph: {family: complete, n: 3}\n"
+                               "compare_seeds: -2\n", "compare_seeds"),
+            ("seeds_empty", "graph: {family: complete, n: 3}\n"
+                            "compare_seeds: []\n", "compare_seeds"),
             ("ragged_T", "graph: {family: complete, n: 3}\n"
                          "integration: {h: 0.01, T: 0.015}\n", "integration.T")):
         bad = _write(tmp_path, text, name + ".yaml")

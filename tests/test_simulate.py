@@ -57,13 +57,14 @@ def test_measurement_map():
     top = make_graph("custom", 3, edges=[(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
     x = np.array([1.0, 10.0, 100.0])
     loop = _loop(top, [4.0, 1.0, 1.0], S=1.0, G=1.0)  # D_self = 2, 1, 1; D_edge = 0
-    y_self, y_edge = loop.measure(x, np.array([0.5, 0.0, 0.0]), np.ones(3))
+    y_self, y_edge = loop.measure(x, np.concatenate([np.zeros(3), [0.5, 0.0, 0.0],
+                                                     np.ones(3)]))
     assert y_self[0] == 2.0  # x + D eps
     assert np.array_equal(y_self[1:], x[1:])
     # edge (i, j) observes x_j, never x_i
     assert np.array_equal(y_edge, [10.0, 100.0, 1.0])
     noisy = _loop(top, [1.0, 1.0, 1.0], S=1.0625, G=1.0)  # D_edge = 0.25
-    _, y_noisy = noisy.measure(x, np.zeros(3), np.ones(3))
+    _, y_noisy = noisy.measure(x, np.concatenate([np.zeros(6), np.ones(3)]))
     assert np.array_equal(y_noisy, [10.25, 100.25, 1.25])
 
 
@@ -98,9 +99,11 @@ def _noisy_loops(draw):
 def test_closed_loop_matches_scalar_node_forms(case):
     top, params, x, xh, q, eps_self, eps_edge = case
     loop = ClosedLoop(top, params)
-    u, innov = loop.coupling(x, xh, eps_self, eps_edge)
+    # w = (delta, eps_self, eps_edge), eps_edge dropped when noiseless
+    noise = np.concatenate([np.zeros(top.node_count), eps_self, eps_edge])
+    u, innov = loop.coupling(np.concatenate([x, xh]), noise[:sum(loop.noise_sizes)])
     xh_dot = u + q * innov
-    y_self, y_edge = loop.measure(x, eps_self, eps_edge)
+    y_self, y_edge = loop.measure(x, noise)
     src, dst, w = top.edge_arrays()
     for i in range(top.node_count):
         mine = src == i
@@ -139,13 +142,16 @@ def test_error_bookkeeping_exact():
 
 
 def test_delta_stream_shared_with_baseline():
-    # the delta draw must not depend on the edge count, so the baseline
-    # (which needs no edge noise) sees the same realization as the filter
-    prof = DisturbanceProfile(kind="white", sigma=1.0, seed=3)
-    with_edges = sample_disturbances(prof, 4, 12, 20, 0.01, need_edge_noise=True)
-    no_edges = sample_disturbances(prof, 4, 0, 20, 0.01, need_edge_noise=False)
-    for k in (0, 7, 19):
-        assert np.array_equal(with_edges.at(0, k)[0], no_edges.at(0, k)[0])
+    # the delta draw must not depend on the other streams, so the baseline
+    # (which reads delta alone) sees the same realization as the filter
+    for prof in (DisturbanceProfile(kind="white", sigma=1.0, seed=3),
+                 DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
+                                    frequency=1.7, seed=3)):
+        with_edges = sample_disturbances(prof, (4, 4, 12), 20, 0.01)
+        no_edges = sample_disturbances(prof, (4,), 20, 0.01)
+        for t, k in ((0.0, 0), (0.075, 7), (0.19, 19)):
+            assert no_edges.at(t, k).shape == (4,)
+            assert np.array_equal(with_edges.at(t, k)[:4], no_edges.at(t, k))
 
 
 def test_disturbance_free_consensus_two_nodes():
@@ -180,7 +186,8 @@ def test_closed_loop_matches_global_matrix(admissible_sweep):
         x = rng.uniform(-1, 1, n)
         xh = rng.uniform(-1, 1, n)
         loop = ClosedLoop(top, params)
-        u, innov = loop.coupling(x, xh, np.zeros(n), np.zeros(top.edge_count))
+        u, innov = loop.coupling(np.concatenate([x, xh]),
+                                 np.zeros(sum(loop.noise_sizes)))
         xdot, xhdot = u, u + loop.q_star * innov
         z = np.concatenate([x, xh - x])
         Fz = system.F @ z
@@ -309,10 +316,11 @@ def test_measurement_recording():
     traj = simulate_mef(cfg)
     y_self, y_edge = measurements(cfg, traj)
     _, dst, _ = cfg.topology.edge_arrays()
-    real = sample_disturbances(cfg.profile, 3, 6, cfg.steps, cfg.h, cfg.seed)
+    real = sample_disturbances(cfg.profile, (3, 3, 6), cfg.steps, cfg.h, cfg.seed)
     assert y_self.shape == (cfg.steps + 1, 3) and y_edge.shape == (cfg.steps + 1, 6)
     for k in range(cfg.steps + 1):
-        _, es, ee = real.at(traj.t[k], min(k, cfg.steps - 1))
+        w = real.at(traj.t[k], min(k, cfg.steps - 1))
+        es, ee = w[3:6], w[6:]
         assert np.array_equal(y_self[k], traj.x[k] + es)
         assert np.array_equal(y_edge[k], traj.x[k, dst] + ee)
     assert not np.allclose(y_edge[0] - traj.x[0, dst], y_edge[1] - traj.x[1, dst])
