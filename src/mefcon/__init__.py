@@ -8,7 +8,7 @@ neighbors' noisy measurements through a minimum-energy criterion.
 __version__ = "0.1.0"
 
 from .analysis import (ComparisonResult, CoherenceReport, EquilibriumPrediction,
-                       GlobalSystem, ISSBound, SpectralReport,
+                       GlobalSystem, SpectralReport,
                        analytical_coherence, assemble_global,
                        deviation_series, disagreement_norms,
                        disagreement_state, empirical_deviation,
@@ -34,7 +34,7 @@ __all__ = [
     "BoundViolationError", "ClosedLoop", "CoherenceReport", "ComparisonResult",
     "ConfigError", "DisturbanceProfile", "DisturbanceRealization",
     "EnergyBudget", "EquilibriumPrediction", "FilterParams", "GlobalSystem",
-    "ISSBound", "MefconError", "NetworkTopology", "ScenarioConfig",
+    "MefconError", "NetworkTopology", "ScenarioConfig",
     "SimulationError", "SolverError", "SpectralReport", "Trajectory",
     "adjacency", "analytical_coherence", "assemble_global", "basic_scenario",
     "build_scenario", "control_input", "degree_matrix", "deviation_series",

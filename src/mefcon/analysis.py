@@ -46,13 +46,26 @@ class GlobalSystem:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """Eigenvalue classification of a global system."""
+    """Eigenvalue classification of a global system.
+
+    Eigenvalues are sorted by descending real part; column k of
+    ``eigenvectors`` belongs to eigenvalue k.
+    """
 
     eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
     q: int
     stable_count: int
     spectral_abscissa_nonzero: float
     zero_tolerance: float
+
+    def rk4_margin(self, h: float) -> float:
+        """max |1 + z + z^2/2 + z^3/6 + z^4/24|, z = h lambda, over the
+        eigenvalues not counted as zero: above 1, classical RK4 at step h
+        grows some mode every step."""
+        z = h * self.eigenvalues[np.abs(self.eigenvalues) >= self.zero_tolerance]
+        return float(np.max(np.abs(1 + z + z ** 2 / 2 + z ** 3 / 6 + z ** 4 / 24),
+                            initial=0.0))
 
 
 @dataclass(frozen=True)
@@ -63,20 +76,6 @@ class EquilibriumPrediction:
     numerator: float
     denominator: float
     omega: np.ndarray
-
-
-@dataclass(frozen=True)
-class ISSBound:
-    """Decay rate, overshoot and disturbance aggregate of the envelope."""
-
-    a: float
-    b: float
-    phi_max: float
-    Q_max: float
-
-    @property
-    def asymptotic_ball(self) -> float:
-        return self.b * self.phi_max / self.a
 
 
 @dataclass(frozen=True)
@@ -114,7 +113,7 @@ def assemble_global(topology: NetworkTopology, params: FilterParams) -> GlobalSy
 
 
 def spectral_report(system: GlobalSystem, zero_tolerance: float = 1e-8) -> SpectralReport:
-    """Classify the eigenvalues of F.
+    """Eigendecomposition of F with its eigenvalues classified.
 
     q counts eigenvalues with |lambda| below the tolerance; stable_count
     counts Re(lambda) < -tolerance.  Intended for desk-scale dense solves.
@@ -122,16 +121,17 @@ def spectral_report(system: GlobalSystem, zero_tolerance: float = 1e-8) -> Spect
     if zero_tolerance <= 0:
         raise ConfigError("zero tolerance must be positive")
     try:
-        ev = np.linalg.eigvals(system.F)
+        ev, V = np.linalg.eig(system.F)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"eigensolver failed on F: {exc}") from exc
     order = np.argsort(-ev.real)
-    ev = ev[order]
+    ev, V = ev[order], V[:, order]
     zero = np.abs(ev) < zero_tolerance
     stable = ev.real < -zero_tolerance
     nonzero = ev[~zero]
     absc = float(np.max(nonzero.real)) if nonzero.size else -math.inf
-    return SpectralReport(ev, int(zero.sum()), int(stable.sum()), absc, zero_tolerance)
+    return SpectralReport(ev, V, int(zero.sum()), int(stable.sum()), absc,
+                          zero_tolerance)
 
 
 def predict_equilibrium(system: GlobalSystem, omega: np.ndarray,
@@ -168,20 +168,19 @@ def exp_bound_constants(system: GlobalSystem, report: SpectralReport | None = No
     a is the negated spectral abscissa over nonzero eigenvalues; b is the
     condition number of the stable eigenvector basis, which certifies
     ||exp(F t) z|| <= b exp(-a t) ||z|| for z in the stable subspace.
-    For numerically defective bases (condition above ``cond_limit``) the
-    overshoot is measured directly on a matrix-exponential grid at a
-    slightly reduced rate, which keeps the bound valid.
+    Both come from ``report``, whose eigendecomposition of F is made here
+    only when none is passed.  For numerically defective bases (condition
+    above ``cond_limit``) the overshoot is measured directly on a
+    matrix-exponential grid at a slightly reduced rate, which keeps the
+    bound valid.
     """
     if report is None:
         report = spectral_report(system, zero_tolerance)
     a = -report.spectral_abscissa_nonzero
     if not a > 0:
         raise SolverError("nonzero spectrum is not strictly stable; no decay rate")
-    try:
-        ev, V = np.linalg.eig(system.F)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"eigensolver failed on F: {exc}") from exc
-    Vs = V[:, ev.real < -report.zero_tolerance]
+    # the descending real order puts the stable eigenvalues last
+    Vs = report.eigenvectors[:, report.eigenvalues.size - report.stable_count:]
     b = float(np.linalg.cond(Vs)) if Vs.size else 1.0
     if not np.isfinite(b) or b > cond_limit:
         a, b = _grid_overshoot(system.F, a, report.zero_tolerance)

@@ -24,12 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (ISSBound, assemble_global, disagreement_norms,
-                       exp_bound_constants, iss_envelope, left_null_vector_of,
-                       phi_max, predict_equilibrium, run_comparison,
-                       spectral_report)
+from .analysis import (assemble_global, disagreement_norms, exp_bound_constants,
+                       iss_envelope, left_null_vector_of, phi_max,
+                       predict_equilibrium, run_comparison, spectral_report)
 from .config import build_scenario, load_config
-from .errors import BoundViolationError, ConfigError, MefconError
+from .errors import BoundViolationError, ConfigError, MefconError, SimulationError
 from .graphs import is_balanced, is_strongly_connected
 from .simulate import simulate_classical, simulate_mef
 
@@ -57,8 +56,15 @@ def _prepare(args) -> tuple:
     return config, resolved, out
 
 
-def _equilibrium(config, system):
-    """The consensus value x* the configured run converges to.
+def _header(command: str, resolved: dict) -> dict:
+    return {"tool": "mefcon", "version": __version__, "command": command,
+            "config": resolved}
+
+
+def _certificate(config, system, report) -> tuple:
+    """The consensus value x* the configured run converges to, and the ISS
+    constants (a, b, phi_max, Q_max, b phi_max / a): what ``analyze``
+    prints and ``envelope`` checks.
 
     A steady run weights e0 by 1/Q* (``predict_equilibrium``); a dynamic
     run reaches that value only when its gain starts at Q*, i.e. Xi = 1/Q*.
@@ -70,7 +76,12 @@ def _equilibrium(config, system):
             "a gain started elsewhere reaches a consensus value x* that "
             "is not predicted here")
     omega = left_null_vector_of(config.topology)
-    return predict_equilibrium(system, omega, config.x0, config.prior - config.x0)
+    eq = predict_equilibrium(system, omega, config.x0, config.prior - config.x0)
+    a, b = exp_bound_constants(system, report)
+    phi = phi_max(config.params, config.topology,
+                  config.profile.delta_max, config.profile.eps_max)
+    return eq, {"a": a, "b": b, "phi_max": phi, "Q_max": float(system.q_star.max()),
+                "asymptotic_ball": b * phi / a}
 
 
 def cmd_simulate(args) -> int:
@@ -87,11 +98,8 @@ def cmd_simulate(args) -> int:
     csv_path = out / "trajectory.csv"
     _write_csv(csv_path, columns, [traj.t, traj.x, traj.x_hat, traj.e, traj.u])
     manifest = {
-        "tool": "mefcon",
-        "version": __version__,
-        "command": "simulate",
+        **_header("simulate", resolved),
         "algorithm": algorithm,
-        "config": resolved,
         "config_path": str(args.config),
         "artifacts": {"trajectory": csv_path.name, "manifest": "manifest.json"},
         "csv_columns": columns,
@@ -111,10 +119,7 @@ def cmd_analyze(args) -> int:
     report = spectral_report(system, args.tolerance)
     connected = is_strongly_connected(config.topology)
     payload = {
-        "tool": "mefcon",
-        "version": __version__,
-        "command": "analyze",
-        "config": resolved,
+        **_header("analyze", resolved),
         "connectivity": {
             "strongly_connected": connected,
             "balanced": is_balanced(config.topology),
@@ -126,31 +131,22 @@ def cmd_analyze(args) -> int:
             "zero_tolerance": report.zero_tolerance,
             "eigenvalues": [[float(ev.real), float(ev.imag)]
                             for ev in report.eigenvalues],
+            "rk4_margin": report.rk4_margin(config.h),
         },
         "warnings": [],
     }
     if connected:
-        eq = _equilibrium(config, system)
-        a, b = exp_bound_constants(system, report, args.tolerance)
-        phi = phi_max(config.params, config.topology,
-                      config.profile.delta_max, config.profile.eps_max)
-        bound = ISSBound(a, b, phi, float(system.q_star.max()))
+        eq, iss = _certificate(config, system, report)
         payload["equilibrium"] = {
             "x_star": eq.x_star,
             "numerator": eq.numerator,
             "denominator": eq.denominator,
             "omega": eq.omega.tolist(),
         }
-        payload["iss"] = {
-            "a": bound.a,
-            "b": bound.b,
-            "phi_max": bound.phi_max,
-            "Q_max": bound.Q_max,
-            "asymptotic_ball": bound.asymptotic_ball,
-        }
+        payload["iss"] = iss
         print(f"analyze: q={report.q}, stable={report.stable_count}, "
-              f"x*={eq.x_star:.12g}, a={a:.6g}, b={b:.6g}, "
-              f"phi_max={phi:.6g}")
+              f"x*={eq.x_star:.12g}, a={iss['a']:.6g}, b={iss['b']:.6g}, "
+              f"phi_max={iss['phi_max']:.6g}")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "
@@ -175,10 +171,7 @@ def cmd_compare(args) -> int:
                [result.t, result.series_baseline, result.series_mef_estimates,
                 result.series_mef_states])
     summary = {
-        "tool": "mefcon",
-        "version": __version__,
-        "command": "compare",
-        "config": resolved,
+        **_header("compare", resolved),
         "seeds": list(result.seeds),
         "coherence_analytical": _finite(result.d_ave),
         "statistic": "time average over the second half of the horizon of "
@@ -212,50 +205,48 @@ def cmd_envelope(args) -> int:
             "(kind 'sinusoid' or 'zero'); white noise has no amplitude bound")
     system = assemble_global(config.topology, config.params)
     report = spectral_report(system, args.tolerance)
-    a, b = exp_bound_constants(system, report, args.tolerance)
-    eq = _equilibrium(config, system)
-    phi = phi_max(config.params, config.topology,
-                  config.profile.delta_max, config.profile.eps_max)
+    eq, iss = _certificate(config, system, report)
+    del iss["Q_max"]  # written to report.json only
+    margin = report.rk4_margin(config.h)
+    if margin > 1:
+        raise SimulationError(
+            f"integration.h = {config.h:g} is outside RK4's stability region: max "
+            f"|R(h lambda)| over F's nonzero eigenvalues is {margin:.6g} > 1")
     traj = simulate_mef(config)
     norms = disagreement_norms(traj, eq.x_star)
-    env = iss_envelope(a, b, float(norms[0]), phi, traj.t)
-    csv_path = out / "envelope.csv"
-    _write_csv(csv_path, ["t", "disagreement_norm", "envelope"],
-               [traj.t, norms, env])
+    env = iss_envelope(iss["a"], iss["b"], float(norms[0]), iss["phi_max"], traj.t)
     # rounding leaves about eps |x| per coordinate and step in the norm; an
     # envelope below that floor (phi = 0, late t) certifies nothing finer
     floor = ((config.steps + 1) * np.finfo(float).eps
              * math.sqrt(2 * config.topology.node_count) * float(np.abs(traj.x).max()))
     bound = env + floor
+    csv_path = out / "envelope.csv"
+    _write_csv(csv_path, ["t", "disagreement_norm", "envelope", "bound"],
+               [traj.t, norms, env, bound])
     above = norms > bound
     violations = int(np.sum(above))
     positive = bound > 0  # all zero only when x = 0 throughout: no ratio
     ratio = float(np.max(norms[positive] / bound[positive])) if positive.any() else None
     summary = {
-        "tool": "mefcon",
-        "version": __version__,
-        "command": "envelope",
-        "config": resolved,
-        "a": a,
-        "b": b,
-        "phi_max": phi,
+        **_header("envelope", resolved),
+        **iss,
         "x_star": eq.x_star,
         "z0_norm": float(norms[0]),
-        "asymptotic_ball": b * phi / a if a > 0 else None,
+        "rk4_margin": margin,
         "max_ratio": ratio,
         "floor": floor,
         "violations": violations,
     }
     _write_json(out / "envelope.json", summary)
     shown = "undefined" if ratio is None else f"{ratio:.6g}"
-    print(f"envelope: a={a:.6g}, b={b:.6g}, phi_max={phi:.6g}, "
+    print(f"envelope: a={iss['a']:.6g}, b={iss['b']:.6g}, phi_max={iss['phi_max']:.6g}, "
           f"max norm/(envelope + floor) ratio {shown}, floor {floor:.3g}")
     print(f"wrote {csv_path} and {out / 'envelope.json'}")
     if violations:
         first = int(np.argmax(above))
         raise BoundViolationError(
-            f"disagreement norm {norms[first]:.6g} exceeds envelope "
-            f"{env[first]:.6g} at t={traj.t[first]:.6g} "
+            f"disagreement norm {norms[first]:.6g} exceeds envelope + floor "
+            f"{bound[first]:.6g} at t={traj.t[first]:.6g} "
             f"({violations} grid points in violation)")
     return 0
 

@@ -40,6 +40,7 @@ class NetworkTopology:
 
     node_count: int
     edges: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
+    _arrays: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.node_count < 1:
@@ -55,20 +56,21 @@ class NetworkTopology:
             if (i, j) in seen:
                 raise ConfigError(f"duplicate edge ({i},{j})")
             seen.add((i, j))
+        src, dst, w = zip(*self.edges) if self.edges else ((), (), ())
+        arrays = (np.array(src, dtype=int), np.array(dst, dtype=int),
+                  np.array(w, dtype=float))
+        for a in arrays:
+            a.flags.writeable = False
+        object.__setattr__(self, "_arrays", arrays)
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(sources, targets, weights) as numpy arrays, one entry per edge."""
-        if not self.edges:
-            z = np.zeros(0, dtype=int)
-            return z, z.copy(), np.zeros(0)
-        src = np.array([e[0] for e in self.edges], dtype=int)
-        dst = np.array([e[1] for e in self.edges], dtype=int)
-        w = np.array([e[2] for e in self.edges], dtype=float)
-        return src, dst, w
+        """(sources, targets, weights) as read-only numpy arrays, one entry
+        per edge, built once at construction."""
+        return self._arrays
 
     def in_degrees(self) -> np.ndarray:
         """Weighted degree d_i = sum of weights of edges leaving i (i observes)."""
@@ -83,10 +85,9 @@ class NetworkTopology:
 
 def adjacency(topology: NetworkTopology) -> np.ndarray:
     """Weight matrix A with A[i, j] = a_ij for each edge (i, j)."""
-    n = topology.node_count
-    A = np.zeros((n, n))
-    for i, j, w in topology.edges:
-        A[i, j] = w
+    src, dst, w = topology.edge_arrays()
+    A = np.zeros((topology.node_count,) * 2)
+    A[src, dst] = w  # exact: duplicate edges are refused at construction
     return A
 
 

@@ -77,17 +77,21 @@ class ScenarioConfig:
 class Trajectory:
     """Time-indexed record of one run.
 
-    ``e = x_hat - x`` holds identically by construction.  For baseline
-    runs the estimates equal the states (no filter), u records the
-    applied coupling drift, and the gain column is zero.
+    For baseline runs the estimates are the states (no filter), u records
+    the applied coupling drift, and the gain column is zero.  A gain that
+    stays constant is a read-only broadcast view of one row.
     """
 
     t: np.ndarray
     x: np.ndarray
     x_hat: np.ndarray
-    e: np.ndarray
     u: np.ndarray
     Q: np.ndarray
+
+    @property
+    def e(self) -> np.ndarray:
+        """Estimation error x_hat - x at every grid point."""
+        return self.x_hat - self.x
 
     @property
     def h(self) -> float:
@@ -308,7 +312,7 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
         ts, z_rec, u_rec = _propagate(
             loop.A, loop.inputs, loop.u_state, loop.u_noise,
             np.concatenate([config.x0, config.prior]), real, config.h, config.steps)
-        q_rec = np.tile(loop.q_star, (ts.size, 1))
+        q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
     else:
         def f(t: float, k: int, z: np.ndarray):
             q, w = z[2 * n:], real.at(t, k)
@@ -321,7 +325,7 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
         ts, z_rec, u_rec = _integrate(f, z0, n, config.steps, config.h)
         q_rec = z_rec[:, 2 * n:]
     x_rec, xh_rec = z_rec[:, :n], z_rec[:, n:2 * n]
-    return Trajectory(ts, x_rec, xh_rec, xh_rec - x_rec, u_rec, q_rec)
+    return Trajectory(ts, x_rec, xh_rec, u_rec, q_rec)
 
 
 def measurements(config: ScenarioConfig,
@@ -353,8 +357,7 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
                                config.seed)
     ts, x_rec, u_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), Lp, None,
                                   config.x0, real, config.h, config.steps)
-    zeros = np.zeros_like(x_rec)
-    return Trajectory(ts, x_rec, x_rec.copy(), zeros, u_rec, zeros.copy())
+    return Trajectory(ts, x_rec, x_rec, u_rec, np.broadcast_to(0.0, x_rec.shape))
 
 
 def basic_scenario(n: int = 2, family: str = "complete", *, B=1.0, R=1.0,

@@ -136,6 +136,26 @@ def test_exp_bound_constants_two_ring():
     assert b >= 1.0
 
 
+def test_one_eigensolve_per_certificate(monkeypatch):
+    calls = []
+
+    def counted(name, solver):
+        def solve(M):
+            calls.append(name)
+            return solver(M)
+        return solve
+
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    _, _, system = _two_ring()
+    report = spectral_report(system)
+    assert exp_bound_constants(system, report) == exp_bound_constants(system)
+    assert calls == ["eig", "eig"]  # once for the report, once when none is passed
+    calls.clear()
+    exp_bound_constants(system, report)
+    assert calls == []
+
+
 def test_exp_bound_single_node_is_normal():
     top = NetworkTopology(1)
     system = assemble_global(top, uniform_params(top, B=1.0, R=1.0))

@@ -233,7 +233,7 @@ def test_envelope_containment(tmp_path):
     out = tmp_path / "env"
     assert main(["envelope", "--config", cfg, "--out", str(out)]) == 0
     header, data = _read_csv(out / "envelope.csv")
-    assert header == ["t", "disagreement_norm", "envelope"]
+    assert header == ["t", "disagreement_norm", "envelope", "bound"]
     assert np.all(data[:, 1] <= data[:, 2])
     summary = json.loads((out / "envelope.json").read_text())
     assert summary["violations"] == 0
@@ -280,6 +280,50 @@ def test_envelope_rounding_floor_and_strict_json(tmp_path):
         if name == "late":
             _, data = _read_csv(out / "envelope.csv")
             assert np.any(data[:, 1] > data[:, 2])  # only the floor absorbs it
+            assert np.all(data[:, 1] <= data[:, 3])  # bound = envelope + floor
+
+
+DIGRAPH6 = """
+graph:
+  family: custom
+  n: 6
+  edges: [[1, 2, 1.5], [2, 3, 0.7], [3, 4, 1.2], [4, 5, 2.0], [5, 6, 0.9],
+          [6, 1, 1.1], [1, 4, 0.6], [3, 1, 1.8], [5, 2, 0.8]]
+params: {B: [1.0, 0.5, 2.0, 1.2, 0.8, 1.5], R: 0.7, S: 1.3, G: 1.0}
+initial: {x0: [0.3, -0.2, 0.9, 0.1, -0.6, 0.4]}
+disturbance: {kind: sinusoid, delta_max: 0.05, eps_max: 0.02, frequency: 0.5, seed: 3}
+integration: {h: 0.01, T: 20.0}
+"""
+
+
+@pytest.mark.parametrize("text", [RING_SINUSOID, DIGRAPH6], ids=["ring", "digraph6"])
+def test_analyze_and_envelope_print_one_certificate(tmp_path, text):
+    cfg = _write(tmp_path, text)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+    assert main(["envelope", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    env = json.loads((tmp_path / "env" / "envelope.json").read_text())
+    for key in ("a", "b", "phi_max", "asymptotic_ball"):
+        assert env[key] == rep["iss"][key], key
+    assert env["x_star"] == rep["equilibrium"]["x_star"]
+    assert env["rk4_margin"] == rep["spectral"]["rk4_margin"]
+
+
+def test_envelope_refuses_an_unstable_step(tmp_path, capsys):
+    cfg = _write(tmp_path, RING_SINUSOID)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    assert rep["spectral"]["rk4_margin"] == pytest.approx(0.99519, abs=1e-5)
+    # at h = 1 RK4 grows a mode of F by 1.244 per step: no envelope to check
+    cfg = _write(tmp_path, RING_SINUSOID.replace("h: 0.01", "h: 1.0"), "big_h.yaml")
+    out = tmp_path / "big_h"
+    capsys.readouterr()
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) == 3
+    assert "integration.h" in capsys.readouterr().err
+    assert not (out / "envelope.csv").exists()
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep1")]) == 0
+    rep = json.loads((tmp_path / "rep1" / "report.json").read_text())
+    assert rep["spectral"]["rk4_margin"] == pytest.approx(1.244, abs=1e-3)
 
 
 def test_envelope_solver_failure_exits_4(tmp_path):

@@ -39,6 +39,16 @@ def test_adjacency_plus_degree_recovers_laplacian():
     assert A.sum() == pytest.approx(sum(w for _, _, w in top.edges))
 
 
+def test_edge_arrays_built_once_and_read_only():
+    top, _ = random_case(5)
+    src, dst, w = top.edge_arrays()
+    assert top.edge_arrays()[0] is src
+    assert list(zip(src.tolist(), dst.tolist(), w.tolist())) == list(top.edges)
+    with pytest.raises(ValueError):
+        w[0] = 1.0
+    assert all(a.size == 0 for a in NetworkTopology(1).edge_arrays())
+
+
 @given(st.integers(min_value=0, max_value=2000))
 def test_laplacian_rows_sum_to_zero(seed):
     top, _ = random_case(seed)
