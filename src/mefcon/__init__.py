@@ -13,8 +13,8 @@ from .analysis import (ComparisonResult, CoherenceReport, EquilibriumPrediction,
                        deviation_series, disagreement_norms,
                        disagreement_state, empirical_deviation,
                        exp_bound_constants, iss_envelope, left_null_vector_of,
-                       phi_max, predict_equilibrium, run_comparison,
-                       spectral_report)
+                       phi_max, phi_projected, predict_equilibrium,
+                       run_comparison, spectral_report)
 from .disturbances import DisturbanceProfile, DisturbanceRealization, sample_disturbances
 from .errors import (BoundViolationError, ConfigError, MefconError,
                      SimulationError, SolverError)
@@ -43,8 +43,8 @@ __all__ = [
     "is_balanced", "is_strongly_connected", "iss_envelope", "laplacian",
     "left_null_vector", "left_null_vector_of", "load_config", "make_graph",
     "measurements", "neighbor_estimate", "observer_rhs", "phi_max",
-    "predict_equilibrium", "reduced_energy", "riccati_rhs", "rk4_step",
-    "run_comparison", "sample_disturbances", "simulate_classical",
+    "phi_projected", "predict_equilibrium", "reduced_energy", "riccati_rhs",
+    "rk4_step", "run_comparison", "sample_disturbances", "simulate_classical",
     "simulate_mef", "spectral_report", "standard_laplacian",
     "steady_gains", "steady_state_gain", "uniform_params",
 ]

@@ -11,6 +11,12 @@ whose spectrum carries everything this module certifies: the zero
 eigenvalue count q matches the multiplicity of L's zero eigenvalue, the
 remaining 2N - q eigenvalues sit strictly in the left half plane, and the
 slowest of them sets the decay rate of the consensus transient.
+
+These closed forms hold only under uniform weights and G = 1.  The
+certificate the CLI reports reads the same F, the consensus weights and
+the disturbance bound from the run's ``ClosedLoop`` instead, for any
+weights; the forms here stay as the paper's formulas and the tests'
+oracles.
 """
 
 from __future__ import annotations
@@ -19,12 +25,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .errors import ConfigError, SolverError
 from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, adjacency, laplacian, left_null_vector,
                      standard_laplacian)
-from .simulate import ScenarioConfig, Trajectory, simulate_classical, simulate_mef
+from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, simulate_classical,
+                       simulate_mef)
 
 
 @dataclass(frozen=True)
@@ -112,8 +120,9 @@ def assemble_global(topology: NetworkTopology, params: FilterParams) -> GlobalSy
     return GlobalSystem(F, Lt, Dt, q, params.Xi.copy(), R, S)
 
 
-def spectral_report(system: GlobalSystem, zero_tolerance: float = 1e-8) -> SpectralReport:
-    """Eigendecomposition of F with its eigenvalues classified.
+def spectral_report(system: GlobalSystem | ClosedLoop,
+                    zero_tolerance: float = 1e-8) -> SpectralReport:
+    """Eigendecomposition of ``system.F`` with its eigenvalues classified.
 
     q counts eigenvalues with |lambda| below the tolerance; stable_count
     counts Re(lambda) < -tolerance.  Intended for desk-scale dense solves.
@@ -160,7 +169,8 @@ def predict_equilibrium(system: GlobalSystem, omega: np.ndarray,
     return EquilibriumPrediction(num / den, num, den, np.asarray(omega, float))
 
 
-def exp_bound_constants(system: GlobalSystem, report: SpectralReport | None = None,
+def exp_bound_constants(system: GlobalSystem | ClosedLoop,
+                        report: SpectralReport | None = None,
                         zero_tolerance: float = 1e-8,
                         cond_limit: float = 1e12) -> tuple[float, float]:
     """Decay rate and overshoot (a, b) for the stable subspace of F.
@@ -236,6 +246,31 @@ def phi_max(params: FilterParams, topology: NetworkTopology,
             + qmax * (n * eps_max / R + eps_max * dsum / S))
 
 
+def phi_projected(loop: ClosedLoop, amplitudes: np.ndarray) -> float:
+    """Bound on the input that drives the loop's disagreement:
+    sum_j amp_j ||(T Pi inputs)_j||_2 with Pi = I - 1 nu^T.
+
+    z_s = T Pi z is the disagreement (x - c 1, e) from the moving
+    consensus value c = nu . z.  Pi commutes with A (A 1 = 0, nu A = 0),
+    so z_s' = F z_s + T Pi inputs w, and |w_j| <= amp_j bounds that input
+    by this sum.  Column j of T Pi inputs is (p_j - g_j 1, q_j - p_j),
+    with p, q the x and x_hat rows of ``inputs`` and g = nu^T inputs; the
+    sum is taken over the sparse columns, never densified.
+    """
+    n, nu = loop.n, loop.nu
+    inputs = sparse.csc_array(loop.inputs)
+    g = inputs.T @ nu
+    p = inputs[:n]
+    stored = np.diff(p.indptr)
+    cols = np.repeat(np.arange(g.size), stored)
+    # ||p_j - g_j 1||^2: (p - g)^2 over the stored entries, g^2 for each other row
+    sq = (np.bincount(cols, (p.data - g[cols]) ** 2, minlength=g.size)
+          + (n - stored) * g ** 2)
+    e = inputs[n:] - p
+    sq += np.asarray(e.multiply(e).sum(axis=0)).ravel()
+    return float(amplitudes @ np.sqrt(sq))
+
+
 def iss_envelope(a: float, b: float, z0_norm: float, phi: float, t):
     """b z0 e^(-a t) + (b phi / a)(1 - e^(-a t))."""
     if a <= 0 or b <= 0:
@@ -244,13 +279,16 @@ def iss_envelope(a: float, b: float, z0_norm: float, phi: float, t):
     return b * z0_norm * decay + (b * phi / a) * (1.0 - decay)
 
 
-def disagreement_state(x: np.ndarray, e: np.ndarray, x_star: float) -> np.ndarray:
-    """Concatenated (x - x* 1, e); the component off the consensus line."""
+def disagreement_state(x: np.ndarray, e: np.ndarray, x_star) -> np.ndarray:
+    """Concatenated (x - x* 1, e); the component off the consensus line.
+
+    x_star is one value, or one per row of x (a column, e.g. c[:, None]
+    for a consensus value that moves with the disturbance)."""
     x = np.asarray(x, dtype=float)
     return np.concatenate([x - x_star, np.asarray(e, dtype=float)], axis=-1)
 
 
-def disagreement_norms(traj: Trajectory, x_star: float) -> np.ndarray:
+def disagreement_norms(traj: Trajectory, x_star) -> np.ndarray:
     """Euclidean norm of the disagreement state at every grid point."""
     z = disagreement_state(traj.x, traj.e, x_star)
     return np.linalg.norm(z, axis=1)

@@ -24,13 +24,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (assemble_global, disagreement_norms, exp_bound_constants,
-                       iss_envelope, left_null_vector_of, phi_max,
-                       predict_equilibrium, run_comparison, spectral_report)
+from .analysis import (disagreement_norms, exp_bound_constants, iss_envelope,
+                       phi_max, phi_projected, run_comparison, spectral_report)
 from .config import build_scenario, load_config
 from .errors import BoundViolationError, ConfigError, MefconError, SimulationError
 from .graphs import is_balanced, is_strongly_connected
-from .simulate import simulate_classical, simulate_mef
+from .simulate import ClosedLoop, simulate_classical, simulate_mef
 
 
 def _finite(v: float):
@@ -61,27 +60,32 @@ def _header(command: str, resolved: dict) -> dict:
             "config": resolved}
 
 
-def _certificate(config, system, report) -> tuple:
+def _certificate(config, loop, report) -> tuple:
     """The consensus value x* the configured run converges to, and the ISS
-    constants (a, b, phi_max, Q_max, b phi_max / a): what ``analyze``
-    prints and ``envelope`` checks.
+    constants (a, b, phi, phi_max, Q_max, b phi / a): what ``analyze``
+    prints and ``envelope`` checks, all read from the run's ``ClosedLoop``.
 
-    A steady run weights e0 by 1/Q* (``predict_equilibrium``); a dynamic
-    run reaches that value only when its gain starts at Q*, i.e. Xi = 1/Q*.
+    x* = nu . (x0, prior) for the steady gain Q*; a dynamic run reaches
+    that value only when its gain starts at Q*, i.e. Xi = 1/Q*.  phi
+    bounds the input of the disagreement from the moving consensus value
+    (``phi_projected``); phi_max is the paper's closed form, reported
+    next to it.
     """
     if config.riccati == "dynamic" and not np.allclose(
-            system.Xi * system.q_star, 1.0, rtol=0.0, atol=1e-9):
+            config.params.Xi * loop.q_star, 1.0, rtol=0.0, atol=1e-9):
         raise ConfigError(
             "params.Xi must be 1/Q* (leave it null) for riccati: dynamic: "
             "a gain started elsewhere reaches a consensus value x* that "
             "is not predicted here")
-    omega = left_null_vector_of(config.topology)
-    eq = predict_equilibrium(system, omega, config.x0, config.prior - config.x0)
-    a, b = exp_bound_constants(system, report)
-    phi = phi_max(config.params, config.topology,
-                  config.profile.delta_max, config.profile.eps_max)
-    return eq, {"a": a, "b": b, "phi_max": phi, "Q_max": float(system.q_star.max()),
-                "asymptotic_ball": b * phi / a}
+    x_star = float(loop.nu @ np.concatenate([config.x0, config.prior]))
+    a, b = exp_bound_constants(loop, report)
+    profile = config.profile
+    phi = phi_projected(loop, profile.amplitudes(loop.noise_sizes))
+    return x_star, {
+        "a": a, "b": b, "phi": phi,
+        "phi_max": phi_max(config.params, config.topology,
+                           profile.delta_max, profile.eps_max),
+        "Q_max": float(loop.q_star.max()), "asymptotic_ball": b * phi / a}
 
 
 def cmd_simulate(args) -> int:
@@ -115,8 +119,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config, resolved, out = _prepare(args)
-    system = assemble_global(config.topology, config.params)
-    report = spectral_report(system, args.tolerance)
+    loop = ClosedLoop(config.topology, config.params)
+    report = spectral_report(loop, args.tolerance)
     connected = is_strongly_connected(config.topology)
     payload = {
         **_header("analyze", resolved),
@@ -136,17 +140,12 @@ def cmd_analyze(args) -> int:
         "warnings": [],
     }
     if connected:
-        eq, iss = _certificate(config, system, report)
-        payload["equilibrium"] = {
-            "x_star": eq.x_star,
-            "numerator": eq.numerator,
-            "denominator": eq.denominator,
-            "omega": eq.omega.tolist(),
-        }
+        x_star, iss = _certificate(config, loop, report)
+        payload["equilibrium"] = {"x_star": x_star, "weights": loop.nu.tolist()}
         payload["iss"] = iss
         print(f"analyze: q={report.q}, stable={report.stable_count}, "
-              f"x*={eq.x_star:.12g}, a={iss['a']:.6g}, b={iss['b']:.6g}, "
-              f"phi_max={iss['phi_max']:.6g}")
+              f"x*={x_star:.12g}, a={iss['a']:.6g}, b={iss['b']:.6g}, "
+              f"phi={iss['phi']:.6g} (phi_max={iss['phi_max']:.6g})")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "
@@ -203,9 +202,9 @@ def cmd_envelope(args) -> int:
         raise ConfigError(
             "envelope certification needs bounded continuous disturbances "
             "(kind 'sinusoid' or 'zero'); white noise has no amplitude bound")
-    system = assemble_global(config.topology, config.params)
-    report = spectral_report(system, args.tolerance)
-    eq, iss = _certificate(config, system, report)
+    loop = ClosedLoop(config.topology, config.params)
+    report = spectral_report(loop, args.tolerance)
+    x_star, iss = _certificate(config, loop, report)
     del iss["Q_max"]  # written to report.json only
     margin = report.rk4_margin(config.h)
     if margin > 1:
@@ -213,8 +212,12 @@ def cmd_envelope(args) -> int:
             f"integration.h = {config.h:g} is outside RK4's stability region: max "
             f"|R(h lambda)| over F's nonzero eigenvalues is {margin:.6g} > 1")
     traj = simulate_mef(config)
-    norms = disagreement_norms(traj, eq.x_star)
-    env = iss_envelope(iss["a"], iss["b"], float(norms[0]), iss["phi_max"], traj.t)
+    # the disturbance moves the consensus value c(t) = nu . (x, x_hat); the
+    # envelope bounds the disagreement from it, not from x* = c(0)
+    n = loop.n
+    c = traj.x @ loop.nu[:n] + traj.x_hat @ loop.nu[n:]
+    norms = disagreement_norms(traj, c[:, None])
+    env = iss_envelope(iss["a"], iss["b"], float(norms[0]), iss["phi"], traj.t)
     # rounding leaves about eps |x| per coordinate and step in the norm; an
     # envelope below that floor (phi = 0, late t) certifies nothing finer
     floor = ((config.steps + 1) * np.finfo(float).eps
@@ -230,7 +233,8 @@ def cmd_envelope(args) -> int:
     summary = {
         **_header("envelope", resolved),
         **iss,
-        "x_star": eq.x_star,
+        "x_star": x_star,
+        "consensus_drift": float(np.max(np.abs(c - c[0]))),
         "z0_norm": float(norms[0]),
         "rk4_margin": margin,
         "max_ratio": ratio,
@@ -239,8 +243,9 @@ def cmd_envelope(args) -> int:
     }
     _write_json(out / "envelope.json", summary)
     shown = "undefined" if ratio is None else f"{ratio:.6g}"
-    print(f"envelope: a={iss['a']:.6g}, b={iss['b']:.6g}, phi_max={iss['phi_max']:.6g}, "
-          f"max norm/(envelope + floor) ratio {shown}, floor {floor:.3g}")
+    print(f"envelope: a={iss['a']:.6g}, b={iss['b']:.6g}, phi={iss['phi']:.6g}, "
+          f"max norm/(envelope + floor) ratio {shown}, floor {floor:.3g}, "
+          f"consensus drift {summary['consensus_drift']:.3g}")
     print(f"wrote {csv_path} and {out / 'envelope.json'}")
     if violations:
         first = int(np.argmax(above))

@@ -69,6 +69,13 @@ class DisturbanceProfile:
         if self.kind == "sinusoid" and self.frequency <= 0:
             raise ConfigError("sinusoid frequency must be positive")
 
+    def amplitudes(self, sizes: tuple[int, ...]) -> np.ndarray:
+        """Bound on |w_j| for every signal of the streams of lengths
+        ``sizes`` (a prefix of delta, eps_self, eps_edge): delta_max on
+        delta, eps_max on the measurement errors."""
+        bounds = (self.delta_max, self.eps_max, self.eps_max)
+        return np.repeat(bounds[:len(sizes)], sizes)
+
 
 class DisturbanceRealization:
     """Concrete signal source for one run.
@@ -96,8 +103,7 @@ class DisturbanceRealization:
         elif kind == "sinusoid":
             self._phase = np.concatenate(
                 [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
-            bounds = (profile.delta_max, profile.eps_max, profile.eps_max)
-            self._amp = np.repeat(bounds[:len(sizes)], sizes)
+            self._amp = profile.amplitudes(sizes)
             self._omega = 2 * math.pi * profile.frequency
         else:
             # row k holds step k's draws; each stream fills its own columns

@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 
 from .disturbances import DisturbanceProfile, sample_disturbances
-from .errors import ConfigError, SimulationError
+from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains, uniform_params
-from .graphs import NetworkTopology, is_strongly_connected, laplacian, make_graph
+from .graphs import (NetworkTopology, is_strongly_connected, laplacian,
+                     left_null_vector, make_graph)
 
 _RICCATI_MODES = ("steady", "dynamic")
 
@@ -129,6 +131,11 @@ class ClosedLoop:
     ``inputs``, ``u_state`` and ``u_noise`` are column blocks of that
     map.  Residuals are edge differences, so A annihilates the constant
     vector: a consensus state with x_hat = x is an exact fixed point.
+
+    The certificate of the loop reads the same operator: ``F`` is A in
+    (x, e) coordinates and ``nu`` the consensus weights.  Both are dense,
+    read-only and computed on first use, so a run that only integrates
+    never pays for them.
     """
 
     def __init__(self, topology: NetworkTopology, params: FilterParams) -> None:
@@ -167,6 +174,38 @@ class ClosedLoop:
                                format="csr")
         self.A, self.inputs = steady[:, :2 * n], steady[:, 2 * n:cols]
         self.u_state, self.u_noise = u[:, :2 * n], u[:, 2 * n:cols]
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        """The steady loop on (x, e), e = x_hat - x: F = T A T^-1 with
+        T = [[I, 0], [-I, I]], dense for the eigensolve.
+
+        A's x rows are u and its x_hat rows u + Q* innov, so T A is
+        diag(1, Q*) [u; innov]: its e rows are Q* innov itself, not the
+        rounded difference (u + Q* innov) - u.  T^-1 = [[I, 0], [I, I]]
+        adds the x_hat columns onto the x columns.
+        """
+        n = self.n
+        F = self.coupling_map[:, :2 * n].toarray()
+        F[:, :n] += F[:, n:]
+        F[n:] *= self.q_star[:, None]
+        F.flags.writeable = False  # cached: every reader shares this array
+        return F
+
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """Left null vector of A with nu . 1 = 1: the consensus weights.
+
+        nu A = 0, so c = nu . z moves only with the input nu . inputs w,
+        and a disturbance-free run settles at x = x_hat = c.
+        """
+        if np.any(self.q_star <= 0):
+            raise SolverError("consensus weights need a positive steady gain Q* at "
+                              "every node (nonzero B); a node with Q* = 0 keeps "
+                              "its error")
+        nu = left_null_vector(self.A.toarray())
+        nu.flags.writeable = False
+        return nu
 
     def measure(self, x: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """y_self = x + D_self eps_self and y_edge = x[dst] + D_edge eps_edge

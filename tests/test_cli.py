@@ -131,7 +131,7 @@ def test_analyze_report(tmp_path):
     assert rep["iss"]["a"] == pytest.approx(0.48236190979495835)
     assert rep["iss"]["b"] == pytest.approx(1.183298941454881)
     assert rep["iss"]["phi_max"] == pytest.approx(0.68284, abs=1e-5)
-    ball = rep["iss"]["b"] * rep["iss"]["phi_max"] / rep["iss"]["a"]
+    ball = rep["iss"]["b"] * rep["iss"]["phi"] / rep["iss"]["a"]
     assert rep["iss"]["asymptotic_ball"] == pytest.approx(ball)
 
 
@@ -307,6 +307,72 @@ def test_analyze_and_envelope_print_one_certificate(tmp_path, text):
         assert env[key] == rep["iss"][key], key
     assert env["x_star"] == rep["equilibrium"]["x_star"]
     assert env["rk4_margin"] == rep["spectral"]["rk4_margin"]
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("frequency", ["0.001", "0.01"])
+def test_envelope_follows_the_moving_consensus_value(tmp_path, frequency):
+    # a slow disturbance moves c(t) = nu . (x, x_hat) along the consensus
+    # line; measured from the fixed x* = c(0) this run leaves the envelope
+    text = (CONFIGS / "two_ring_envelope.yaml").read_text()
+    assert "frequency: 1.0" in text
+    cfg = _write(tmp_path, text.replace("frequency: 1.0", f"frequency: {frequency}"))
+    out = tmp_path / "env"
+    assert main(["envelope", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "envelope.json").read_text())
+    assert summary["violations"] == 0
+    assert summary["max_ratio"] == pytest.approx(0.845095, abs=1e-6)  # 1/b, at t = 0
+    assert summary["phi"] == pytest.approx(0.422689, abs=1e-6)
+    assert summary["phi_max"] == pytest.approx(0.68284, abs=1e-5)
+    if frequency == "0.001":
+        assert summary["consensus_drift"] == pytest.approx(1.658, abs=1e-3)
+    _, data = _read_csv(out / "envelope.csv")
+    assert np.all(data[:, 1] <= data[:, 3])
+
+
+def test_certificate_covers_non_unit_G(tmp_path):
+    text = RING_SINUSOID.replace("S: 1.0, G: 1.0", "S: 2.0, G: 0.5")
+    cfg = _write(tmp_path, text)
+    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
+    assert main(["envelope", "--config", cfg, "--out", str(tmp_path / "env")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    env = json.loads((tmp_path / "env" / "envelope.json").read_text())
+    assert rep["iss"]["a"] == pytest.approx(0.2832, abs=1e-4)
+    assert rep["iss"]["b"] == pytest.approx(1.602, abs=1e-3)
+    assert rep["iss"]["phi"] == pytest.approx(0.5216, abs=1e-4)
+    assert env["violations"] == 0
+    # disturbance-free twin with unequal priors: x* is where the run settles
+    twin = _write(tmp_path, text.replace(
+        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0, seed: 7",
+        "kind: zero").replace("x0: [0.0, 1.0]", "x0: [0.0, 1.0], prior: [0.3, 0.6]")
+        .replace("T: 30.0", "T: 100.0"), "twin.yaml")
+    assert main(["analyze", "--config", twin, "--out", str(tmp_path / "trep")]) == 0
+    assert main(["simulate", "--config", twin, "--out", str(tmp_path / "run")]) == 0
+    x_star = json.loads((tmp_path / "trep" / "report.json").read_text())[
+        "equilibrium"]["x_star"]
+    _, data = _read_csv(tmp_path / "run" / "trajectory.csv")
+    assert np.max(np.abs(data[-1, 1:5] - x_star)) <= 1e-9  # x and x_hat
+
+
+_ARTIFACTS = {"simulate": ["trajectory.csv", "manifest.json"],
+              "analyze": ["report.json"],
+              "envelope": ["envelope.csv", "envelope.json"]}
+
+
+def test_readme_commands_run_on_shipped_configs(tmp_path, monkeypatch):
+    readme = (CONFIGS.parent / "README.md").read_text()
+    commands = [line.split() for line in readme.splitlines()
+                if line.startswith("mefcon ") and line.split()[1] in _ARTIFACTS]
+    assert sorted({cmd[1] for cmd in commands}) == sorted(_ARTIFACTS)
+    monkeypatch.chdir(CONFIGS.parent)
+    for k, (_, verb, *rest) in enumerate(commands):
+        args = dict(zip(rest[::2], rest[1::2]))
+        out = tmp_path / f"{k}_{verb}"
+        assert main([verb, "--config", args["--config"], "--out", str(out)]) == 0, verb
+        for name in _ARTIFACTS[verb]:
+            assert (out / name).is_file(), (verb, name)
 
 
 def test_envelope_refuses_an_unstable_step(tmp_path, capsys):

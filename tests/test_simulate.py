@@ -181,7 +181,7 @@ def test_classical_reaches_average_on_balanced_graph():
 
 def test_closed_loop_matches_global_matrix(admissible_sweep):
     rng = np.random.default_rng(0)
-    for top, params, system, _ in admissible_sweep[:10]:
+    for k, (top, params, system, _) in enumerate(admissible_sweep):
         n = top.node_count
         x = rng.uniform(-1, 1, n)
         xh = rng.uniform(-1, 1, n)
@@ -193,6 +193,11 @@ def test_closed_loop_matches_global_matrix(admissible_sweep):
         Fz = system.F @ z
         assert xdot == pytest.approx(Fz[:n], abs=1e-12)
         assert xhdot - xdot == pytest.approx(Fz[n:], abs=1e-12)
+        # the certificate's operator and consensus weights against the
+        # paper's block F and closed-form x*
+        assert np.max(np.abs(loop.F - system.F)) <= 1e-12, k
+        eq = predict_equilibrium(system, left_null_vector_of(top), x, xh - x)
+        assert loop.nu @ np.concatenate([x, xh]) == pytest.approx(eq.x_star, abs=1e-12), k
 
 
 def test_exponential_decay_rate():
