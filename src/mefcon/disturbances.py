@@ -84,7 +84,7 @@ class DisturbanceRealization:
     (delta: N, eps_self: N, eps_edge: E); ``at(t, step)`` returns them
     stacked into one input vector w.  Sinusoids are evaluated at the
     exact time ``t`` (RK4 stages included); white draws depend only on
-    ``step``, clamped to the drawn steps.
+    ``step``, clamped to the drawn steps.  Both arguments may be arrays.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -93,19 +93,17 @@ class DisturbanceRealization:
             raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
         self.profile = profile
         self.steps = steps
-        width = sum(sizes)
+        self._width = width = sum(sizes)
         kind = profile.kind
         use_seed = profile.seed if profile.seed is not None else seed
         rngs = [np.random.default_rng(kid)
                 for kid in np.random.SeedSequence(use_seed).spawn(3)]
-        if kind == "zero":
-            self._zero = np.zeros(width)
-        elif kind == "sinusoid":
+        if kind == "sinusoid":
             self._phase = np.concatenate(
                 [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
             self._amp = profile.amplitudes(sizes)
             self._omega = 2 * math.pi * profile.frequency
-        else:
+        elif kind == "white":
             # row k holds step k's draws; each stream fills its own columns
             # in row blocks, which draws the same numbers as one call
             std = profile.sigma / math.sqrt(h)
@@ -119,13 +117,15 @@ class DisturbanceRealization:
                         0.0, std, (rows, size))
                 start += size
 
-    def at(self, t: float, step: int) -> np.ndarray:
+    def at(self, t, step) -> np.ndarray:
+        """w at time ``t`` of step ``step``; arrays of m times and m steps
+        give the m vectors as rows of an (m, width) array."""
         kind = self.profile.kind
         if kind == "zero":
-            return self._zero
+            return np.zeros(np.shape(t) + (self._width,))
         if kind == "sinusoid":
-            return self._amp * np.sin(self._omega * t + self._phase)
-        return self._draws[min(max(step, 0), self.steps - 1)]
+            return self._amp * np.sin(np.add.outer(self._omega * t, self._phase))
+        return self._draws.take(step, axis=0, mode="clip")
 
 
 def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],

@@ -111,9 +111,17 @@ def _rk4_from(f, z: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarra
     k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
     k4 = f(t + h, z + h * k3)
     z_next = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    if not np.all(np.isfinite(z_next)):
-        raise SimulationError(f"non-finite state after the step from t={t:.6g}")
+    _check_finite(z_next, (t,), 0)
     return z_next
+
+
+def _check_finite(Z: np.ndarray, ts, k: int) -> None:
+    """Raise naming the step of Z's first non-finite row; row r of Z is the
+    state after the step from ts[k + r]."""
+    finite = np.isfinite(Z)
+    if not finite.all():
+        r = int(np.argmin(finite.reshape(-1, Z.shape[-1]).all(axis=1)))
+        raise SimulationError(f"non-finite state after the step from t={ts[k + r]:.6g}")
 
 
 class ClosedLoop:
@@ -212,11 +220,12 @@ class ClosedLoop:
         under the noise w; a w without eps_edge leaves y_edge = x[dst].
 
         y_edge follows the topology's edge order; edge (i, j) observes x_j.
+        Rows of x and w give rows of y_self and y_edge.
         """
-        n, y_edge = self.n, x[self.dst]
-        if w.size > 2 * n:
-            y_edge = y_edge + self.D_edge * w[2 * n:]
-        return x + self.D_self * w[n:2 * n], y_edge
+        n, y_edge = self.n, x[..., self.dst]
+        if w.shape[-1] > 2 * n:
+            y_edge = y_edge + self.D_edge * w[..., 2 * n:]
+        return x + self.D_self * w[..., n:2 * n], y_edge
 
     def coupling(self, z: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Consensus input u and innovation at z = (x, x_hat) under noise w."""
@@ -285,16 +294,65 @@ def _rk4_maps(A, h: float, kind: str) -> list:
     return maps
 
 
+_BLOCK_ENTRIES = 1 << 15  # a block map above this size costs more than its steps save
+_BLOCK_STEPS = 64
+
+
+def _block_map(step, noisy: bool, steps: int) -> np.ndarray | None:
+    """The map that advances B > 1 steps of s_{k+1} = P s_k + H_k with one
+    dense product, or None for B = 1 (one sparse or dense map per step).
+
+    s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
+    the map is [P^j - I | P^{j-1-i}, i < j], which takes [s_0; H_0; ...;
+    H_{B-1}] to s_j - s_0; a partial block of b steps reads its top-left
+    b x (b + 1) blocks.  Without inputs (``noisy`` False) only the first
+    block column is built.  B = 1 when ``step`` = P - I is stored sparse;
+    else B is the largest count, at most 64 and at most ``steps``, whose
+    map has at most 2^15 entries, cut to the last power P^B that is finite.
+    P^{j+1} - I = D + D_j + D D_j (D = P - I, D_j = P^j - I) never
+    subtracts I, so the powers keep the accuracy of the step map.
+    """
+    if sparse.issparse(step):
+        return None
+    n = step.shape[0]
+    B = 1
+    while (B < min(_BLOCK_STEPS, steps)
+           and (B + 1) * n * n * (B + 2 if noisy else 1) <= _BLOCK_ENTRIES):
+        B += 1
+    powers = [step]  # P^j - I, j = 1..
+    with np.errstate(over="ignore", invalid="ignore"):
+        while len(powers) < B:
+            nxt = powers[-1] + step + step @ powers[-1]
+            if not np.all(np.isfinite(nxt)):
+                break
+            powers.append(nxt)
+    B = len(powers)
+    if B == 1:
+        return None
+    first = np.concatenate(powers)
+    if not noisy:
+        return first
+    P = np.stack([np.eye(n)] + [np.eye(n) + D for D in powers[:-1]])  # P^0..P^{B-1}
+    lag = np.subtract.outer(np.arange(B), np.arange(B))
+    toeplitz = np.where((lag >= 0)[:, :, None, None], P[np.maximum(lag, 0)], 0.0)
+    return np.hstack([first, toeplitz.transpose(0, 2, 1, 3).reshape(B * n, B * n)])
+
+
 def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
                steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), one
-    precomputed linear map per step; returns (t, z records, u records).
+    precomputed linear map per step or per block of steps; returns (t, z
+    records, u records).
 
     w(t) = ``real.at(t, k)``; u = u_state z + u_noise w at each grid point
-    (``u_noise`` None: u sees no noise).  A annihilates the constant vector, so the step and the
-    readout act on z - z[0] and a consensus state stays exact.  Noise is
-    read once per step (white, held), twice (sinusoid, at t + h/2 and at
-    t_{k+1}, which starts the next step) or never (zero).
+    (``u_noise`` None: u sees no noise).  A annihilates the constant
+    vector, so the steps and the readout act on z - z[0] and a consensus
+    state stays exact.  One step is z + (P - I) d + H_k, d = z - z[0], with
+    the input term H_k of ``_rk4_maps``.  Small dense maps advance a block
+    of steps per product (``_block_map``), reading the block's noise in
+    one call and checking finiteness and reading u out once per block.
+    Otherwise noise is read once per step (white, held), twice (sinusoid,
+    at t + h/2 and at t_{k+1}, which starts the next step) or never (zero).
     """
     kind = real.profile.kind
     step, *K = _rk4_maps(A, h, kind)
@@ -305,29 +363,65 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
     ts = np.arange(steps + 1) * h
     z_rec = np.empty((steps + 1, z.size))
     u_rec = np.empty((steps + 1, u_state.shape[0]))
+    w = None
     if kind == "sinusoid":
         w = real.at(ts[0], 0)
         g = inputs @ w
-    for k in range(steps + 1):
-        if kind == "white" and k < steps:  # the last grid point keeps the last draw
-            w = real.at(ts[k], k)
-            g = inputs @ w
-        d = z - z[0]
-        z_rec[k] = z
-        u_rec[k] = u_state @ d if u_noise is None else u_state @ d + u_noise @ w
-        if k == steps:
-            break
-        z = z + step @ d
+
+    def readout(d, w):
+        return u_state @ d if u_noise is None else u_state @ d + u_noise @ w
+
+    block = _block_map(step, kind != "zero", steps)
+    if block is None:
+        for k in range(steps):
+            if kind == "white":
+                w = real.at(ts[k], k)
+                g = inputs @ w
+            d = z - z[0]
+            z_rec[k] = z
+            u_rec[k] = readout(d, w)
+            z = z + step @ d
+            if kind == "white":
+                z += K[0] @ g
+            elif kind == "sinusoid":
+                g_mid = inputs @ real.at(ts[k] + 0.5 * h, k)
+                w = real.at(ts[k + 1], k + 1)
+                g_end = inputs @ w
+                z += K[0] @ g + K[1] @ g_mid + (h / 6.0) * g_end
+                g = g_end
+            _check_finite(z, ts, k)
+    else:
+        n, B = z.size, block.shape[0] // z.size
+        z_rec[0] = z
+        for k in range(0, steps, B):
+            b = min(B, steps - k)
+            idx = np.arange(k, k + b)
+            if kind == "zero":
+                W, H = None, np.empty((0, n))
+            elif kind == "white":
+                W = real.at(ts[idx], idx)
+                H = (K[0] @ (inputs @ W.T)).T
+            else:
+                W_half = real.at(np.concatenate([ts[idx] + 0.5 * h, ts[idx + 1]]),
+                                 np.concatenate([idx, idx + 1]))
+                G = inputs @ W_half.T  # g(t_k + h/2), then g(t_{k+1})
+                g_end = G[:, b:]
+                H = (K[0] @ np.column_stack([g, g_end[:, :-1]]) + K[1] @ G[:, :b]
+                     + (h / 6.0) * g_end).T
+                W = np.vstack([w, W_half[b:-1]])
+                w, g = W_half[-1], g_end[:, -1]
+            with np.errstate(over="ignore", invalid="ignore"):  # reported below
+                Z = z + (block[:b * n, :n + H.size]
+                         @ np.concatenate([z - z[0], H.ravel()])).reshape(b, n)
+            _check_finite(Z, ts, k)
+            z_rec[k + 1:k + b + 1] = Z
+            d = z_rec[k:k + b] - z_rec[k:k + b, :1]
+            u_rec[k:k + b] = readout(d.T, None if W is None else W.T).T
+            z = Z[-1]
         if kind == "white":
-            z += K[0] @ g
-        elif kind == "sinusoid":
-            g_mid = inputs @ real.at(ts[k] + 0.5 * h, k)
-            w = real.at(ts[k + 1], k + 1)
-            g_end = inputs @ w
-            z += K[0] @ g + K[1] @ g_mid + (h / 6.0) * g_end
-            g = g_end
-        if not np.all(np.isfinite(z)):
-            raise SimulationError(f"non-finite state after the step from t={ts[k]:.6g}")
+            w = W[-1]  # the last grid point keeps the last draw
+    z_rec[steps] = z
+    u_rec[steps] = readout(z - z[0], w)
     return ts, z_rec, u_rec
 
 
@@ -377,9 +471,7 @@ def measurements(config: ScenarioConfig,
     loop = ClosedLoop(config.topology, config.params)
     real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
                                config.h, config.seed)
-    rows = [loop.measure(x, real.at(t, k))
-            for k, (t, x) in enumerate(zip(traj.t, traj.x))]
-    return tuple(np.array(col) for col in zip(*rows))
+    return loop.measure(traj.x, real.at(traj.t, np.arange(traj.t.size)))
 
 
 def simulate_classical(config: ScenarioConfig) -> Trajectory:

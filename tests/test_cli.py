@@ -421,6 +421,7 @@ def test_config_error_paths(tmp_path, capsys):
     assert "graph.n" in capsys.readouterr().err
     notyaml = _write(tmp_path, "{:::", "broken.yaml")
     assert main(["simulate", "--config", notyaml, "--out", str(tmp_path)]) == 2
+    assert "config parse error" in capsys.readouterr().err
     for name, text, field in (
             ("n_text", "graph: {family: complete, n: abc}\n", "graph.n"),
             ("delta_text", "graph: {family: complete, n: 3}\n"

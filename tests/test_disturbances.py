@@ -62,6 +62,16 @@ def test_white_step_index_is_clamped_to_the_drawn_steps():
     assert np.array_equal(real.at(0.5, 9), rows[4])
 
 
+@pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
+def test_array_read_stacks_the_scalar_reads(kind):
+    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1, seed=6)
+    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1)
+    t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])
+    rows = real.at(t, k)
+    assert rows.shape == (4, 11)
+    assert np.array_equal(rows, [real.at(ti, int(ki)) for ti, ki in zip(t, k)])
+
+
 def test_white_std_scaling():
     h = 0.004
     prof = DisturbanceProfile(kind="white", sigma=2.0, seed=0)

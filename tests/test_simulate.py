@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,11 +11,11 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     NetworkTopology, ScenarioConfig, SimulationError,
                     Trajectory, assemble_global, basic_scenario,
                     control_input, disagreement_norms, exp_bound_constants,
-                    left_null_vector_of, make_graph, measurements,
+                    laplacian, left_null_vector_of, make_graph, measurements,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
                     rk4_step, sample_disturbances, simulate_classical,
                     simulate_mef, steady_gains, uniform_params)
-from mefcon.simulate import _rk4_maps
+from mefcon.simulate import _block_map, _rk4_maps
 
 
 def test_rk4_zero_field():
@@ -260,27 +261,55 @@ def _weighted_digraph():
     return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
 
 
+def _block_steps(A, kind, config):
+    """Steps per dense product of ``_propagate`` on zdot = A z + inputs w."""
+    M = _block_map(_rk4_maps(A, config.h, kind)[0], kind != "zero", config.steps)
+    return 1 if M is None else M.shape[0] // A.shape[0]
+
+
+def _classical_stages(config):
+    """The baseline stage by stage: one ``rk4_step`` per grid step, noise
+    read at every stage; returns the x and u = -L_std x records."""
+    Lp, n = laplacian(config.topology), config.topology.node_count
+    real = sample_disturbances(config.profile, (n,), config.steps, config.h,
+                               config.seed)
+    xs = [config.x0]
+    for k in range(config.steps):
+        xs.append(rk4_step(lambda t, x: Lp @ x + real.at(t, k), xs[-1],
+                           k * config.h, config.h))
+    return np.array(xs), np.array(xs) @ Lp.T
+
+
 def test_default_xi_makes_dynamic_equal_steady():
     # Xi = 1/Q* starts the gain at its fixed point, so both modes agree:
-    # the stage-by-stage dynamic run is the oracle of the steady propagator
+    # the stage-by-stage dynamic run is the oracle of the steady propagator.
+    # T = 2 is 200 steps, no multiple of any block size here, so the
+    # partial last block is compared too.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
     cases = [(top3, uniform_params(top3, B=1.0, R=1.0, S=1.0, G=1.0),
               np.array([0.1, 0.5, -0.2]), None, DisturbanceProfile())]
-    for prof in (DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
+    for prof in (DisturbanceProfile(),
+                 DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
                                     frequency=0.8),
                  DisturbanceProfile(kind="white", sigma=0.5)):
         cases.append((top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3], prof))
     for top, params, x0, prior, prof in cases:
         kw = dict(profile=prof, h=0.01, T=2.0, seed=5)
-        steady = simulate_mef(ScenarioConfig(top, params, x0, prior,
-                                             riccati="steady", **kw))
+        config = ScenarioConfig(top, params, x0, prior, riccati="steady", **kw)
+        for A in (ClosedLoop(top, params).A, laplacian(top)):
+            blocks = _block_steps(A, prof.kind, config)
+            assert blocks > 1 and config.steps % blocks, (prof.kind, blocks)
+        steady = simulate_mef(config)
         dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
                                               riccati="dynamic", **kw))
         for name in ("x", "x_hat", "u", "Q"):
             assert getattr(dynamic, name) == pytest.approx(
                 getattr(steady, name), rel=0, abs=1e-12), (prof.kind, name)
+        base = simulate_classical(config)
+        for got, want in zip((base.x, base.u), _classical_stages(config)):
+            assert got == pytest.approx(want, rel=0, abs=1e-12), prof.kind
     assert np.abs(steady.u).max() > 1.0  # the noise reaches u
 
 
@@ -304,6 +333,18 @@ def test_propagator_storage_follows_fill():
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
     assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, "white"))
+    # blocks of steps only where a dense block map stays small: the
+    # 4-node digraph (2N = 8) takes several steps per product, the dense
+    # 2N = 200 map and the sparse ring one step
+    config = basic_scenario(4, h=0.01, T=50.0)
+    top, params = _weighted_digraph()
+    assert _block_steps(ClosedLoop(top, params).A, "white", config) > 1
+    complete = make_graph("complete", 100)
+    dense = ClosedLoop(complete, uniform_params(complete)).A
+    for kind in ("zero", "white"):
+        assert _block_steps(dense, kind, config) == 1
+        assert _block_steps(loop.A, kind, config) == 1
+    assert _block_steps(laplacian(complete), "white", config) == 1
 
 
 def test_measurement_recording():
@@ -343,8 +384,17 @@ def test_numerical_blowup_aborts_with_step_index():
     params = uniform_params(top, B=1.0, R=1e-8, S=1.0, G=1.0)
     cfg = ScenarioConfig(top, params, np.array([0.0, 1.0]), None,
                          DisturbanceProfile(), h=10.0, T=500.0)
-    with pytest.raises(SimulationError, match="non-finite"):
+    with pytest.raises(SimulationError, match="non-finite.*t=160$"):
         simulate_mef(cfg)
+    # the same unstable step leaves a consensus state exact, and quietly:
+    # block maps are built from the finite powers of the step map only
+    consensus = ScenarioConfig(top, params, np.full(2, 0.5), None,
+                               DisturbanceProfile(), h=10.0, T=500.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = simulate_mef(consensus)
+    assert np.array_equal(traj.x, np.full_like(traj.x, 0.5))
+    assert np.array_equal(traj.x_hat, traj.x)
 
 
 def test_scenario_validation():
