@@ -294,30 +294,31 @@ def _rk4_maps(A, h: float, kind: str) -> list:
     return maps
 
 
-_BLOCK_ENTRIES = 1 << 15  # a block map above this size costs more than its steps save
+# Bounds the block map's size and the cost of building its powers.  It
+# keeps dense 2N = 200 maps (the complete N = 100 loop) on one map per
+# step.  It is a chosen cap, not a measured break-even.
+_BLOCK_ENTRIES = 1 << 15
 _BLOCK_STEPS = 64
 
 
-def _block_map(step, noisy: bool, steps: int) -> np.ndarray | None:
-    """The map that advances B > 1 steps of s_{k+1} = P s_k + H_k with one
-    dense product, or None for B = 1 (one sparse or dense map per step).
+def _block_map(step, steps: int) -> np.ndarray | None:
+    """The map that advances B > 1 input-free steps of s_{k+1} = P s_k
+    with one dense product, or None for B = 1 (one map per step).
 
     s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
-    the map is [P^j - I | P^{j-1-i}, i < j], which takes [s_0; H_0; ...;
-    H_{B-1}] to s_j - s_0; a partial block of b steps reads its top-left
-    b x (b + 1) blocks.  Without inputs (``noisy`` False) only the first
-    block column is built.  B = 1 when ``step`` = P - I is stored sparse;
-    else B is the largest count, at most 64 and at most ``steps``, whose
-    map has at most 2^15 entries, cut to the last power P^B that is finite.
-    P^{j+1} - I = D + D_j + D D_j (D = P - I, D_j = P^j - I) never
-    subtracts I, so the powers keep the accuracy of the step map.
+    the map is P^j - I, which takes s_0 to s_j - s_0; a partial block of
+    b steps reads its top b row blocks.  B = 1 when ``step`` = P - I is
+    stored sparse; else B is the largest count, at most 64 and at most
+    ``steps``, whose map has at most 2^15 entries, cut to the last power
+    P^B that is finite.  P^{j+1} - I = D + D_j + D D_j (D = P - I, D_j =
+    P^j - I) never subtracts I, so the powers keep the accuracy of the
+    step map.
     """
     if sparse.issparse(step):
         return None
     n = step.shape[0]
     B = 1
-    while (B < min(_BLOCK_STEPS, steps)
-           and (B + 1) * n * n * (B + 2 if noisy else 1) <= _BLOCK_ENTRIES):
+    while B < min(_BLOCK_STEPS, steps) and (B + 1) * n * n <= _BLOCK_ENTRIES:
         B += 1
     powers = [step]  # P^j - I, j = 1..
     with np.errstate(over="ignore", invalid="ignore"):
@@ -326,33 +327,23 @@ def _block_map(step, noisy: bool, steps: int) -> np.ndarray | None:
             if not np.all(np.isfinite(nxt)):
                 break
             powers.append(nxt)
-    B = len(powers)
-    if B == 1:
-        return None
-    first = np.concatenate(powers)
-    if not noisy:
-        return first
-    P = np.stack([np.eye(n)] + [np.eye(n) + D for D in powers[:-1]])  # P^0..P^{B-1}
-    lag = np.subtract.outer(np.arange(B), np.arange(B))
-    toeplitz = np.where((lag >= 0)[:, :, None, None], P[np.maximum(lag, 0)], 0.0)
-    return np.hstack([first, toeplitz.transpose(0, 2, 1, 3).reshape(B * n, B * n)])
+    return np.concatenate(powers) if len(powers) > 1 else None
 
 
 def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
                steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), one
-    precomputed linear map per step or per block of steps; returns (t, z
-    records, u records).
+    precomputed linear map per step (or per block of steps without
+    noise); returns (t, z records, u records).
 
     w(t) = ``real.at(t, k)``; u = u_state z + u_noise w at each grid point
     (``u_noise`` None: u sees no noise).  A annihilates the constant
     vector, so the steps and the readout act on z - z[0] and a consensus
-    state stays exact.  One step is z + (P - I) d + H_k, d = z - z[0], with
-    the input term H_k of ``_rk4_maps``.  Small dense maps advance a block
-    of steps per product (``_block_map``), reading the block's noise in
-    one call and checking finiteness and reading u out once per block.
-    Otherwise noise is read once per step (white, held), twice (sinusoid,
-    at t + h/2 and at t_{k+1}, which starts the next step) or never (zero).
+    state stays exact.  Noise is read once per step (white, held), twice
+    (sinusoid, at t + h/2 and at t_{k+1}, which starts the next step) or
+    never (zero).  Without noise, small dense maps advance a block of
+    steps per product (``_block_map``), checking finiteness and reading u
+    out once per block.
     """
     kind = real.profile.kind
     step, *K = _rk4_maps(A, h, kind)
@@ -371,7 +362,7 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
     def readout(d, w):
         return u_state @ d if u_noise is None else u_state @ d + u_noise @ w
 
-    block = _block_map(step, kind != "zero", steps)
+    block = _block_map(step, steps) if kind == "zero" else None
     if block is None:
         for k in range(steps):
             if kind == "white":
@@ -395,31 +386,13 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
         z_rec[0] = z
         for k in range(0, steps, B):
             b = min(B, steps - k)
-            idx = np.arange(k, k + b)
-            if kind == "zero":
-                W, H = None, np.empty((0, n))
-            elif kind == "white":
-                W = real.at(ts[idx], idx)
-                H = (K[0] @ (inputs @ W.T)).T
-            else:
-                W_half = real.at(np.concatenate([ts[idx] + 0.5 * h, ts[idx + 1]]),
-                                 np.concatenate([idx, idx + 1]))
-                G = inputs @ W_half.T  # g(t_k + h/2), then g(t_{k+1})
-                g_end = G[:, b:]
-                H = (K[0] @ np.column_stack([g, g_end[:, :-1]]) + K[1] @ G[:, :b]
-                     + (h / 6.0) * g_end).T
-                W = np.vstack([w, W_half[b:-1]])
-                w, g = W_half[-1], g_end[:, -1]
             with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                Z = z + (block[:b * n, :n + H.size]
-                         @ np.concatenate([z - z[0], H.ravel()])).reshape(b, n)
+                Z = z + (block[:b * n] @ (z - z[0])).reshape(b, n)
             _check_finite(Z, ts, k)
             z_rec[k + 1:k + b + 1] = Z
             d = z_rec[k:k + b] - z_rec[k:k + b, :1]
-            u_rec[k:k + b] = readout(d.T, None if W is None else W.T).T
+            u_rec[k:k + b] = (u_state @ d.T).T
             z = Z[-1]
-        if kind == "white":
-            w = W[-1]  # the last grid point keeps the last draw
     z_rec[steps] = z
     u_rec[steps] = readout(z - z[0], w)
     return ts, z_rec, u_rec

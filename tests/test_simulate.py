@@ -261,9 +261,9 @@ def _weighted_digraph():
     return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
 
 
-def _block_steps(A, kind, config):
-    """Steps per dense product of ``_propagate`` on zdot = A z + inputs w."""
-    M = _block_map(_rk4_maps(A, config.h, kind)[0], kind != "zero", config.steps)
+def _block_steps(A, config):
+    """Steps per dense product of ``_propagate`` on zdot = A z, no noise."""
+    M = _block_map(_rk4_maps(A, config.h, "zero")[0], config.steps)
     return 1 if M is None else M.shape[0] // A.shape[0]
 
 
@@ -283,8 +283,8 @@ def _classical_stages(config):
 def test_default_xi_makes_dynamic_equal_steady():
     # Xi = 1/Q* starts the gain at its fixed point, so both modes agree:
     # the stage-by-stage dynamic run is the oracle of the steady propagator.
-    # T = 2 is 200 steps, no multiple of any block size here, so the
-    # partial last block is compared too.
+    # Zero noise advances blocks of steps; T = 2 is 200 steps, no multiple
+    # of any block size here, so the partial last block is compared too.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
@@ -299,8 +299,9 @@ def test_default_xi_makes_dynamic_equal_steady():
         kw = dict(profile=prof, h=0.01, T=2.0, seed=5)
         config = ScenarioConfig(top, params, x0, prior, riccati="steady", **kw)
         for A in (ClosedLoop(top, params).A, laplacian(top)):
-            blocks = _block_steps(A, prof.kind, config)
-            assert blocks > 1 and config.steps % blocks, (prof.kind, blocks)
+            if prof.kind == "zero":
+                blocks = _block_steps(A, config)
+                assert blocks > 1 and config.steps % blocks, blocks
         steady = simulate_mef(config)
         dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
                                               riccati="dynamic", **kw))
@@ -333,18 +334,15 @@ def test_propagator_storage_follows_fill():
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
     assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, "white"))
-    # blocks of steps only where a dense block map stays small: the
-    # 4-node digraph (2N = 8) takes several steps per product, the dense
-    # 2N = 200 map and the sparse ring one step
+    # zero-noise blocks of steps only where a dense block map stays small:
+    # the 4-node digraph (2N = 8) takes several steps per product, the
+    # dense 2N = 200 map and the sparse ring one step
     config = basic_scenario(4, h=0.01, T=50.0)
     top, params = _weighted_digraph()
-    assert _block_steps(ClosedLoop(top, params).A, "white", config) > 1
+    assert _block_steps(ClosedLoop(top, params).A, config) > 1
     complete = make_graph("complete", 100)
-    dense = ClosedLoop(complete, uniform_params(complete)).A
-    for kind in ("zero", "white"):
-        assert _block_steps(dense, kind, config) == 1
-        assert _block_steps(loop.A, kind, config) == 1
-    assert _block_steps(laplacian(complete), "white", config) == 1
+    assert _block_steps(ClosedLoop(complete, uniform_params(complete)).A, config) == 1
+    assert _block_steps(loop.A, config) == 1
 
 
 def test_measurement_recording():
