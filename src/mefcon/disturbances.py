@@ -83,8 +83,11 @@ class DisturbanceRealization:
     ``sizes`` are the lengths of the streams the run reads, a prefix of
     (delta: N, eps_self: N, eps_edge: E); ``at(t, step)`` returns them
     stacked into one input vector w.  Sinusoids are evaluated at the
-    exact time ``t`` (RK4 stages included); white draws depend only on
-    ``step``, clamped to the drawn steps.  Both arguments may be arrays.
+    exact time ``t`` (RK4 stages included) as
+    ``sin(omega t) amp cos(phase) + cos(omega t) amp sin(phase)``, so a
+    read takes two sines per time point, however many signals there
+    are; white draws depend only on ``step``, clamped to the drawn
+    steps.  Both arguments may be arrays.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -99,9 +102,10 @@ class DisturbanceRealization:
         rngs = [np.random.default_rng(kid)
                 for kid in np.random.SeedSequence(use_seed).spawn(3)]
         if kind == "sinusoid":
-            self._phase = np.concatenate(
+            phase = np.concatenate(
                 [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
-            self._amp = profile.amplitudes(sizes)
+            amp = profile.amplitudes(sizes)
+            self._amp_cos, self._amp_sin = amp * np.cos(phase), amp * np.sin(phase)
             self._omega = 2 * math.pi * profile.frequency
         elif kind == "white":
             # row k holds step k's draws; each stream fills its own columns
@@ -124,7 +128,9 @@ class DisturbanceRealization:
         if kind == "zero":
             return np.zeros(np.shape(t) + (self._width,))
         if kind == "sinusoid":
-            return self._amp * np.sin(np.add.outer(self._omega * t, self._phase))
+            wt = self._omega * np.asarray(t)
+            return (np.multiply.outer(np.sin(wt), self._amp_cos)
+                    + np.multiply.outer(np.cos(wt), self._amp_sin))
         return self._draws.take(step, axis=0, mode="clip")
 
 

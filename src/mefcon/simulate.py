@@ -1,9 +1,12 @@
 """Fixed-step integration of the filter network and the classical baseline.
 
 The closed loop advances the true states x and the estimates x_hat jointly
-on one RK4 grid.  ``ClosedLoop`` holds its coefficients; edge sums are one
-sparse matvec over flat edge arrays, so a step costs O(N + E) however
-dense the graph is.  Both simulators share one grid loop.
+on one RK4 grid.  ``ClosedLoop`` holds its coefficients as one sparse map
+over flat edge arrays.  Under the steady gain the loop is linear and
+time-invariant, so ``simulate_mef`` and ``simulate_classical`` advance it
+with precomputed RK4 maps (``_propagate``), each kept sparse or dense by
+its fill; only the dynamic gain evaluates the RK4 stages one by one
+(``_integrate``).
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
@@ -266,14 +269,13 @@ def _stored(M):
     return M.toarray() if sparse.issparse(M) else M
 
 
-def _rk4_maps(A, h: float, kind: str) -> list:
-    """The RK4 step of zdot = A z + g(t) as linear maps, M = h A.
+def _rk4_maps(A, h: float) -> list:
+    """The RK4 step of zdot = A z + g(t) as linear maps [P - I, K1, K2],
+    M = h A.
 
     One step is z + (P - I) z + K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h)
     with P - I = M + M^2/2 + M^3/6 + M^4/24, K1 = h/6 (I + M + M^2/2 +
-    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  Returns [P - I], plus the
-    held-input map K1 + K2 + h/6 I = h (I + M/2 + M^2/6 + M^3/24) for
-    white noise, or K1 and K2 for sinusoids.  Each power of M, and each
+    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  Each power of M, and each
     map, is stored by its fill (see ``_stored``).
     """
     powers = [sparse.eye_array(A.shape[0], format="csr"), _stored(h * A)]
@@ -286,12 +288,8 @@ def _rk4_maps(A, h: float, kind: str) -> list:
             out = out + c * Mk
         return _stored(out)
 
-    maps = [poly(0.0, 1.0, 1 / 2, 1 / 6, 1 / 24)]
-    if kind == "white":
-        maps.append(poly(h, h / 2, h / 6, h / 24))
-    elif kind == "sinusoid":
-        maps += [poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12)]
-    return maps
+    return [poly(0.0, 1.0, 1 / 2, 1 / 6, 1 / 24),
+            poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12)]
 
 
 # Bounds the block map's size and the cost of building its powers.  It
@@ -301,21 +299,21 @@ _BLOCK_ENTRIES = 1 << 15
 _BLOCK_STEPS = 64
 
 
-def _block_map(step, steps: int) -> np.ndarray | None:
-    """The map that advances B > 1 input-free steps of s_{k+1} = P s_k
-    with one dense product, or None for B = 1 (one map per step).
+def _block_map(step, steps: int):
+    """The map that advances B input-free steps of s_{k+1} = P s_k with
+    one product: ``step`` = P - I itself when B = 1.
 
     s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
     the map is P^j - I, which takes s_0 to s_j - s_0; a partial block of
-    b steps reads its top b row blocks.  B = 1 when ``step`` = P - I is
-    stored sparse; else B is the largest count, at most 64 and at most
+    b steps reads its top b row blocks.  B = 1 when ``step`` is stored
+    sparse; else B is the largest count, at most 64 and at most
     ``steps``, whose map has at most 2^15 entries, cut to the last power
     P^B that is finite.  P^{j+1} - I = D + D_j + D D_j (D = P - I, D_j =
     P^j - I) never subtracts I, so the powers keep the accuracy of the
     step map.
     """
     if sparse.issparse(step):
-        return None
+        return step
     n = step.shape[0]
     B = 1
     while B < min(_BLOCK_STEPS, steps) and (B + 1) * n * n <= _BLOCK_ENTRIES:
@@ -327,74 +325,67 @@ def _block_map(step, steps: int) -> np.ndarray | None:
             if not np.all(np.isfinite(nxt)):
                 break
             powers.append(nxt)
-    return np.concatenate(powers) if len(powers) > 1 else None
+    return np.concatenate(powers) if len(powers) > 1 else step
+
+
+# Noise entries per read of the realization: bounds the temporaries of
+# the input terms and of the readout.  Smaller reads pay more per-read
+# overhead, larger ones more memory.
+_READ_ENTRIES = 1 << 16
 
 
 def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
                steps: int):
-    """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), one
-    precomputed linear map per step (or per block of steps without
-    noise); returns (t, z records, u records).
+    """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
+    precomputed linear maps; returns (t, z records, u records).
 
-    w(t) = ``real.at(t, k)``; u = u_state z + u_noise w at each grid point
-    (``u_noise`` None: u sees no noise).  A annihilates the constant
-    vector, so the steps and the readout act on z - z[0] and a consensus
-    state stays exact.  Noise is read once per step (white, held), twice
-    (sinusoid, at t + h/2 and at t_{k+1}, which starts the next step) or
-    never (zero).  Without noise, small dense maps advance a block of
-    steps per product (``_block_map``), checking finiteness and reading u
-    out once per block.
+    Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k =
+    K1 g(t_k) + K2 g(t_k + h/2) + (h/6) g(t_k + h) and g = inputs w,
+    w = ``real.at(., k)``: the stages the stage-by-stage RK4 reads.  A
+    annihilates the constant vector, so a consensus state stays exact.
+    H is read for the whole run before stepping, in chunks of at most
+    2^16 noise entries (or one step), into the records it is added to.  Without noise
+    H = 0, and small dense maps advance a block of steps per product
+    (``_block_map``), with finiteness checked once per block.  After
+    stepping, u = u_state (z - z[0]) + u_noise w(t_k) is read out in the
+    same chunks (``u_noise`` None: u sees no noise).
     """
-    kind = real.profile.kind
-    step, *K = _rk4_maps(A, h, kind)
-    inputs = _stored(inputs)
-    u_state = _stored(u_state)
-    if u_noise is not None:
-        u_noise = _stored(u_noise) if kind != "zero" and u_noise.count_nonzero() else None
+    step, K1, K2 = _rk4_maps(A, h)
+    noisy = real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
-    z_rec = np.empty((steps + 1, z.size))
+    z_rec = np.zeros((steps + 1, z.size))
     u_rec = np.empty((steps + 1, u_state.shape[0]))
-    w = None
-    if kind == "sinusoid":
-        w = real.at(ts[0], 0)
-        g = inputs @ w
+    rows = max(1, _READ_ENTRIES // inputs.shape[1])
 
-    def readout(d, w):
-        return u_state @ d if u_noise is None else u_state @ d + u_noise @ w
+    def noise(M, t, ks):  # M w(t) of steps ks, one column per step
+        return M @ real.at(t, ks).T
 
-    block = _block_map(step, steps) if kind == "zero" else None
-    if block is None:
-        for k in range(steps):
-            if kind == "white":
-                w = real.at(ts[k], k)
-                g = inputs @ w
-            d = z - z[0]
-            z_rec[k] = z
-            u_rec[k] = readout(d, w)
-            z = z + step @ d
-            if kind == "white":
-                z += K[0] @ g
-            elif kind == "sinusoid":
-                g_mid = inputs @ real.at(ts[k] + 0.5 * h, k)
-                w = real.at(ts[k + 1], k + 1)
-                g_end = inputs @ w
-                z += K[0] @ g + K[1] @ g_mid + (h / 6.0) * g_end
-                g = g_end
-            _check_finite(z, ts, k)
-    else:
-        n, B = z.size, block.shape[0] // z.size
-        z_rec[0] = z
+    if noisy:
+        for k in range(0, steps, rows):
+            ks = np.arange(k, min(k + rows, steps))
+            t = ts[ks]
+            H = (K1 @ noise(inputs, t, ks) + K2 @ noise(inputs, t + 0.5 * h, ks)
+                 + (h / 6.0) * noise(inputs, t + h, ks))
+            z_rec[k + 1:k + ks.size + 1] = H.T
+    block = _block_map(step, steps) if not noisy else step
+    n, B = z.size, block.shape[0] // z.size
+    z_rec[0] = z
+    with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         for k in range(0, steps, B):
             b = min(B, steps - k)
-            with np.errstate(over="ignore", invalid="ignore"):  # reported below
-                Z = z + (block[:b * n] @ (z - z[0])).reshape(b, n)
+            Z = z_rec[k + 1:k + b + 1]
+            Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
             _check_finite(Z, ts, k)
-            z_rec[k + 1:k + b + 1] = Z
-            d = z_rec[k:k + b] - z_rec[k:k + b, :1]
-            u_rec[k:k + b] = (u_state @ d.T).T
             z = Z[-1]
-    z_rec[steps] = z
-    u_rec[steps] = readout(z - z[0], w)
+    if not noisy or (u_noise is not None and not u_noise.count_nonzero()):
+        u_noise = None
+    for k in range(0, steps + 1, rows):
+        ks = np.arange(k, min(k + rows, steps + 1))
+        d = z_rec[k:k + ks.size] - z_rec[k:k + ks.size, :1]
+        u = u_state @ d.T
+        if u_noise is not None:
+            u += noise(u_noise, ts[ks], ks)
+        u_rec[k:k + ks.size] = u.T
     return ts, z_rec, u_rec
 
 
@@ -404,8 +395,8 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     Estimates start at the configured priors.  Gains stay frozen at the
     steady value Q* unless ``riccati='dynamic'``, which integrates the
     gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
-    is linear and time-invariant, so each RK4 step is one precomputed
-    linear map (``_propagate``); the dynamic loop evaluates its stages.
+    is linear and time-invariant, so its RK4 steps are precomputed linear
+    maps (``_propagate``); the dynamic loop evaluates its stages.
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -455,7 +446,7 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     coupling drift, and zero gains.
     """
     top = config.topology
-    Lp = laplacian(top)  # -L_std
+    Lp = _stored(laplacian(top))  # -L_std
     n = top.node_count
     real = sample_disturbances(config.profile, (n,), config.steps, config.h,
                                config.seed)

@@ -70,6 +70,20 @@ def test_array_read_stacks_the_scalar_reads(kind):
     rows = real.at(t, k)
     assert rows.shape == (4, 11)
     assert np.array_equal(rows, [real.at(ti, int(ki)) for ti, ki in zip(t, k)])
+    if kind == "sinusoid":
+        # the read is amp sin(2 pi f t + phase), phases drawn per stream
+        phase = np.concatenate([np.random.default_rng(kid).uniform(0, 2 * np.pi, size)
+                                for kid, size in zip(np.random.SeedSequence(6).spawn(3),
+                                                     (3, 3, 5))])
+        amp = np.repeat([0.2, 0.1, 0.1], (3, 3, 5))
+        t = np.linspace(0.0, 50.0, 2001)
+        for f in (0.5, 7.3):
+            prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1,
+                                      frequency=f, seed=6)
+            got = sample_disturbances(prof, (3, 3, 5), 8, 0.1).at(t, np.zeros(t.size, int))
+            wt = 2 * np.pi * f * t[:, None]
+            want = amp * np.sin(wt + phase)
+            assert np.all(np.abs(got - want) <= 1e-15 * amp * (1 + wt)), f
 
 
 def test_white_std_scaling():

@@ -263,8 +263,7 @@ def _weighted_digraph():
 
 def _block_steps(A, config):
     """Steps per dense product of ``_propagate`` on zdot = A z, no noise."""
-    M = _block_map(_rk4_maps(A, config.h, "zero")[0], config.steps)
-    return 1 if M is None else M.shape[0] // A.shape[0]
+    return _block_map(_rk4_maps(A, config.h)[0], config.steps).shape[0] // A.shape[0]
 
 
 def _classical_stages(config):
@@ -285,15 +284,21 @@ def test_default_xi_makes_dynamic_equal_steady():
     # the stage-by-stage dynamic run is the oracle of the steady propagator.
     # Zero noise advances blocks of steps; T = 2 is 200 steps, no multiple
     # of any block size here, so the partial last block is compared too.
+    # The ring N = 40 runs noise through sparse (CSR) step and input maps.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
+    ring = make_graph("undirected_ring", 40)
+    ring_params = uniform_params(ring, R=0.7, S=2.0, G=1.0)
+    ring_x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 40)
     cases = [(top3, uniform_params(top3, B=1.0, R=1.0, S=1.0, G=1.0),
               np.array([0.1, 0.5, -0.2]), None, DisturbanceProfile())]
     for prof in (DisturbanceProfile(),
                  DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
                                     frequency=0.8),
                  DisturbanceProfile(kind="white", sigma=0.5)):
+        if prof.kind != "zero":
+            cases.append((ring, ring_params, ring_x0, -ring_x0, prof))
         cases.append((top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3], prof))
     for top, params, x0, prior, prof in cases:
         kw = dict(profile=prof, h=0.01, T=2.0, seed=5)
@@ -302,6 +307,8 @@ def test_default_xi_makes_dynamic_equal_steady():
             if prof.kind == "zero":
                 blocks = _block_steps(A, config)
                 assert blocks > 1 and config.steps % blocks, blocks
+            if top is ring:
+                assert all(sparse.issparse(M) for M in _rk4_maps(A, config.h))
         steady = simulate_mef(config)
         dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
                                               riccati="dynamic", **kw))
@@ -329,11 +336,11 @@ def test_propagator_storage_follows_fill():
     ring = make_graph("undirected_ring", 500)
     loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
     assert loop.A.nnz <= 8 * 500
-    for M in _rk4_maps(loop.A, 0.01, "sinusoid"):
+    for M in _rk4_maps(loop.A, 0.01):
         assert sparse.issparse(M) and M.nnz <= 40 * 500
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
-    assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, "white"))
+    assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01))
     # zero-noise blocks of steps only where a dense block map stays small:
     # the 4-node digraph (2N = 8) takes several steps per product, the
     # dense 2N = 200 map and the sparse ring one step
