@@ -29,7 +29,7 @@ from .analysis import (disagreement_norms, exp_bound_constants, iss_envelope,
 from .config import build_scenario, load_config
 from .errors import BoundViolationError, ConfigError, MefconError, SimulationError
 from .graphs import is_balanced, is_strongly_connected
-from .simulate import ClosedLoop, simulate_classical, simulate_mef
+from .simulate import simulate_classical, simulate_mef
 
 
 def _finite(v: float):
@@ -119,7 +119,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config, resolved, out = _prepare(args)
-    loop = ClosedLoop(config.topology, config.params)
+    loop = config.loop
     report = spectral_report(loop, args.tolerance)
     connected = is_strongly_connected(config.topology)
     payload = {
@@ -202,7 +202,7 @@ def cmd_envelope(args) -> int:
         raise ConfigError(
             "envelope certification needs bounded continuous disturbances "
             "(kind 'sinusoid' or 'zero'); white noise has no amplitude bound")
-    loop = ClosedLoop(config.topology, config.params)
+    loop = config.loop
     report = spectral_report(loop, args.tolerance)
     x_star, iss = _certificate(config, loop, report)
     del iss["Q_max"]  # written to report.json only
@@ -261,8 +261,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=".", help="output directory (default: .)")
     sub.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed")
-    sub.add_argument("--tolerance", type=float, default=1e-8,
-                     help="zero/stability classification tolerance (default 1e-8)")
     sub.add_argument("--riccati", choices=("steady", "dynamic"), default=None,
                      help="override the gain mode")
 
@@ -283,6 +281,9 @@ def build_parser() -> argparse.ArgumentParser:
             ("envelope", cmd_envelope, "certify a run against its ISS envelope")):
         sub = subs.add_parser(name, help=blurb)
         _add_common(sub)
+        if name in ("analyze", "envelope"):  # the verbs that classify F's spectrum
+            sub.add_argument("--tolerance", type=float, default=1e-8,
+                             help="zero/stability classification tolerance (default 1e-8)")
         sub.set_defaults(fn=fn)
     return parser
 

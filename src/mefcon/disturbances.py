@@ -31,7 +31,10 @@ import numpy as np
 from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
-_BLOCK = 1 << 16  # white draws per block: bounds the temporary of one draw call
+# Noise entries per chunk, which bounds one noise temporary (white draws;
+# the input terms and readout of ``simulate._propagate``).  Smaller chunks
+# pay more per-call overhead, larger ones more memory.
+CHUNK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,7 +117,7 @@ class DisturbanceRealization:
             self._draws = np.empty((steps, width))
             start = 0
             for rng, size in zip(rngs, sizes):
-                block = max(1, _BLOCK // max(size, 1))
+                block = max(1, CHUNK_ENTRIES // max(size, 1))
                 for r in range(0, steps, block):
                     rows = min(block, steps - r)
                     self._draws[r:r + rows, start:start + size] = rng.normal(

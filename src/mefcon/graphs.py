@@ -120,24 +120,24 @@ def is_strongly_connected(topology: NetworkTopology) -> bool:
     return ncomp == 1
 
 
-def is_balanced(topology: NetworkTopology, tol: float = 1e-12) -> bool:
-    """True iff weighted in-degree equals weighted out-degree at every node."""
+def is_balanced(topology: NetworkTopology) -> bool:
+    """True iff weighted in-degree equals weighted out-degree at every node,
+    to a relative 1e-12."""
     src, dst, w = topology.edge_arrays()
     n = topology.node_count
     din = np.bincount(src, weights=w, minlength=n)
     dout = np.bincount(dst, weights=w, minlength=n)
-    return bool(np.all(np.abs(din - dout) <= tol * (1.0 + np.abs(din))))
+    return bool(np.all(np.abs(din - dout) <= 1e-12 * (1.0 + np.abs(din))))
 
 
-def left_null_vector(L: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def left_null_vector(L: np.ndarray) -> np.ndarray:
     """Left null vector of L, normalized so that omega @ ones = 1.
 
     Parameters
     ----------
     L : ndarray
         Square Laplacian (either sign convention; the null space agrees).
-    tol : float
-        Singular values below ``tol * smax`` count as zero.
+        Its singular values up to 1e-8 times the largest count as zero.
 
     Returns
     -------
@@ -160,7 +160,7 @@ def left_null_vector(L: np.ndarray, tol: float = 1e-8) -> np.ndarray:
     except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails here
         raise SolverError(f"SVD failed on Laplacian: {exc}") from exc
     smax = svals[0] if svals[0] > 0 else 1.0
-    nzero = int(np.sum(svals <= tol * smax))
+    nzero = int(np.sum(svals <= 1e-8 * smax))
     if nzero != 1:
         raise SolverError(
             f"left null space is {nzero}-dimensional; expected a simple zero "

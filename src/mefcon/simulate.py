@@ -23,9 +23,9 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .disturbances import DisturbanceProfile, sample_disturbances
+from .disturbances import CHUNK_ENTRIES, DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
-from .filtering import FilterParams, steady_gains, uniform_params
+from .filtering import FilterParams, uniform_params
 from .graphs import (NetworkTopology, is_strongly_connected, laplacian,
                      left_null_vector, make_graph)
 
@@ -72,6 +72,11 @@ class ScenarioConfig:
     @property
     def steps(self) -> int:
         return int(round(self.T / self.h))
+
+    @cached_property
+    def loop(self) -> ClosedLoop:
+        """The run's closed loop, built from topology and params on first use."""
+        return ClosedLoop(self.topology, self.params)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
         """Copy with both the scenario and disturbance seed replaced."""
@@ -130,7 +135,7 @@ def _check_finite(Z: np.ndarray, ts, k: int) -> None:
 class ClosedLoop:
     """The filter network's closed loop, linear in (x, x_hat).
 
-    Built once per run from the topology and the params.  Edge (i, j)
+    Built once per config (``ScenarioConfig.loop``).  Edge (i, j)
     measures y_ij = x_j + D_ij eps_ij and feeds node i the residual
     r = y_ij - x_hat_i.  The noise w stacks (delta, eps_self, eps_edge),
     of lengths ``noise_sizes``, without eps_edge when no edge measurement
@@ -161,7 +166,7 @@ class ClosedLoop:
         sgain = w / params.S_edge
         self.ricc_coeff = 1.0 / params.R_self + np.bincount(
             src, weights=sgain, minlength=n)
-        self.q_star = steady_gains(topology, params.B, params.R_self, params.S_edge)
+        self.q_star = np.abs(params.B) / np.sqrt(self.ricc_coeff)
 
         # columns: x 0..N-1, x_hat N.., delta 2N.., eps_self 3N.., eps_edge 4N..
         edges, nodes, width = np.arange(m), np.arange(n), 4 * n + m
@@ -328,12 +333,6 @@ def _block_map(step, steps: int):
     return np.concatenate(powers) if len(powers) > 1 else step
 
 
-# Noise entries per read of the realization: bounds the temporaries of
-# the input terms and of the readout.  Smaller reads pay more per-read
-# overhead, larger ones more memory.
-_READ_ENTRIES = 1 << 16
-
-
 def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
                steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
@@ -344,18 +343,19 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
     w = ``real.at(., k)``: the stages the stage-by-stage RK4 reads.  A
     annihilates the constant vector, so a consensus state stays exact.
     H is read for the whole run before stepping, in chunks of at most
-    2^16 noise entries (or one step), into the records it is added to.  Without noise
-    H = 0, and small dense maps advance a block of steps per product
-    (``_block_map``), with finiteness checked once per block.  After
-    stepping, u = u_state (z - z[0]) + u_noise w(t_k) is read out in the
-    same chunks (``u_noise`` None: u sees no noise).
+    ``CHUNK_ENTRIES`` noise entries (or one step), into the records it is
+    added to.  Without noise H = 0, and small dense maps advance a block
+    of steps per product (``_block_map``).  Finiteness is checked once
+    over all records after stepping; the first non-finite row names the
+    failing step.  Then u = u_state (z - z[0]) + u_noise w(t_k) is read out in the same
+    chunks (``u_noise`` None: u sees no noise).
     """
     step, K1, K2 = _rk4_maps(A, h)
     noisy = real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
     z_rec = np.zeros((steps + 1, z.size))
     u_rec = np.empty((steps + 1, u_state.shape[0]))
-    rows = max(1, _READ_ENTRIES // inputs.shape[1])
+    rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
 
     def noise(M, t, ks):  # M w(t) of steps ks, one column per step
         return M @ real.at(t, ks).T
@@ -375,8 +375,8 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
             b = min(B, steps - k)
             Z = z_rec[k + 1:k + b + 1]
             Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
-            _check_finite(Z, ts, k)
             z = Z[-1]
+    _check_finite(z_rec[1:], ts, 0)
     if not noisy or (u_noise is not None and not u_noise.count_nonzero()):
         u_noise = None
     for k in range(0, steps + 1, rows):
@@ -401,7 +401,7 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
                       "guaranteed", RuntimeWarning, stacklevel=2)
-    loop = ClosedLoop(config.topology, config.params)
+    loop = config.loop
     real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
                                config.h, config.seed)
     n = loop.n
@@ -432,7 +432,7 @@ def measurements(config: ScenarioConfig,
     Replays the run's measurement noise on its grid, so each row is what
     the nodes saw at that grid point.
     """
-    loop = ClosedLoop(config.topology, config.params)
+    loop = config.loop
     real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
                                config.h, config.seed)
     return loop.measure(traj.x, real.at(traj.t, np.arange(traj.t.size)))

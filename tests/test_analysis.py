@@ -177,7 +177,7 @@ def test_symmetric_graph_does_not_make_f_normal():
 def test_grid_overshoot_fallback_is_valid_bound():
     _, _, system = _two_ring()
     a_eig, _ = exp_bound_constants(system)
-    a, b = exp_bound_constants(system, cond_limit=1.0)  # force the fallback
+    a, b = _grid_overshoot(system.F, a_eig, 1e-8)
     assert a == pytest.approx(0.99 * a_eig)
     assert b >= 1.0
     # the grid bound must dominate the actual propagator decay on the
@@ -198,6 +198,19 @@ def test_direct_grid_overshoot_call():
     a2, b2 = _grid_overshoot(system.F, 0.48236190979495835, 1e-8)
     assert a2 == pytest.approx(0.99 * 0.48236190979495835)
     assert 1.0 <= b2 < 10.0
+
+
+def test_defective_basis_dispatches_to_the_grid():
+    # the directed path's F is genuinely defective: its stable eigenbasis
+    # has condition about 4e23, so b comes from the grid, not from cond
+    top = make_graph("path", 8)
+    system = assemble_global(top, uniform_params(top))
+    a_eig = -spectral_report(system).spectral_abscissa_nonzero
+    assert a_eig == pytest.approx(0.34106, abs=1e-5)
+    a, b = exp_bound_constants(system)
+    assert (a, b) == _grid_overshoot(system.F, a_eig, 1e-8)
+    assert a == pytest.approx(0.33765, abs=1e-5)
+    assert b == pytest.approx(8.34e8, rel=1e-2)
 
 
 def test_phi_max_hand_value():
@@ -295,10 +308,8 @@ def test_run_comparison_statistics_shape():
 
 
 def test_left_null_vector_of_accepts_both():
-    top, params, system = _two_ring()
+    top, _, _ = _two_ring()
     a = left_null_vector_of(top)
-    b = left_null_vector_of(system)
-    assert a == pytest.approx(b, abs=1e-12)
     assert a == pytest.approx(left_null_vector(laplacian(top)), abs=1e-12)
 
 

@@ -193,6 +193,17 @@ def test_analyze_tolerance_flag(tmp_path):
     assert rep["spectral"]["zero_tolerance"] == 1e-4
 
 
+@pytest.mark.parametrize("verb", ["simulate", "compare"])
+def test_tolerance_is_refused_where_unread(tmp_path, verb):
+    # only analyze and envelope classify F's spectrum; elsewhere the flag
+    # would be accepted and ignored
+    cfg = _write(tmp_path, TWO_NODE)
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--config", cfg, "--out", str(tmp_path / verb),
+              "--tolerance", "1e-4"])
+    assert exc.value.code == 2
+
+
 def test_compare_zero_noise(tmp_path):
     text = TWO_NODE + "compare_seeds: [0, 1]\n"
     cfg = _write(tmp_path, text)
@@ -373,6 +384,20 @@ def test_readme_commands_run_on_shipped_configs(tmp_path, monkeypatch):
         assert main([verb, "--config", args["--config"], "--out", str(out)]) == 0, verb
         for name in _ARTIFACTS[verb]:
             assert (out / name).is_file(), (verb, name)
+
+
+def test_envelope_builds_one_closed_loop(tmp_path, monkeypatch):
+    built = []
+    init = mefcon.ClosedLoop.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(mefcon.ClosedLoop, "__init__", counting)
+    assert main(["envelope", "--config", str(CONFIGS / "two_ring_envelope.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(built) == 1  # the certificate and the run share it
 
 
 def test_envelope_refuses_an_unstable_step(tmp_path, capsys):

@@ -402,6 +402,21 @@ def test_numerical_blowup_aborts_with_step_index():
     assert np.array_equal(traj.x_hat, traj.x)
 
 
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile("white", sigma=0.1),
+    DisturbanceProfile("sinusoid", delta_max=0.1, eps_max=0.1)],
+    ids=["white", "sinusoid"])
+def test_noisy_blowup_names_the_same_step(profile):
+    # finiteness is checked once per run; the first non-finite record
+    # names the step that the zero-noise run names too
+    top = make_graph("undirected_ring", 2)
+    params = uniform_params(top, B=1.0, R=1e-8, S=1.0, G=1.0)
+    cfg = ScenarioConfig(top, params, np.array([0.0, 1.0]), None, profile,
+                         h=10.0, T=500.0, seed=3)
+    with pytest.raises(SimulationError, match="non-finite.*t=160$"):
+        simulate_mef(cfg)
+
+
 def test_scenario_validation():
     top = make_graph("complete", 3)
     params = uniform_params(top)
