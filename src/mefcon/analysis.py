@@ -29,8 +29,8 @@ from scipy import sparse
 
 from .errors import ConfigError, SolverError
 from .filtering import FilterParams, steady_gains
-from .graphs import (NetworkTopology, adjacency, laplacian, left_null_vector,
-                     standard_laplacian)
+from .graphs import (NetworkTopology, adjacency, degree_matrix, laplacian,
+                     left_null_vector, standard_laplacian)
 from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, simulate_classical,
                        simulate_mef)
 
@@ -78,12 +78,9 @@ class SpectralReport:
 
 @dataclass(frozen=True)
 class EquilibriumPrediction:
-    """Predicted consensus value and the terms that produced it."""
+    """Predicted consensus value."""
 
     x_star: float
-    numerator: float
-    denominator: float
-    omega: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -94,25 +91,29 @@ class CoherenceReport:
     eigenvalues: np.ndarray
 
 
+def _uniform_weights(params: FilterParams) -> tuple[float, float]:
+    """The common R and S that the closed forms assume (S = 1 without
+    edges)."""
+    R_vals = np.unique(params.R_self)
+    S_vals = np.unique(params.S_edge)
+    if R_vals.size != 1 or S_vals.size > 1:
+        raise ConfigError("the closed forms require one common R across nodes "
+                          "and one common S across edges")
+    return float(R_vals[0]), float(S_vals[0]) if S_vals.size else 1.0
+
+
 def assemble_global(topology: NetworkTopology, params: FilterParams) -> GlobalSystem:
     """Build the block matrix F for uniform weights.
 
     Requires equal R_self across nodes, equal S across edges, and unit G
     (the block form is an identity only then); B may vary per node.
     """
-    R_vals = np.unique(params.R_self)
-    S_vals = np.unique(params.S_edge)
-    if R_vals.size != 1:
-        raise ConfigError("global form requires one common R_self across nodes")
-    if params.S_edge.size and S_vals.size != 1:
-        raise ConfigError("global form requires one common S across edges")
+    R, S = _uniform_weights(params)
     if params.G_edge.size and not np.all(params.G_edge == 1.0):
         raise ConfigError("global form requires unit approximation weights G = 1")
-    R = float(R_vals[0])
-    S = float(S_vals[0]) if params.S_edge.size else 1.0
     n = topology.node_count
     L = laplacian(topology)
-    Dt = np.diag(topology.in_degrees()) / S
+    Dt = degree_matrix(topology) / S
     Lt = L / S
     q = steady_gains(topology, params.B, params.R_self, params.S_edge)
     Qd = np.diag(q)
@@ -166,7 +167,7 @@ def predict_equilibrium(system: GlobalSystem, omega: np.ndarray,
     if den <= 0:
         raise SolverError(f"equilibrium denominator {den} is not positive; "
                           "needs a strongly connected graph with positive omega")
-    return EquilibriumPrediction(num / den, num, den, np.asarray(omega, float))
+    return EquilibriumPrediction(num / den)
 
 
 def exp_bound_constants(system: GlobalSystem | ClosedLoop,
@@ -230,12 +231,7 @@ def phi_max(params: FilterParams, topology: NetworkTopology,
     """
     if delta_max < 0 or eps_max < 0:
         raise ConfigError("disturbance bounds must be nonnegative")
-    R_vals = np.unique(params.R_self)
-    S_vals = np.unique(params.S_edge)
-    if R_vals.size != 1 or (params.S_edge.size and S_vals.size != 1):
-        raise ConfigError("phi_max requires uniform R and S")
-    R = float(R_vals[0])
-    S = float(S_vals[0]) if params.S_edge.size else 1.0
+    R, S = _uniform_weights(params)
     n = topology.node_count
     dsum = float(topology.in_degrees().sum())
     qmax = float(steady_gains(topology, params.B, params.R_self, params.S_edge).max())
@@ -301,8 +297,7 @@ def analytical_coherence(topology: NetworkTopology) -> CoherenceReport:
     if not np.allclose(A, A.T, rtol=0, atol=1e-12):
         raise ConfigError("analytical coherence needs an undirected "
                           "(symmetric-weight) graph")
-    lam = np.linalg.eigvalsh(standard_laplacian(topology))
-    lam = np.sort(lam)
+    lam = np.linalg.eigvalsh(standard_laplacian(topology))  # ascending
     rest = lam[1:]
     if rest.size and rest.min() <= 1e-8:
         return CoherenceReport(math.inf, lam)
@@ -318,10 +313,7 @@ def deviation_series(series: np.ndarray) -> np.ndarray:
 
 def empirical_deviation(series: np.ndarray) -> float:
     """Time average over the second half of sum_i (x_i - mean(x))^2."""
-    return _second_half_mean(deviation_series(series))
-
-
-def _second_half_mean(dev: np.ndarray) -> float:
+    dev = deviation_series(series)
     return float(dev[dev.shape[0] // 2:].mean())
 
 
@@ -374,10 +366,10 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     for s in seed_list:
         cfg = config.with_seed(s)
         tb, tm = simulate_classical(cfg), simulate_mef(cfg)
-        series = [deviation_series(a) for a in (tb.x, tm.x_hat, tm.x)]
-        stats.append([_second_half_mean(dev) for dev in series])
+        runs = (tb.x, tm.x_hat, tm.x)
+        stats.append([empirical_deviation(x) for x in runs])
         if first is None:
-            first = (tb.t, *series)
+            first = (tb.t, *(deviation_series(x) for x in runs))
     base, est, state = np.array(stats).T
     return ComparisonResult(seed_list, d_ave, base, est, state, *first)
 

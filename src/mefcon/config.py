@@ -114,9 +114,9 @@ def build_scenario(raw: dict, seed_override: int | None = None,
                    ) -> tuple[ScenarioConfig, dict]:
     """Turn a raw config dict into a ScenarioConfig plus a resolved echo."""
     top = _read(raw, _TOP)
-    g, p, ini, d, it = (_read(top[name], _SCHEMA[name], name + ".")
-                        for name in ("graph", "params", "initial", "disturbance",
-                                     "integration"))
+    sections = {name: _read(top[name], spec, name + ".")
+                for name, spec in _SCHEMA.items()}
+    g, p, ini, d, it = sections.values()
     n = g["n"]
     if n is None:
         raise ConfigError("field 'graph.n' is required")
@@ -187,21 +187,16 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         raise ConfigError(f"field 'integration.steps' is {it['steps']}, "
                           f"but T/h gives {config.steps} steps")
 
-    resolved = {
-        "graph": {"family": family, "n": n, "weight": g["weight"],
-                  **({"edges": [[i + 1, j + 1, w] for i, j, w in edges]}
-                     if edges is not None else {})},
-        "params": {"B": params.B.tolist(), "R": p["R"], "S": p["S"], "G": p["G"],
-                   "Xi": params.Xi.tolist()},
-        "initial": {"x0": config.x0.tolist(), "prior": config.prior.tolist()},
-        "disturbance": {"kind": profile.kind, "delta_max": profile.delta_max,
-                        "eps_max": profile.eps_max, "sigma": profile.sigma,
-                        "frequency": profile.frequency,
-                        "seed": profile.seed if profile.seed is not None else seed},
-        "integration": {"h": it["h"], "T": it["T"], "steps": config.steps},
-        "seed": seed,
-        "riccati": riccati,
-        "algorithm": algorithm,
-        "compare_seeds": compare_seeds,
-    }
+    # the echo: every key as read and checked, with the derived values put in
+    g["family"] = family
+    if edges is None:
+        del g["edges"]
+    else:
+        g["edges"] = [[i + 1, j + 1, w] for i, j, w in edges]
+    p.update(B=params.B.tolist(), Xi=params.Xi.tolist())
+    ini.update(x0=config.x0.tolist(), prior=config.prior.tolist())
+    d["seed"] = profile.seed if profile.seed is not None else seed
+    it["steps"] = config.steps
+    resolved = {**top, **sections, "seed": seed, "riccati": riccati,
+                "compare_seeds": compare_seeds}
     return config, resolved

@@ -98,7 +98,6 @@ class DisturbanceRealization:
         if len(sizes) > 3:
             raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
         self.profile = profile
-        self.steps = steps
         self._width = width = sum(sizes)
         kind = profile.kind
         use_seed = profile.seed if profile.seed is not None else seed

@@ -131,38 +131,36 @@ def observer_rhs(x_hat: float, y_self: float, y_nbrs, R_self: float,
     return u + Q * innov
 
 
-def steady_state_gain(B: float, R_self: float, S_values, weights=None) -> float:
-    """Nonnegative fixed point of the gain equation.
+def steady_state_gain(B: float, R_self: float, S_values) -> float:
+    """Nonnegative fixed point of the gain equation at unit edge weights.
 
-    Solves B^2 = Q^2 (1/R + sum_j w_j / S_j), i.e.
-    Q* = |B| (1/R + sum_j w_j / S_j)^(-1/2).  Unit weights reproduce the
-    unweighted neighbor sum.
+    Solves B^2 = Q^2 (1/R + sum_j 1 / S_j), i.e.
+    Q* = |B| (1/R + sum_j 1 / S_j)^(-1/2).  ``steady_gains`` is the
+    weighted network form.
     """
-    S_values = np.asarray(S_values, dtype=float)
-    w = np.ones_like(S_values) if weights is None else np.asarray(weights, dtype=float)
-    denom = 1.0 / R_self + float(np.sum(w / S_values)) if S_values.size else 1.0 / R_self
-    return abs(B) / math.sqrt(denom)
+    return abs(B) / math.sqrt(_gain_coefficient(R_self, S_values))
 
 
 def steady_gains(topology: NetworkTopology, B: np.ndarray, R_self: np.ndarray,
                  S_edge: np.ndarray) -> np.ndarray:
     """Vector of steady gains Q_i* across the network (weighted sums)."""
     src, _, w = topology.edge_arrays()
-    acc = np.bincount(src, weights=w / S_edge, minlength=topology.node_count) \
-        if topology.edge_count else np.zeros(topology.node_count)
+    acc = np.bincount(src, weights=w / S_edge, minlength=topology.node_count)
     return np.abs(B) / np.sqrt(1.0 / R_self + acc)
 
 
-def riccati_rhs(Q: float, B: float, R_self: float, S_values, weights=None) -> float:
-    """Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)."""
-    S_values = np.asarray(S_values, dtype=float)
-    w = np.ones_like(S_values) if weights is None else np.asarray(weights, dtype=float)
-    coeff = 1.0 / R_self + float(np.sum(w / S_values)) if S_values.size else 1.0 / R_self
-    return B * B - Q * Q * coeff
+def _gain_coefficient(R_self: float, S_values) -> float:
+    """1/R + sum_j 1 / S_j, the coefficient of Q^2 in the gain equation."""
+    return 1.0 / R_self + float(np.sum(1.0 / np.asarray(S_values, dtype=float)))
+
+
+def riccati_rhs(Q: float, B: float, R_self: float, S_values) -> float:
+    """Qdot = B^2 - Q^2 (1/R + sum_j 1 / S_j)."""
+    return B * B - Q * Q * _gain_coefficient(R_self, S_values)
 
 
 def integrate_riccati(Q0: float, B: float, R_self: float, S_values,
-                      horizon: float, step: float, weights=None) -> float:
+                      horizon: float, step: float) -> float:
     """Integrate the scalar gain equation with fixed-step RK4.
 
     Q0 must be strictly positive (Q(0) = 1/Xi).  Converges monotonically
@@ -175,10 +173,10 @@ def integrate_riccati(Q0: float, B: float, R_self: float, S_values,
     q = float(Q0)
     nsteps = int(round(horizon / step))
     for _ in range(nsteps):
-        k1 = riccati_rhs(q, B, R_self, S_values, weights)
-        k2 = riccati_rhs(q + 0.5 * step * k1, B, R_self, S_values, weights)
-        k3 = riccati_rhs(q + 0.5 * step * k2, B, R_self, S_values, weights)
-        k4 = riccati_rhs(q + step * k3, B, R_self, S_values, weights)
+        k1 = riccati_rhs(q, B, R_self, S_values)
+        k2 = riccati_rhs(q + 0.5 * step * k1, B, R_self, S_values)
+        k3 = riccati_rhs(q + 0.5 * step * k2, B, R_self, S_values)
+        k4 = riccati_rhs(q + step * k3, B, R_self, S_values)
         q += step / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     return q
 

@@ -77,11 +77,6 @@ class NetworkTopology:
         src, _, w = self.edge_arrays()
         return np.bincount(src, weights=w, minlength=self.node_count)
 
-    def neighbor_counts(self) -> np.ndarray:
-        """Cardinality |N_i| of each node's observed set."""
-        src, _, _ = self.edge_arrays()
-        return np.bincount(src, minlength=self.node_count).astype(float)
-
 
 def adjacency(topology: NetworkTopology) -> np.ndarray:
     """Weight matrix A with A[i, j] = a_ij for each edge (i, j)."""
@@ -110,11 +105,7 @@ def standard_laplacian(topology: NetworkTopology) -> np.ndarray:
 def is_strongly_connected(topology: NetworkTopology) -> bool:
     """True iff every node reaches every other along directed edges."""
     n = topology.node_count
-    if n == 1:
-        return True
     src, dst, w = topology.edge_arrays()
-    if len(src) == 0:
-        return False
     m = sp.csr_matrix((w, (src, dst)), shape=(n, n))
     ncomp, _ = connected_components(m, directed=True, connection="strong")
     return ncomp == 1

@@ -79,8 +79,12 @@ class ScenarioConfig:
         return ClosedLoop(self.topology, self.params)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with both the scenario and disturbance seed replaced."""
-        return replace(self, seed=seed, profile=replace(self.profile, seed=seed))
+        """Copy with both the scenario and disturbance seed replaced.  The
+        seed changes neither topology nor params, so the copy shares this
+        config's ``loop``."""
+        copy = replace(self, seed=seed, profile=replace(self.profile, seed=seed))
+        copy.__dict__["loop"] = self.loop  # where cached_property keeps it
+        return copy
 
 
 @dataclass
@@ -119,17 +123,17 @@ def _rk4_from(f, z: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarra
     k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
     k4 = f(t + h, z + h * k3)
     z_next = z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    _check_finite(z_next, (t,), 0)
+    _check_finite(z_next, (t,))
     return z_next
 
 
-def _check_finite(Z: np.ndarray, ts, k: int) -> None:
+def _check_finite(Z: np.ndarray, ts) -> None:
     """Raise naming the step of Z's first non-finite row; row r of Z is the
-    state after the step from ts[k + r]."""
+    state after the step from ts[r]."""
     finite = np.isfinite(Z)
     if not finite.all():
         r = int(np.argmin(finite.reshape(-1, Z.shape[-1]).all(axis=1)))
-        raise SimulationError(f"non-finite state after the step from t={ts[k + r]:.6g}")
+        raise SimulationError(f"non-finite state after the step from t={ts[r]:.6g}")
 
 
 class ClosedLoop:
@@ -145,8 +149,10 @@ class ClosedLoop:
     (y_self - x_hat)/R (the innovation).  Under the steady gain Q* the
     loop is zdot = A z + inputs w, with u = u_state z + u_noise w; ``A``,
     ``inputs``, ``u_state`` and ``u_noise`` are column blocks of that
-    map.  Residuals are edge differences, so A annihilates the constant
-    vector: a consensus state with x_hat = x is an exact fixed point.
+    map.  u reads noise only through eps_edge, so ``u_noise`` is None
+    when no edge measurement is noisy.  Residuals are edge differences,
+    so A annihilates the constant vector: a consensus state with x_hat =
+    x is an exact fixed point.
 
     The certificate of the loop reads the same operator: ``F`` is A in
     (x, e) coordinates and ``nu`` the consensus weights.  Both are dense,
@@ -158,7 +164,7 @@ class ClosedLoop:
         n = topology.node_count
         src, dst, w = topology.edge_arrays()
         m = src.size
-        self.n, self.src, self.dst = n, src, dst
+        self.n, self.dst = n, dst
         self.B = params.B
         self.D_self = np.sqrt(params.R_self)
         self.D_edge = np.sqrt(params.R_nbr_edge)
@@ -189,7 +195,8 @@ class ClosedLoop:
         steady = sparse.vstack([u + drive, u + sparse.diags_array(self.q_star) @ innov],
                                format="csr")
         self.A, self.inputs = steady[:, :2 * n], steady[:, 2 * n:cols]
-        self.u_state, self.u_noise = u[:, :2 * n], u[:, 2 * n:cols]
+        self.u_state = u[:, :2 * n]
+        self.u_noise = u[:, 2 * n:cols] if len(self.noise_sizes) == 3 else None
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -376,14 +383,12 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
             Z = z_rec[k + 1:k + b + 1]
             Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
             z = Z[-1]
-    _check_finite(z_rec[1:], ts, 0)
-    if not noisy or (u_noise is not None and not u_noise.count_nonzero()):
-        u_noise = None
+    _check_finite(z_rec[1:], ts)
     for k in range(0, steps + 1, rows):
         ks = np.arange(k, min(k + rows, steps + 1))
         d = z_rec[k:k + ks.size] - z_rec[k:k + ks.size, :1]
         u = u_state @ d.T
-        if u_noise is not None:
+        if noisy and u_noise is not None:
             u += noise(u_noise, ts[ks], ks)
         u_rec[k:k + ks.size] = u.T
     return ts, z_rec, u_rec

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from mefcon import (ConfigError, DisturbanceProfile, FilterParams,
+from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     NetworkTopology, analytical_coherence, assemble_global,
                     basic_scenario, deviation_series, disagreement_norms,
                     disagreement_state, empirical_deviation,
@@ -52,6 +52,13 @@ def test_assemble_rejects_nonuniform_weights():
                                           base.Xi))
     with pytest.raises(ConfigError):
         assemble_global(top, uniform_params(top, S=2.0, G=0.5))
+    # phi_max reads the same common R and S
+    with pytest.raises(ConfigError, match="common R"):
+        phi_max(FilterParams(base.B, np.array([1.0, 2.0]), base.S_edge,
+                             base.G_edge, base.Xi), top, 0.1, 0.1)
+    with pytest.raises(ConfigError, match="common S"):
+        phi_max(FilterParams(base.B, base.R_self, np.array([1.0, 2.0]),
+                             base.G_edge, base.Xi), top, 0.1, 0.1)
 
 
 def test_spectral_counts_two_nodes():
@@ -305,6 +312,20 @@ def test_run_comparison_statistics_shape():
     assert res.series_baseline.shape == res.t.shape
     assert res.d_ave == pytest.approx(0.5 * 3 / 4)
     assert np.all(res.baseline > 0)
+
+
+def test_run_comparison_builds_one_closed_loop(monkeypatch):
+    built = []
+    init = ClosedLoop.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ClosedLoop, "__init__", counting)
+    cfg = basic_scenario(4, profile=DisturbanceProfile(kind="white"), T=0.2)
+    run_comparison(cfg, seeds=range(3))
+    assert len(built) == 1  # the seed changes neither topology nor params
 
 
 def test_left_null_vector_of_accepts_both():

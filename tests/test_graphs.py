@@ -159,5 +159,4 @@ def test_topology_validation():
 def test_degree_helpers():
     top = NetworkTopology(3, ((0, 1, 2.0), (0, 2, 1.0), (1, 0, 1.0)))
     assert np.array_equal(top.in_degrees(), [3.0, 1.0, 0.0])
-    assert np.array_equal(top.neighbor_counts(), [2.0, 1.0, 0.0])
     assert np.array_equal(degree_matrix(top), np.diag([3.0, 1.0, 0.0]))

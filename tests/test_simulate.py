@@ -321,6 +321,19 @@ def test_default_xi_makes_dynamic_equal_steady():
     assert np.abs(steady.u).max() > 1.0  # the noise reaches u
 
 
+def test_u_reads_noise_only_through_edge_measurements():
+    # G = S: no edge measurement is noisy, and u has no noise map
+    ring = make_graph("undirected_ring", 2)
+    loop = ClosedLoop(ring, uniform_params(ring))
+    assert loop.noise_sizes == (2, 2) and loop.u_noise is None
+    # G < S: eps_edge is a stream, and u reads it
+    top, params = _weighted_digraph()
+    loop = ClosedLoop(top, params)
+    assert loop.noise_sizes == (4, 4, 6) and loop.u_noise is not None
+    assert loop.u_noise[:, :8].count_nonzero() == 0  # never delta or eps_self
+    assert loop.u_noise.count_nonzero() > 0
+
+
 def test_consensus_is_exact_on_weighted_digraph():
     # non-uniform weights leave (P - I) 1 at rounding level, not zero, so
     # only a step on z - z[0] keeps consensus exact
