@@ -7,11 +7,11 @@ neighbors' noisy measurements through a minimum-energy criterion.
 
 __version__ = "0.1.0"
 
-from .analysis import (ComparisonResult, CoherenceReport, EquilibriumPrediction,
-                       GlobalSystem, SpectralReport,
-                       analytical_coherence, assemble_global,
-                       deviation_series, disagreement_norms,
-                       disagreement_state, empirical_deviation,
+from .analysis import (Certificate, ComparisonResult, CoherenceReport,
+                       EnvelopeCheck, EquilibriumPrediction, GlobalSystem,
+                       SpectralReport, analytical_coherence, assemble_global,
+                       certify, check_envelope, deviation_series,
+                       disagreement_norms, disagreement_state, empirical_deviation,
                        exp_bound_constants, iss_envelope, left_null_vector_of,
                        phi_max, phi_projected, predict_equilibrium,
                        run_comparison, spectral_report)
@@ -31,13 +31,14 @@ from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, basic_scenario,
 from .config import build_scenario, load_config
 
 __all__ = [
-    "BoundViolationError", "ClosedLoop", "CoherenceReport", "ComparisonResult",
-    "ConfigError", "DisturbanceProfile", "DisturbanceRealization",
-    "EnergyBudget", "EquilibriumPrediction", "FilterParams", "GlobalSystem",
-    "MefconError", "NetworkTopology", "ScenarioConfig",
-    "SimulationError", "SolverError", "SpectralReport", "Trajectory",
-    "adjacency", "analytical_coherence", "assemble_global", "basic_scenario",
-    "build_scenario", "control_input", "degree_matrix", "deviation_series",
+    "BoundViolationError", "Certificate", "ClosedLoop", "CoherenceReport",
+    "ComparisonResult", "ConfigError", "DisturbanceProfile",
+    "DisturbanceRealization", "EnergyBudget", "EnvelopeCheck",
+    "EquilibriumPrediction", "FilterParams", "GlobalSystem", "MefconError",
+    "NetworkTopology", "ScenarioConfig", "SimulationError", "SolverError",
+    "SpectralReport", "Trajectory", "adjacency", "analytical_coherence",
+    "assemble_global", "basic_scenario", "build_scenario", "certify",
+    "check_envelope", "control_input", "degree_matrix", "deviation_series",
     "disagreement_norms", "disagreement_state", "empirical_deviation",
     "eta_star", "evaluate_energy", "exp_bound_constants", "integrate_riccati",
     "is_balanced", "is_strongly_connected", "iss_envelope", "laplacian",
@@ -45,6 +46,6 @@ __all__ = [
     "measurements", "neighbor_estimate", "observer_rhs", "phi_max",
     "phi_projected", "predict_equilibrium", "reduced_energy", "riccati_rhs",
     "rk4_step", "run_comparison", "sample_disturbances", "simulate_classical",
-    "simulate_mef", "spectral_report", "standard_laplacian",
-    "steady_gains", "steady_state_gain", "uniform_params",
+    "simulate_mef", "spectral_report", "standard_laplacian", "steady_gains",
+    "steady_state_gain", "uniform_params",
 ]

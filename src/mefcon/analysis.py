@@ -13,10 +13,10 @@ remaining 2N - q eigenvalues sit strictly in the left half plane, and the
 slowest of them sets the decay rate of the consensus transient.
 
 These closed forms hold only under uniform weights and G = 1.  The
-certificate the CLI reports reads the same F, the consensus weights and
-the disturbance bound from the run's ``ClosedLoop`` instead, for any
-weights; the forms here stay as the paper's formulas and the tests'
-oracles.
+certificate (``certify``) and its envelope check (``check_envelope``)
+read the same F, the consensus weights and the disturbance bound from
+the run's ``ClosedLoop`` instead, for any weights; the forms here stay
+as the paper's formulas and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .errors import ConfigError, SolverError
+from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, adjacency, degree_matrix, laplacian,
                      left_null_vector, standard_laplacian)
@@ -43,7 +43,6 @@ class GlobalSystem:
     L_tilde: np.ndarray
     Delta_tilde: np.ndarray
     q_star: np.ndarray
-    Xi: np.ndarray
     R: float
     S: float
 
@@ -118,7 +117,7 @@ def assemble_global(topology: NetworkTopology, params: FilterParams) -> GlobalSy
     q = steady_gains(topology, params.B, params.R_self, params.S_edge)
     Qd = np.diag(q)
     F = np.block([[Lt, -Dt], [Qd @ Lt, -Qd @ (np.eye(n) / R + Dt)]])
-    return GlobalSystem(F, Lt, Dt, q, params.Xi.copy(), R, S)
+    return GlobalSystem(F, Lt, Dt, q, R, S)
 
 
 def spectral_report(system: GlobalSystem | ClosedLoop,
@@ -128,8 +127,9 @@ def spectral_report(system: GlobalSystem | ClosedLoop,
     q counts eigenvalues with |lambda| below the tolerance; stable_count
     counts Re(lambda) < -tolerance.  Intended for desk-scale dense solves.
     """
-    if zero_tolerance <= 0:
-        raise ConfigError("zero tolerance must be positive")
+    if not 0 < zero_tolerance < math.inf:
+        raise ConfigError(f"zero tolerance (--tolerance) must be finite and "
+                          f"positive, not {zero_tolerance!r}")
     try:
         ev, V = np.linalg.eig(system.F)
     except np.linalg.LinAlgError as exc:
@@ -171,19 +171,16 @@ def predict_equilibrium(system: GlobalSystem, omega: np.ndarray,
 
 
 def exp_bound_constants(system: GlobalSystem | ClosedLoop,
-                        report: SpectralReport | None = None) -> tuple[float, float]:
+                        report: SpectralReport) -> tuple[float, float]:
     """Decay rate and overshoot (a, b) for the stable subspace of F.
 
     a is the negated spectral abscissa over nonzero eigenvalues; b is the
     condition number of the stable eigenvector basis, which certifies
     ||exp(F t) z|| <= b exp(-a t) ||z|| for z in the stable subspace.
-    Both come from ``report``, whose eigendecomposition of F (at the
-    default zero tolerance) is made here only when none is passed.  A
-    basis conditioned above 1e12 is numerically defective, and b is then
+    Both come from ``report``, the eigendecomposition of F.  A basis
+    conditioned above 1e12 is numerically defective, and b is then
     measured by ``_grid_overshoot`` at a slightly reduced rate.
     """
-    if report is None:
-        report = spectral_report(system)
     a = -report.spectral_abscissa_nonzero
     if not a > 0:
         raise SolverError("nonzero spectrum is not strictly stable; no decay rate")
@@ -285,6 +282,92 @@ def disagreement_norms(traj: Trajectory, x_star) -> np.ndarray:
     """Euclidean norm of the disagreement state at every grid point."""
     z = disagreement_state(traj.x, traj.e, x_star)
     return np.linalg.norm(z, axis=1)
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """The consensus value x* of a configured run, its weights nu and ISS
+    constants, the paper's phi_max beside phi, the largest steady gain
+    and RK4's margin at the run's step (see ``certify``)."""
+
+    x_star: float
+    nu: np.ndarray
+    a: float
+    b: float
+    phi: float
+    phi_max: float
+    Q_max: float
+    rk4_margin: float
+
+    @property
+    def asymptotic_ball(self) -> float:
+        return self.b * self.phi / self.a
+
+
+def certify(config: ScenarioConfig, report: SpectralReport) -> Certificate:
+    """The certificate of ``config``'s run from its ``ClosedLoop`` and
+    ``report``, F's spectrum.  x* = nu . (x0, prior) is the steady gain's
+    value, reached by a dynamic gain only from Q(0) = Q*, i.e. Xi = 1/Q*;
+    a and b need one zero and 2N - 1 stable eigenvalues."""
+    loop = config.loop
+    if config.riccati == "dynamic" and not np.allclose(
+            config.params.Xi * loop.q_star, 1.0, rtol=0.0, atol=1e-9):
+        raise ConfigError("params.Xi must be 1/Q* (leave it null) for riccati: "
+                          "dynamic: a gain started elsewhere reaches a consensus "
+                          "value x* that is not predicted here")
+    x_star = float(loop.nu @ np.concatenate([config.x0, config.prior]))
+    if report.q != 1 or report.stable_count != 2 * loop.n - 1:
+        raise SolverError(
+            f"zero tolerance {report.zero_tolerance:g} (--tolerance) counts "
+            f"{report.q} zero and {report.stable_count} stable eigenvalues of "
+            f"F; the certificate needs 1 and {2 * loop.n - 1}")
+    a, b = exp_bound_constants(loop, report)
+    profile = config.profile
+    return Certificate(
+        x_star, loop.nu, a, b, phi_projected(loop, profile.amplitudes(loop.noise_sizes)),
+        phi_max(config.params, config.topology, profile.delta_max, profile.eps_max),
+        float(loop.q_star.max()), report.rk4_margin(config.h))
+
+
+@dataclass(frozen=True)
+class EnvelopeCheck:
+    """A run's disagreement norms against envelope + floor on its grid t;
+    max_ratio is None when the bound is zero throughout."""
+
+    t: np.ndarray
+    norms: np.ndarray
+    envelope: np.ndarray
+    floor: float
+    bound: np.ndarray
+    violations: int
+    max_ratio: float | None
+    consensus_drift: float
+    z0_norm: float
+
+
+def check_envelope(config: ScenarioConfig, certificate: Certificate) -> EnvelopeCheck:
+    """Run ``config`` (at a step inside RK4's stability region) and check
+    its disagreement from the moving consensus value c(t) = nu . (x, x_hat),
+    not from x* = c(0), against the certificate's ISS envelope."""
+    if certificate.rk4_margin > 1:
+        raise SimulationError(
+            f"integration.h = {config.h:g} is outside RK4's stability region: max |R(h "
+            f"lambda)| over F's nonzero eigenvalues is {certificate.rk4_margin:.6g} > 1")
+    traj = simulate_mef(config)
+    n, nu = config.topology.node_count, certificate.nu
+    c = traj.x @ nu[:n] + traj.x_hat @ nu[n:]
+    norms = disagreement_norms(traj, c[:, None])
+    env = iss_envelope(certificate.a, certificate.b, float(norms[0]),
+                       certificate.phi, traj.t)
+    # rounding leaves about eps |x| per coordinate and step in the norm; an
+    # envelope below that floor (phi = 0, late t) certifies nothing finer
+    floor = ((config.steps + 1) * np.finfo(float).eps
+             * math.sqrt(2 * n) * float(np.abs(traj.x).max()))
+    bound = env + floor
+    positive = bound > 0  # all zero only when x = 0 throughout: no ratio
+    ratio = float(np.max(norms[positive] / bound[positive])) if positive.any() else None
+    return EnvelopeCheck(traj.t, norms, env, floor, bound, int(np.sum(norms > bound)),
+                         ratio, float(np.max(np.abs(c - c[0]))), float(norms[0]))
 
 
 def analytical_coherence(topology: NetworkTopology) -> CoherenceReport:

@@ -24,10 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import (disagreement_norms, exp_bound_constants, iss_envelope,
-                       phi_max, phi_projected, run_comparison, spectral_report)
+from .analysis import certify, check_envelope, run_comparison, spectral_report
 from .config import build_scenario, load_config
-from .errors import BoundViolationError, ConfigError, MefconError, SimulationError
+from .errors import BoundViolationError, ConfigError, MefconError
 from .graphs import is_balanced, is_strongly_connected
 from .simulate import simulate_classical, simulate_mef
 
@@ -60,32 +59,8 @@ def _header(command: str, resolved: dict) -> dict:
             "config": resolved}
 
 
-def _certificate(config, loop, report) -> tuple:
-    """The consensus value x* the configured run converges to, and the ISS
-    constants (a, b, phi, phi_max, Q_max, b phi / a): what ``analyze``
-    prints and ``envelope`` checks, all read from the run's ``ClosedLoop``.
-
-    x* = nu . (x0, prior) for the steady gain Q*; a dynamic run reaches
-    that value only when its gain starts at Q*, i.e. Xi = 1/Q*.  phi
-    bounds the input of the disagreement from the moving consensus value
-    (``phi_projected``); phi_max is the paper's closed form, reported
-    next to it.
-    """
-    if config.riccati == "dynamic" and not np.allclose(
-            config.params.Xi * loop.q_star, 1.0, rtol=0.0, atol=1e-9):
-        raise ConfigError(
-            "params.Xi must be 1/Q* (leave it null) for riccati: dynamic: "
-            "a gain started elsewhere reaches a consensus value x* that "
-            "is not predicted here")
-    x_star = float(loop.nu @ np.concatenate([config.x0, config.prior]))
-    a, b = exp_bound_constants(loop, report)
-    profile = config.profile
-    phi = phi_projected(loop, profile.amplitudes(loop.noise_sizes))
-    return x_star, {
-        "a": a, "b": b, "phi": phi,
-        "phi_max": phi_max(config.params, config.topology,
-                           profile.delta_max, profile.eps_max),
-        "Q_max": float(loop.q_star.max()), "asymptotic_ball": b * phi / a}
+# the certificate's ISS constants, written by analyze (with Q_max) and envelope
+_ISS = ("a", "b", "phi", "phi_max", "asymptotic_ball")
 
 
 def cmd_simulate(args) -> int:
@@ -119,8 +94,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     config, resolved, out = _prepare(args)
-    loop = config.loop
-    report = spectral_report(loop, args.tolerance)
+    report = spectral_report(config.loop, args.tolerance)
     connected = is_strongly_connected(config.topology)
     payload = {
         **_header("analyze", resolved),
@@ -140,12 +114,12 @@ def cmd_analyze(args) -> int:
         "warnings": [],
     }
     if connected:
-        x_star, iss = _certificate(config, loop, report)
-        payload["equilibrium"] = {"x_star": x_star, "weights": loop.nu.tolist()}
-        payload["iss"] = iss
+        cert = certify(config, report)
+        payload["equilibrium"] = {"x_star": cert.x_star, "weights": cert.nu.tolist()}
+        payload["iss"] = {k: getattr(cert, k) for k in _ISS + ("Q_max",)}
         print(f"analyze: q={report.q}, stable={report.stable_count}, "
-              f"x*={x_star:.12g}, a={iss['a']:.6g}, b={iss['b']:.6g}, "
-              f"phi={iss['phi']:.6g} (phi_max={iss['phi_max']:.6g})")
+              f"x*={cert.x_star:.12g}, a={cert.a:.6g}, b={cert.b:.6g}, "
+              f"phi={cert.phi:.6g} (phi_max={cert.phi_max:.6g})")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "
@@ -202,57 +176,29 @@ def cmd_envelope(args) -> int:
         raise ConfigError(
             "envelope certification needs bounded continuous disturbances "
             "(kind 'sinusoid' or 'zero'); white noise has no amplitude bound")
-    loop = config.loop
-    report = spectral_report(loop, args.tolerance)
-    x_star, iss = _certificate(config, loop, report)
-    del iss["Q_max"]  # written to report.json only
-    margin = report.rk4_margin(config.h)
-    if margin > 1:
-        raise SimulationError(
-            f"integration.h = {config.h:g} is outside RK4's stability region: max "
-            f"|R(h lambda)| over F's nonzero eigenvalues is {margin:.6g} > 1")
-    traj = simulate_mef(config)
-    # the disturbance moves the consensus value c(t) = nu . (x, x_hat); the
-    # envelope bounds the disagreement from it, not from x* = c(0)
-    n = loop.n
-    c = traj.x @ loop.nu[:n] + traj.x_hat @ loop.nu[n:]
-    norms = disagreement_norms(traj, c[:, None])
-    env = iss_envelope(iss["a"], iss["b"], float(norms[0]), iss["phi"], traj.t)
-    # rounding leaves about eps |x| per coordinate and step in the norm; an
-    # envelope below that floor (phi = 0, late t) certifies nothing finer
-    floor = ((config.steps + 1) * np.finfo(float).eps
-             * math.sqrt(2 * config.topology.node_count) * float(np.abs(traj.x).max()))
-    bound = env + floor
+    cert = certify(config, spectral_report(config.loop, args.tolerance))
+    check = check_envelope(config, cert)
     csv_path = out / "envelope.csv"
     _write_csv(csv_path, ["t", "disagreement_norm", "envelope", "bound"],
-               [traj.t, norms, env, bound])
-    above = norms > bound
-    violations = int(np.sum(above))
-    positive = bound > 0  # all zero only when x = 0 throughout: no ratio
-    ratio = float(np.max(norms[positive] / bound[positive])) if positive.any() else None
+               [check.t, check.norms, check.envelope, check.bound])
     summary = {
         **_header("envelope", resolved),
-        **iss,
-        "x_star": x_star,
-        "consensus_drift": float(np.max(np.abs(c - c[0]))),
-        "z0_norm": float(norms[0]),
-        "rk4_margin": margin,
-        "max_ratio": ratio,
-        "floor": floor,
-        "violations": violations,
+        **{k: getattr(cert, k) for k in _ISS + ("x_star", "rk4_margin")},
+        **{k: getattr(check, k) for k in ("consensus_drift", "z0_norm",
+                                           "max_ratio", "floor", "violations")},
     }
     _write_json(out / "envelope.json", summary)
-    shown = "undefined" if ratio is None else f"{ratio:.6g}"
-    print(f"envelope: a={iss['a']:.6g}, b={iss['b']:.6g}, phi={iss['phi']:.6g}, "
-          f"max norm/(envelope + floor) ratio {shown}, floor {floor:.3g}, "
-          f"consensus drift {summary['consensus_drift']:.3g}")
+    shown = "undefined" if check.max_ratio is None else f"{check.max_ratio:.6g}"
+    print(f"envelope: a={cert.a:.6g}, b={cert.b:.6g}, phi={cert.phi:.6g}, "
+          f"max norm/(envelope + floor) ratio {shown}, floor {check.floor:.3g}, "
+          f"consensus drift {check.consensus_drift:.3g}")
     print(f"wrote {csv_path} and {out / 'envelope.json'}")
-    if violations:
-        first = int(np.argmax(above))
+    if check.violations:
+        first = int(np.argmax(check.norms > check.bound))
         raise BoundViolationError(
-            f"disagreement norm {norms[first]:.6g} exceeds envelope + floor "
-            f"{bound[first]:.6g} at t={traj.t[first]:.6g} "
-            f"({violations} grid points in violation)")
+            f"disagreement norm {check.norms[first]:.6g} exceeds envelope + floor "
+            f"{check.bound[first]:.6g} at t={check.t[first]:.6g} "
+            f"({check.violations} grid points in violation)")
     return 0
 
 

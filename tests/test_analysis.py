@@ -79,8 +79,9 @@ def test_spectral_counts_disconnected():
 
 def test_spectral_tolerance_validation():
     _, _, system = _two_ring()
-    with pytest.raises(ConfigError):
-        spectral_report(system, zero_tolerance=0.0)
+    for tol in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="--tolerance"):
+            spectral_report(system, zero_tolerance=tol)
 
 
 def test_equilibrium_hand_values():
@@ -120,7 +121,7 @@ def test_balanced_network_specialization():
         n = top.node_count
         d = top.in_degrees()
         lead = 1.0 + system.R * d / system.S
-        num = lead @ x0 - (system.R * system.Xi * d / system.S) @ e0
+        num = lead @ x0 - (system.R * params.Xi * d / system.S) @ e0
         den = n + (system.R / system.S) * d.sum()
         assert eq.x_star == pytest.approx(num / den, abs=1e-12)
 
@@ -137,7 +138,7 @@ def test_equilibrium_ratio_insensitive_to_omega_scaling():
 
 def test_exp_bound_constants_two_ring():
     _, _, system = _two_ring()
-    a, b = exp_bound_constants(system)
+    a, b = exp_bound_constants(system, spectral_report(system))
     assert a == pytest.approx(0.48236190979495835, abs=1e-12)
     assert b == pytest.approx(1.183298941454881, abs=1e-12)
     assert b >= 1.0
@@ -156,8 +157,7 @@ def test_one_eigensolve_per_certificate(monkeypatch):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     _, _, system = _two_ring()
     report = spectral_report(system)
-    assert exp_bound_constants(system, report) == exp_bound_constants(system)
-    assert calls == ["eig", "eig"]  # once for the report, once when none is passed
+    assert calls == ["eig"]
     calls.clear()
     exp_bound_constants(system, report)
     assert calls == []
@@ -166,7 +166,7 @@ def test_one_eigensolve_per_certificate(monkeypatch):
 def test_exp_bound_single_node_is_normal():
     top = NetworkTopology(1)
     system = assemble_global(top, uniform_params(top, B=1.0, R=1.0))
-    a, b = exp_bound_constants(system)
+    a, b = exp_bound_constants(system, spectral_report(system))
     assert a == pytest.approx(1.0)  # Q*/R with Q* = 1
     assert b == pytest.approx(1.0)
 
@@ -177,13 +177,13 @@ def test_symmetric_graph_does_not_make_f_normal():
     _, _, system = _two_ring()
     FN = system.F @ system.F.T - system.F.T @ system.F
     assert np.abs(FN).max() > 0.1
-    _, b = exp_bound_constants(system)
+    _, b = exp_bound_constants(system, spectral_report(system))
     assert b > 1.0
 
 
 def test_grid_overshoot_fallback_is_valid_bound():
     _, _, system = _two_ring()
-    a_eig, _ = exp_bound_constants(system)
+    a_eig, _ = exp_bound_constants(system, spectral_report(system))
     a, b = _grid_overshoot(system.F, a_eig, 1e-8)
     assert a == pytest.approx(0.99 * a_eig)
     assert b >= 1.0
@@ -212,9 +212,10 @@ def test_defective_basis_dispatches_to_the_grid():
     # has condition about 4e23, so b comes from the grid, not from cond
     top = make_graph("path", 8)
     system = assemble_global(top, uniform_params(top))
-    a_eig = -spectral_report(system).spectral_abscissa_nonzero
+    report = spectral_report(system)
+    a_eig = -report.spectral_abscissa_nonzero
     assert a_eig == pytest.approx(0.34106, abs=1e-5)
-    a, b = exp_bound_constants(system)
+    a, b = exp_bound_constants(system, report)
     assert (a, b) == _grid_overshoot(system.F, a_eig, 1e-8)
     assert a == pytest.approx(0.33765, abs=1e-5)
     assert b == pytest.approx(8.34e8, rel=1e-2)

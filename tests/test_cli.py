@@ -193,6 +193,20 @@ def test_analyze_tolerance_flag(tmp_path):
     assert rep["spectral"]["zero_tolerance"] == 1e-4
 
 
+@pytest.mark.parametrize("verb", ["analyze", "envelope"])
+def test_tolerance_that_certifies_nothing_is_refused(tmp_path, capsys, verb):
+    # nan, inf and nonpositive values classify no eigenvalue soundly; at
+    # 0.6 F's slowest stable pair counts as zero (q = 2), so a and b would
+    # describe the wrong subspace
+    cfg = str(CONFIGS / "two_ring_envelope.yaml")
+    for value, code in (("nan", 2), ("inf", 2), ("0", 2), ("-1", 2), ("0.6", 4)):
+        out = tmp_path / f"{verb}_{value}"
+        assert main([verb, "--config", cfg, "--out", str(out),
+                     "--tolerance", value]) == code, value
+        assert "--tolerance" in capsys.readouterr().err, value
+        assert not any(out.iterdir()), value
+
+
 @pytest.mark.parametrize("verb", ["simulate", "compare"])
 def test_tolerance_is_refused_where_unread(tmp_path, verb):
     # only analyze and envelope classify F's spectrum; elsewhere the flag
@@ -260,8 +274,8 @@ def test_envelope_rejects_white_noise(tmp_path, capsys):
 
 
 def test_envelope_violation_exits_5(tmp_path, monkeypatch):
-    import mefcon.cli as cli_mod
-    monkeypatch.setattr(cli_mod, "iss_envelope",
+    import mefcon.analysis as analysis_mod
+    monkeypatch.setattr(analysis_mod, "iss_envelope",
                         lambda a, b, z0, phi, t: np.full(np.asarray(t).shape, 1e-12))
     cfg = _write(tmp_path, RING_SINUSOID)
     out = tmp_path / "viol"
@@ -343,6 +357,29 @@ def test_envelope_follows_the_moving_consensus_value(tmp_path, frequency):
     assert np.all(data[:, 1] <= data[:, 3])
 
 
+def test_library_certificate_matches_the_artifacts(tmp_path):
+    path = CONFIGS / "two_ring_envelope.yaml"
+    config, _ = build_scenario(load_config(path))
+    cert = mefcon.certify(config, mefcon.spectral_report(config.loop))
+    check = mefcon.check_envelope(config, cert)
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path / "rep")]) == 0
+    assert main(["envelope", "--config", str(path), "--out", str(tmp_path / "env")]) == 0
+    rep = json.loads((tmp_path / "rep" / "report.json").read_text())
+    env = json.loads((tmp_path / "env" / "envelope.json").read_text())
+    for key, value in rep["iss"].items():
+        assert getattr(cert, key) == value, key
+    assert cert.x_star == rep["equilibrium"]["x_star"]
+    assert cert.nu.tolist() == rep["equilibrium"]["weights"]
+    assert cert.rk4_margin == rep["spectral"]["rk4_margin"] == env["rk4_margin"]
+    for key in ("floor", "violations", "max_ratio", "consensus_drift", "z0_norm"):
+        assert getattr(check, key) == env[key], key
+    assert check.violations == 0
+    assert check.max_ratio == pytest.approx(0.845095, abs=1e-6)
+    _, data = _read_csv(tmp_path / "env" / "envelope.csv")
+    assert np.array_equal(np.column_stack([check.t, check.norms, check.envelope,
+                                           check.bound]), data)
+
+
 def test_certificate_covers_non_unit_G(tmp_path):
     text = RING_SINUSOID.replace("S: 1.0, G: 1.0", "S: 2.0, G: 0.5")
     cfg = _write(tmp_path, text)
@@ -417,7 +454,7 @@ def test_envelope_refuses_an_unstable_step(tmp_path, capsys):
     assert rep["spectral"]["rk4_margin"] == pytest.approx(1.244, abs=1e-3)
 
 
-def test_envelope_solver_failure_exits_4(tmp_path):
+def test_envelope_solver_failure_exits_4(tmp_path, capsys):
     text = """
 graph:
   family: custom
@@ -429,6 +466,8 @@ disturbance: {kind: zero}
 """
     cfg = _write(tmp_path, text)
     assert main(["envelope", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
+    # the consensus weights fail first, before F's spectrum is counted
+    assert "strongly connected" in capsys.readouterr().err
 
 
 def test_config_error_paths(tmp_path, capsys):

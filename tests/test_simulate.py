@@ -14,7 +14,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     laplacian, left_null_vector_of, make_graph, measurements,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
                     rk4_step, sample_disturbances, simulate_classical,
-                    simulate_mef, steady_gains, uniform_params)
+                    simulate_mef, spectral_report, steady_gains,
+                    uniform_params)
 from mefcon.simulate import _block_map, _rk4_maps
 
 
@@ -209,7 +210,7 @@ def test_exponential_decay_rate():
     system = assemble_global(cfg.topology, cfg.params)
     omega = left_null_vector_of(cfg.topology)
     eq = predict_equilibrium(system, omega, cfg.x0, cfg.prior - cfg.x0)
-    a, _ = exp_bound_constants(system)
+    a, _ = exp_bound_constants(system, spectral_report(system))
     norms = disagreement_norms(traj, eq.x_star)
     sel = (traj.t >= 2.0) & (traj.t <= 20.0) & (norms > 1e-13)
     slope = np.polyfit(traj.t[sel], np.log(norms[sel]), 1)[0]
