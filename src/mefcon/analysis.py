@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
+from .disturbances import DisturbanceProfile
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, adjacency, degree_matrix, laplacian,
@@ -345,10 +346,22 @@ class EnvelopeCheck:
     z0_norm: float
 
 
+def require_bounded(profile: DisturbanceProfile) -> None:
+    """Refuse a profile without an amplitude bound (white noise): the ISS
+    envelope holds only for bounded continuous disturbances."""
+    if profile.kind not in ("sinusoid", "zero"):
+        raise ConfigError(
+            "envelope certification needs bounded continuous disturbances "
+            f"(kind 'sinusoid' or 'zero'), not kind {profile.kind!r}: white "
+            "noise has no amplitude bound")
+
+
 def check_envelope(config: ScenarioConfig, certificate: Certificate) -> EnvelopeCheck:
-    """Run ``config`` (at a step inside RK4's stability region) and check
-    its disagreement from the moving consensus value c(t) = nu . (x, x_hat),
-    not from x* = c(0), against the certificate's ISS envelope."""
+    """Run ``config`` (bounded disturbances, a step inside RK4's stability
+    region) and check its disagreement from the moving consensus value
+    c(t) = nu . (x, x_hat), not from x* = c(0), against the certificate's
+    ISS envelope."""
+    require_bounded(config.profile)
     if certificate.rk4_margin > 1:
         raise SimulationError(
             f"integration.h = {config.h:g} is outside RK4's stability region: max |R(h "

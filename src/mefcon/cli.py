@@ -24,9 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import certify, check_envelope, run_comparison, spectral_report
+from .analysis import (certify, check_envelope, require_bounded, run_comparison,
+                       spectral_report)
 from .config import build_scenario, load_config
-from .errors import BoundViolationError, ConfigError, MefconError
+from .errors import BoundViolationError, MefconError
 from .graphs import is_balanced, is_strongly_connected
 from .simulate import simulate_classical, simulate_mef
 
@@ -172,10 +173,7 @@ def cmd_compare(args) -> int:
 
 def cmd_envelope(args) -> int:
     config, resolved, out = _prepare(args)
-    if config.profile.kind not in ("sinusoid", "zero"):
-        raise ConfigError(
-            "envelope certification needs bounded continuous disturbances "
-            "(kind 'sinusoid' or 'zero'); white noise has no amplitude bound")
+    require_bounded(config.profile)  # before the solve
     cert = certify(config, spectral_report(config.loop, args.tolerance))
     check = check_envelope(config, cert)
     csv_path = out / "envelope.csv"

@@ -100,6 +100,8 @@ class DisturbanceRealization:
         self.profile = profile
         self._width = width = sum(sizes)
         kind = profile.kind
+        if kind == "zero":  # reads no stream
+            return
         use_seed = profile.seed if profile.seed is not None else seed
         rngs = [np.random.default_rng(kid)
                 for kid in np.random.SeedSequence(use_seed).spawn(3)]

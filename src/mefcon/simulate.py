@@ -136,6 +136,14 @@ def _check_finite(Z: np.ndarray, ts) -> None:
         raise SimulationError(f"non-finite state after the step from t={ts[r]:.6g}")
 
 
+def _csr_cut(rows, cols, vals, height: int, lo: int, hi: int):
+    """The nonzero triplets in columns lo..hi-1 as a (height, hi - lo) CSR
+    map; the triplets must not repeat a (row, column) pair."""
+    keep = (cols >= lo) & (cols < hi) & (vals != 0)
+    return sparse.csr_array((vals[keep], (rows[keep], cols[keep] - lo)),
+                            shape=(height, hi - lo))
+
+
 class ClosedLoop:
     """The filter network's closed loop, linear in (x, x_hat).
 
@@ -153,6 +161,12 @@ class ClosedLoop:
     when no edge measurement is noisy.  Residuals are edge differences,
     so A annihilates the constant vector: a consensus state with x_hat =
     x is an exact fixed point.
+
+    Every map is cut by column range from one set of (row, column) slots,
+    none repeated: per edge its x_dst and eps_edge columns, per node its
+    x, x_hat, delta and eps_self columns, with the x_hat diagonals summed
+    by ``np.bincount``.  Each map is canonical CSR (sorted indices, no
+    explicit zeros); ``coupling_map`` is built on first read.
 
     The certificate of the loop reads the same operator: ``F`` is A in
     (x, e) coordinates and ``nu`` the consensus weights.  Both are dense,
@@ -175,28 +189,43 @@ class ClosedLoop:
         self.q_star = np.abs(params.B) / np.sqrt(self.ricc_coeff)
 
         # columns: x 0..N-1, x_hat N.., delta 2N.., eps_self 3N.., eps_edge 4N..
-        edges, nodes, width = np.arange(m), np.arange(n), 4 * n + m
-        residual = sparse.csr_array(
-            (np.concatenate([np.ones(m), -np.ones(m), self.D_edge]),
-             (np.tile(edges, 3), np.concatenate([dst, n + src, 4 * n + edges]))),
-            shape=(m, width))
-        own = sparse.csr_array(
-            (np.concatenate([np.ones(n), -np.ones(n), self.D_self]) / np.tile(params.R_self, 3),
-             (np.tile(nodes, 3), np.concatenate([nodes, n + nodes, 3 * n + nodes]))),
-            shape=(n, width))
-        u = sparse.csr_array((w * params.G_edge / params.S_edge, (src, edges)),
-                             shape=(n, m)) @ residual
-        innov = own + sparse.csr_array((sgain, (src, edges)), shape=(n, m)) @ residual
-        cols = 2 * n + sum(self.noise_sizes)  # (z, w)
-        self.coupling_map = sparse.vstack([u, innov], format="csr")[:, :cols]
-        self.coupling_map.eliminate_zeros()
+        # Edge (i, j) adds g (x_j - x_hat_i + D eps) to u_i, g = w G/S, and
+        # the same residual weighted w/S to the innovation of node i.
+        g = w * params.G_edge / params.S_edge
+        nodes, zero = np.arange(n), np.zeros(n)
+        rows = [src] + [nodes] * 4
+        cols = [dst, nodes, n + nodes, 2 * n + nodes, 3 * n + nodes]
+        u_val = [g, zero, -np.bincount(src, weights=g, minlength=n), zero, zero]
+        innov_val = [sgain, 1.0 / params.R_self, -self.ricc_coeff, zero,
+                     self.D_self / params.R_self]
+        if len(self.noise_sizes) == 3:
+            rows.append(src)
+            cols.append(4 * n + np.arange(m))
+            u_val.append(g * self.D_edge)
+            innov_val.append(sgain * self.D_edge)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        u_val, innov_val = np.concatenate(u_val), np.concatenate(innov_val)
+        self._slots = rows, cols, u_val, innov_val
+        self._width = 2 * n + sum(self.noise_sizes)  # (z, w)
 
-        drive = sparse.csr_array((params.B, (nodes, 2 * n + nodes)), shape=(n, width))
-        steady = sparse.vstack([u + drive, u + sparse.diags_array(self.q_star) @ innov],
-                               format="csr")
-        self.A, self.inputs = steady[:, :2 * n], steady[:, 2 * n:cols]
-        self.u_state = u[:, :2 * n]
-        self.u_noise = u[:, 2 * n:cols] if len(self.noise_sizes) == 3 else None
+        x_rows = u_val.copy()
+        x_rows[m + 2 * n:m + 3 * n] = params.B  # the delta slots, where u is 0
+        xh_rows = u_val + self.q_star[rows] * innov_val
+        steady = (np.concatenate([rows, n + rows]), np.tile(cols, 2),
+                  np.concatenate([x_rows, xh_rows]))
+        self.A = _csr_cut(*steady, 2 * n, 0, 2 * n)
+        self.inputs = _csr_cut(*steady, 2 * n, 2 * n, self._width)
+        self.u_state = _csr_cut(rows, cols, u_val, n, 0, 2 * n)
+        self.u_noise = (_csr_cut(rows, cols, u_val, n, 2 * n, self._width)
+                        if len(self.noise_sizes) == 3 else None)
+
+    @cached_property
+    def coupling_map(self):
+        """The map (z, w) -> (u, innovation), CSR: rows 0..N-1 give u,
+        rows N..2N-1 the innovation."""
+        rows, cols, u_val, innov_val = self._slots
+        return _csr_cut(np.concatenate([rows, self.n + rows]), np.tile(cols, 2),
+                        np.concatenate([u_val, innov_val]), 2 * self.n, 0, self._width)
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -288,9 +317,11 @@ def _rk4_maps(A, h: float) -> list:
     One step is z + (P - I) z + K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h)
     with P - I = M + M^2/2 + M^3/6 + M^4/24, K1 = h/6 (I + M + M^2/2 +
     M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  Each power of M, and each
-    map, is stored by its fill (see ``_stored``).
+    map, is stored by its fill (see ``_stored``); the identity takes the
+    storage of M, so dense maps never mix with a sparse identity.
     """
-    powers = [sparse.eye_array(A.shape[0], format="csr"), _stored(h * A)]
+    n, M = A.shape[0], _stored(h * A)
+    powers = [sparse.eye_array(n, format="csr") if sparse.issparse(M) else np.eye(n), M]
     for _ in range(3):
         powers.append(_stored(powers[1] @ powers[-1]))
 
@@ -318,26 +349,28 @@ def _block_map(step, steps: int):
     s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
     the map is P^j - I, which takes s_0 to s_j - s_0; a partial block of
     b steps reads its top b row blocks.  B = 1 when ``step`` is stored
-    sparse; else B is the largest count, at most 64 and at most
-    ``steps``, whose map has at most 2^15 entries, cut to the last power
-    P^B that is finite.  P^{j+1} - I = D + D_j + D D_j (D = P - I, D_j =
-    P^j - I) never subtracts I, so the powers keep the accuracy of the
-    step map.
+    sparse; else B = max(1, min(64, ``steps``, 2^15 // n^2)), the most
+    steps whose map has at most 2^15 entries, cut to the last power P^B
+    that is finite (one check over the whole stack).  P^{j+1} - I = D +
+    D_j + D D_j (D = P - I, D_j = P^j - I) never subtracts I, so the
+    powers keep the accuracy of the step map.
     """
     if sparse.issparse(step):
         return step
     n = step.shape[0]
-    B = 1
-    while B < min(_BLOCK_STEPS, steps) and (B + 1) * n * n <= _BLOCK_ENTRIES:
-        B += 1
-    powers = [step]  # P^j - I, j = 1..
+    B = max(1, min(_BLOCK_STEPS, steps, _BLOCK_ENTRIES // (n * n)))
+    if B == 1:
+        return step
+    stack = np.empty((B, n, n))  # row block j - 1 holds P^j - I
+    stack[0] = step
     with np.errstate(over="ignore", invalid="ignore"):
-        while len(powers) < B:
-            nxt = powers[-1] + step + step @ powers[-1]
-            if not np.all(np.isfinite(nxt)):
-                break
-            powers.append(nxt)
-    return np.concatenate(powers) if len(powers) > 1 else step
+        for j in range(1, B):
+            np.add(stack[j - 1], step, out=stack[j])
+            stack[j] += step @ stack[j - 1]
+    finite = np.isfinite(stack).all(axis=(1, 2))
+    if not finite.all():
+        B = max(1, int(np.argmin(finite)))
+    return stack[:B].reshape(B * n, n)
 
 
 def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,

@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     NetworkTopology, analytical_coherence, assemble_global,
-                    basic_scenario, deviation_series, disagreement_norms,
+                    basic_scenario, certify, check_envelope, deviation_series, disagreement_norms,
                     disagreement_state, empirical_deviation,
                     exp_bound_constants, iss_envelope, laplacian,
                     left_null_vector, left_null_vector_of, make_graph,
@@ -245,6 +245,18 @@ def test_iss_envelope_shape():
     assert iss_envelope(a, b, z0, 0.0, 2.0) == pytest.approx(b * z0 * math.exp(-1.0))
     with pytest.raises(ConfigError):
         iss_envelope(-0.5, b, z0, phi, 1.0)
+
+
+def test_check_envelope_refuses_white_noise(monkeypatch):
+    # white noise has no amplitude bound (phi would read 0), so the library
+    # refuses it before integrating, as the envelope verb does
+    config = basic_scenario(2, "undirected_ring", profile=DisturbanceProfile(
+        kind="white", sigma=1.0), h=0.01, T=30.0)
+    cert = certify(config, spectral_report(config.loop))
+    import mefcon.analysis as analysis_mod
+    monkeypatch.setattr(analysis_mod, "simulate_mef", None)  # never reached
+    with pytest.raises(ConfigError, match="not kind 'white'"):
+        check_envelope(config, cert)
 
 
 def test_disagreement_state():

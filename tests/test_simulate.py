@@ -121,6 +121,34 @@ def test_closed_loop_matches_scalar_node_forms(case):
     assert np.array_equal(y_edge, x[dst] + np.sqrt(params.R_nbr_edge) * eps_edge)
 
 
+def _is_canonical_csr(M) -> bool:
+    """CSR with strictly increasing (row, column) keys, so sorted indices
+    and no duplicates, and no explicitly stored zero."""
+    rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+    keys = rows * M.shape[1] + M.indices
+    return M.format == "csr" and bool(np.all(np.diff(keys) > 0)) and bool(
+        np.all(M.data != 0))
+
+
+@given(_noisy_loops())
+def test_steady_column_blocks_match_coupling(case):
+    top, params, x, xh, _, eps_self, eps_edge = case
+    loop = ClosedLoop(top, params)
+    n = top.node_count
+    z, delta = np.concatenate([x, xh]), np.cos(np.arange(n))
+    w = np.concatenate([delta, eps_self, eps_edge])[:sum(loop.noise_sizes)]
+    u, innov = loop.coupling(z, w)
+    zdot = loop.A @ z + loop.inputs @ w
+    assert zdot[:n] == pytest.approx(u + params.B * delta, rel=1e-12, abs=1e-12)
+    assert zdot[n:] == pytest.approx(u + loop.q_star * innov, rel=1e-12, abs=1e-12)
+    u_maps = loop.u_state @ z
+    if loop.u_noise is not None:
+        u_maps = u_maps + loop.u_noise @ w
+    assert u_maps == pytest.approx(u, rel=1e-12, abs=1e-12)
+    for M in (loop.A, loop.inputs, loop.u_state, loop.u_noise, loop.coupling_map):
+        assert M is None or _is_canonical_csr(M)
+
+
 def _white_config(n=3, T=0.5, h=0.01, seed=4, **kw):
     return basic_scenario(n, "complete", profile=DisturbanceProfile(
         kind="white", sigma=1.0), T=T, h=h, seed=seed, **kw)
@@ -364,6 +392,38 @@ def test_propagator_storage_follows_fill():
     complete = make_graph("complete", 100)
     assert _block_steps(ClosedLoop(complete, uniform_params(complete)).A, config) == 1
     assert _block_steps(loop.A, config) == 1
+
+
+def test_block_map_stacks_the_powers_of_the_step():
+    # row block j is P^j - I, P = I + D, to rounding
+    D = 0.05 * np.random.default_rng(3).normal(size=(4, 4))
+    M = _block_map(D, 10)
+    assert M.shape == (40, 4)
+    for j in range(1, 11):
+        want = np.linalg.matrix_power(np.eye(4) + D, j) - np.eye(4)
+        assert M[4 * (j - 1):4 * j] == pytest.approx(want, rel=0, abs=1e-14), j
+    # B = max(1, min(64, steps, 2^15 // n^2)) for 2N = 8, 22, 24, 200
+    for n, B in ((8, 64), (22, 64), (24, 56), (200, 1)):
+        step = np.full((n, n), 1e-4)
+        assert _block_map(step, 1000).shape == (B * n, n), n
+    assert _block_map(np.full((8, 8), 1e-4), 3).shape == (24, 8)
+    # a sparse step map advances one step per product
+    sparse_step = sparse.csr_array(D)
+    assert _block_map(sparse_step, 10) is sparse_step
+
+
+def test_block_map_stops_at_the_last_finite_power():
+    D = np.full((2, 2), 1e60)  # P^j has entries about 2^(j-1) 1e60^j
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = [np.linalg.matrix_power(np.eye(2) + D, j) - np.eye(2)
+                for j in range(1, 65)]
+    last = next(j for j, Pj in enumerate(want) if not np.all(np.isfinite(Pj)))
+    assert last == 5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        M = _block_map(D, 1000)
+    assert M.shape == (2 * last, 2)
+    assert M == pytest.approx(np.concatenate(want[:last]), rel=1e-12)
 
 
 def test_measurement_recording():
