@@ -289,14 +289,15 @@ def disagreement_norms(traj: Trajectory, x_star) -> np.ndarray:
 class Certificate:
     """The consensus value x* of a configured run, its weights nu and ISS
     constants, the paper's phi_max beside phi, the largest steady gain
-    and RK4's margin at the run's step (see ``certify``)."""
+    and RK4's margin at the run's step (see ``certify``).  phi_max is
+    None where its closed form does not apply: R or S not uniform."""
 
     x_star: float
     nu: np.ndarray
     a: float
     b: float
     phi: float
-    phi_max: float
+    phi_max: float | None
     Q_max: float
     rk4_margin: float
 
@@ -324,10 +325,14 @@ def certify(config: ScenarioConfig, report: SpectralReport) -> Certificate:
             f"F; the certificate needs 1 and {2 * loop.n - 1}")
     a, b = exp_bound_constants(loop, report)
     profile = config.profile
+    try:
+        closed_form = phi_max(config.params, config.topology, profile.delta_max,
+                              profile.eps_max)
+    except ConfigError:  # R or S not uniform; a, b, nu and phi still hold
+        closed_form = None
     return Certificate(
         x_star, loop.nu, a, b, phi_projected(loop, profile.amplitudes(loop.noise_sizes)),
-        phi_max(config.params, config.topology, profile.delta_max, profile.eps_max),
-        float(loop.q_star.max()), report.rk4_margin(config.h))
+        closed_form, float(loop.q_star.max()), report.rk4_margin(config.h))
 
 
 @dataclass(frozen=True)

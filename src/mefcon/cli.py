@@ -118,9 +118,10 @@ def cmd_analyze(args) -> int:
         cert = certify(config, report)
         payload["equilibrium"] = {"x_star": cert.x_star, "weights": cert.nu.tolist()}
         payload["iss"] = {k: getattr(cert, k) for k in _ISS + ("Q_max",)}
+        closed = "null" if cert.phi_max is None else f"{cert.phi_max:.6g}"
         print(f"analyze: q={report.q}, stable={report.stable_count}, "
               f"x*={cert.x_star:.12g}, a={cert.a:.6g}, b={cert.b:.6g}, "
-              f"phi={cert.phi:.6g} (phi_max={cert.phi_max:.6g})")
+              f"phi={cert.phi:.6g} (phi_max={closed})")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "

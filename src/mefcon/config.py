@@ -121,6 +121,9 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     if n is None:
         raise ConfigError("field 'graph.n' is required")
     family = str(g["family"]).replace("-", "_").lower()
+    if family == "custom" and "weight" in top["graph"]:
+        raise ConfigError("field 'graph.weight' is not read by family 'custom', "
+                          "whose edges carry their own weights")
     edges = None
     if g["edges"] is not None:
         try:
@@ -191,7 +194,8 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     g["family"] = family
     if edges is None:
         del g["edges"]
-    else:
+    else:  # custom, whose edges carry the weights
+        del g["weight"]
         g["edges"] = [[i + 1, j + 1, w] for i, j, w in edges]
     p.update(B=params.B.tolist(), Xi=params.Xi.tolist())
     ini.update(x0=config.x0.tolist(), prior=config.prior.tolist())

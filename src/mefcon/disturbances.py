@@ -32,8 +32,9 @@ from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
 # Noise entries per chunk, which bounds one noise temporary (white draws;
-# the input terms and readout of ``simulate._propagate``).  Smaller chunks
-# pay more per-call overhead, larger ones more memory.
+# the input terms of ``simulate._propagate`` and the u readout of
+# ``simulate._readout``).  Smaller chunks pay more per-call overhead,
+# larger ones more memory.
 CHUNK_ENTRIES = 1 << 16
 
 

@@ -182,7 +182,8 @@ def make_graph(family: str, n: int, weight: float = 1.0,
     weight : float
         Uniform edge weight for the named families.
     edges : list of (i, j, w), optional
-        Explicit 0-based edge triples; required iff family is ``custom``.
+        Explicit 0-based edge triples; required iff family is ``custom``,
+        refused by the named families.
     """
     fam = family.replace("-", "_").lower()
     if fam not in _FAMILIES:
@@ -191,6 +192,9 @@ def make_graph(family: str, n: int, weight: float = 1.0,
         raise ConfigError("graph size n must be >= 1")
     if fam != "custom" and not weight > 0:
         raise ConfigError("edge weight must be positive")
+    if fam != "custom" and edges is not None:
+        raise ConfigError("field 'graph.edges' is read only by family 'custom', "
+                          f"not {family!r}")
 
     if fam == "custom":
         if edges is None:

@@ -6,7 +6,8 @@ over flat edge arrays.  Under the steady gain the loop is linear and
 time-invariant, so ``simulate_mef`` and ``simulate_classical`` advance it
 with precomputed RK4 maps (``_propagate``), each kept sparse or dense by
 its fill; only the dynamic gain evaluates the RK4 stages one by one
-(``_integrate``).
+(``rk4_step``).  Every run integrates only its record, and the consensus
+input u is read out of that record afterwards (``_readout``).
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
@@ -114,11 +115,7 @@ class Trajectory:
 
 def rk4_step(f, z: np.ndarray, t: float, h: float) -> np.ndarray:
     """One classical Runge-Kutta step for zdot = f(t, z)."""
-    return _rk4_from(f, z, t, h, f(t, z))
-
-
-def _rk4_from(f, z: np.ndarray, t: float, h: float, k1: np.ndarray) -> np.ndarray:
-    """The RK4 step from (t, z) whose first stage k1 = f(t, z) is known."""
+    k1 = f(t, z)
     k2 = f(t + 0.5 * h, z + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, z + 0.5 * h * k2)
     k4 = f(t + h, z + h * k3)
@@ -277,23 +274,6 @@ class ClosedLoop:
         return s[:self.n], s[self.n:]
 
 
-def _integrate(f, z: np.ndarray, n: int, steps: int, h: float):
-    """RK4 on the grid t_k = k h; returns (t, z records, u records).
-
-    ``f(t, k, z)`` gives (zdot, u) with k the noise step index.  The
-    derivative at a grid point is also the first stage of the next step.
-    """
-    ts = np.arange(steps + 1) * h
-    z_rec = np.empty((steps + 1, z.size))
-    u_rec = np.empty((steps + 1, n))
-    for k in range(steps + 1):
-        k1, u_rec[k] = f(ts[k], k, z)
-        z_rec[k] = z
-        if k < steps:
-            z = _rk4_from(lambda t, y: f(t, k, y)[0], z, ts[k], h, k1)
-    return ts, z_rec, u_rec
-
-
 _DENSE_FILL = 0.25  # a map with more nonzeros than this share is stored dense
 
 
@@ -373,10 +353,9 @@ def _block_map(step, steps: int):
     return stack[:B].reshape(B * n, n)
 
 
-def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
-               steps: int):
+def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
-    precomputed linear maps; returns (t, z records, u records).
+    precomputed linear maps; returns (t, z records).
 
     Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k =
     K1 g(t_k) + K2 g(t_k + h/2) + (h/6) g(t_k + h) and g = inputs w,
@@ -387,14 +366,12 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
     added to.  Without noise H = 0, and small dense maps advance a block
     of steps per product (``_block_map``).  Finiteness is checked once
     over all records after stepping; the first non-finite row names the
-    failing step.  Then u = u_state (z - z[0]) + u_noise w(t_k) is read out in the same
-    chunks (``u_noise`` None: u sees no noise).
+    failing step.
     """
     step, K1, K2 = _rk4_maps(A, h)
     noisy = real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
     z_rec = np.zeros((steps + 1, z.size))
-    u_rec = np.empty((steps + 1, u_state.shape[0]))
     rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
 
     def noise(M, t, ks):  # M w(t) of steps ks, one column per step
@@ -417,14 +394,29 @@ def _propagate(A, inputs, u_state, u_noise, z: np.ndarray, real, h: float,
             Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
             z = Z[-1]
     _check_finite(z_rec[1:], ts)
-    for k in range(0, steps + 1, rows):
-        ks = np.arange(k, min(k + rows, steps + 1))
+    return ts, z_rec
+
+
+def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
+             width: int) -> np.ndarray:
+    """The consensus input u = state_map (z - z[0]) + noise_map w(t_k) at
+    every grid point t_k of the record z_rec, w = ``real.at(t_k, k)``;
+    ``noise_map`` None: u sees no noise.
+
+    Read in chunks of at most ``CHUNK_ENTRIES`` entries of the ``width``
+    noise streams (or one point), the chunks of ``_propagate``.
+    """
+    u_rec = np.empty((ts.size, state_map.shape[0]))
+    rows = max(1, CHUNK_ENTRIES // width)
+    noisy = noise_map is not None and real.profile.kind != "zero"
+    for k in range(0, ts.size, rows):
+        ks = np.arange(k, min(k + rows, ts.size))
         d = z_rec[k:k + ks.size] - z_rec[k:k + ks.size, :1]
-        u = u_state @ d.T
-        if noisy and u_noise is not None:
-            u += noise(u_noise, ts[ks], ks)
+        u = state_map @ d.T
+        if noisy:
+            u += noise_map @ real.at(ts[ks], ks).T
         u_rec[k:k + ks.size] = u.T
-    return ts, z_rec, u_rec
+    return u_rec
 
 
 def simulate_mef(config: ScenarioConfig) -> Trajectory:
@@ -434,7 +426,8 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     steady value Q* unless ``riccati='dynamic'``, which integrates the
     gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
     is linear and time-invariant, so its RK4 steps are precomputed linear
-    maps (``_propagate``); the dynamic loop evaluates its stages.
+    maps (``_propagate``); the dynamic loop evaluates its stages.  Both
+    read u out of the (x, x_hat) record (``_readout``).
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -442,25 +435,28 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     loop = config.loop
     real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
                                config.h, config.seed)
-    n = loop.n
+    n, h, steps = loop.n, config.h, config.steps
     if config.riccati == "steady":
-        ts, z_rec, u_rec = _propagate(
-            loop.A, loop.inputs, loop.u_state, loop.u_noise,
-            np.concatenate([config.x0, config.prior]), real, config.h, config.steps)
+        ts, z_rec = _propagate(loop.A, loop.inputs,
+                               np.concatenate([config.x0, config.prior]), real, h, steps)
         q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
     else:
-        def f(t: float, k: int, z: np.ndarray):
+        def f(t: float, k: int, z: np.ndarray) -> np.ndarray:
             q, w = z[2 * n:], real.at(t, k)
             u, innov = loop.coupling(z[:2 * n], w)
             # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
             return np.concatenate([u + loop.B * w[:n], u + q * innov,
-                                   loop.B ** 2 - q ** 2 * loop.ricc_coeff]), u
+                                   loop.B ** 2 - q ** 2 * loop.ricc_coeff])
 
-        z0 = np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi])
-        ts, z_rec, u_rec = _integrate(f, z0, n, config.steps, config.h)
+        ts = np.arange(steps + 1) * h
+        z_rec = np.empty((steps + 1, 3 * n))
+        z_rec[0] = np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi])
+        for k in range(steps):
+            z_rec[k + 1] = rk4_step(lambda t, z: f(t, k, z), z_rec[k], ts[k], h)
         q_rec = z_rec[:, 2 * n:]
-    x_rec, xh_rec = z_rec[:, :n], z_rec[:, n:2 * n]
-    return Trajectory(ts, x_rec, xh_rec, u_rec, q_rec)
+    u_rec = _readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
+                     sum(loop.noise_sizes))
+    return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], u_rec, q_rec)
 
 
 def measurements(config: ScenarioConfig,
@@ -488,8 +484,9 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     n = top.node_count
     real = sample_disturbances(config.profile, (n,), config.steps, config.h,
                                config.seed)
-    ts, x_rec, u_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), Lp, None,
-                                  config.x0, real, config.h, config.steps)
+    ts, x_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), config.x0, real,
+                           config.h, config.steps)
+    u_rec = _readout(Lp, None, ts, x_rec, real, n)
     return Trajectory(ts, x_rec, x_rec, u_rec, np.broadcast_to(0.0, x_rec.shape))
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from mefcon import (NetworkTopology, assemble_global, spectral_report,
-                    uniform_params)
+from mefcon import (FilterParams, NetworkTopology, assemble_global,
+                    spectral_report, steady_gains, uniform_params)
 
 settings.register_profile("suite", deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
@@ -33,6 +33,18 @@ def random_case(seed: int):
     B = rng.uniform(0.5, 2.0, n)
     params = uniform_params(top, B=B, R=R, S=S, G=1.0)
     return top, params
+
+
+def weighted_digraph():
+    """A strongly connected weighted digraph with non-uniform B, R, S and
+    G < S (so edge measurements are noisy), and Xi = 1/Q*."""
+    top = NetworkTopology(4, ((0, 1, 1.5), (1, 2, 0.7), (2, 3, 2.0),
+                              (3, 0, 1.1), (0, 2, 0.6), (2, 1, 1.3)))
+    B = np.array([1.0, 0.6, 1.7, 1.2])
+    R = np.array([0.5, 1.0, 2.0, 0.8])
+    S = np.array([1.0, 2.0, 1.5, 3.0, 1.2, 2.5])
+    G = S * np.array([0.3, 0.9, 0.5, 0.7, 1.0, 0.4])
+    return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
 
 
 @pytest.fixture(scope="session")

@@ -5,7 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
-                    NetworkTopology, analytical_coherence, assemble_global,
+                    NetworkTopology, ScenarioConfig, analytical_coherence,
+                    assemble_global,
                     basic_scenario, certify, check_envelope, deviation_series, disagreement_norms,
                     disagreement_state, empirical_deviation,
                     exp_bound_constants, iss_envelope, laplacian,
@@ -14,6 +15,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     simulate_mef, spectral_report, steady_gains,
                     uniform_params)
 from mefcon.analysis import _grid_overshoot
+
+from conftest import weighted_digraph
 
 
 def _two_ring():
@@ -257,6 +260,25 @@ def test_check_envelope_refuses_white_noise(monkeypatch):
     monkeypatch.setattr(analysis_mod, "simulate_mef", None)  # never reached
     with pytest.raises(ConfigError, match="not kind 'white'"):
         check_envelope(config, cert)
+
+
+def test_certify_nonuniform_weights():
+    # a, b, nu and phi are defined for any weights, the paper's closed-form
+    # phi_max is not: the certificate records it as None
+    top, params = weighted_digraph()
+    config = ScenarioConfig(top, params, np.array([0.4, -0.3, 0.9, 0.1]),
+                            profile=DisturbanceProfile("sinusoid", delta_max=0.1,
+                                                       eps_max=0.1),
+                            h=0.01, T=30.0)
+    cert = certify(config, spectral_report(config.loop))
+    assert cert.phi_max is None
+    assert cert.a == pytest.approx(0.365, abs=1e-3)
+    assert cert.b == pytest.approx(15.6, abs=0.1)
+    assert cert.phi == pytest.approx(1.41, abs=0.01)
+    assert check_envelope(config, cert).violations == 0
+    # the uniform-weight check stays in phi_max itself
+    with pytest.raises(ConfigError, match="one common R"):
+        phi_max(params, top, 0.1, 0.1)
 
 
 def test_disagreement_state():

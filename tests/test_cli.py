@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -97,6 +98,11 @@ def test_resolved_echo_rebuilds_the_scenario():
     resolved["integration"]["steps"] += 1
     with pytest.raises(ConfigError, match="integration.steps"):
         build_scenario(resolved)
+    # a custom graph's echo lists its edges and no unread weight
+    _, resolved = build_scenario({"graph": {"family": "custom", "n": 2,
+                                            "edges": [[1, 2, 0.5], [2, 1, 2.0]]}})
+    assert "weight" not in resolved["graph"]
+    assert build_scenario(resolved)[1] == resolved
 
 
 def test_simulate_baseline_algorithm(tmp_path):
@@ -357,6 +363,18 @@ def test_envelope_follows_the_moving_consensus_value(tmp_path, frequency):
     assert np.all(data[:, 1] <= data[:, 3])
 
 
+def test_missing_phi_max_is_null(tmp_path, monkeypatch, capsys):
+    # a certificate without the closed form (R or S not uniform, reachable
+    # from the library only) prints and writes phi_max as null
+    certify = mefcon.cli.certify
+    monkeypatch.setattr(mefcon.cli, "certify", lambda config, report: dataclasses.replace(
+        certify(config, report), phi_max=None))
+    path = CONFIGS / "two_ring_envelope.yaml"
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "(phi_max=null)" in capsys.readouterr().out
+    assert json.loads((tmp_path / "report.json").read_text())["iss"]["phi_max"] is None
+
+
 def test_library_certificate_matches_the_artifacts(tmp_path):
     path = CONFIGS / "two_ring_envelope.yaml"
     config, _ = build_scenario(load_config(path))
@@ -502,7 +520,11 @@ def test_config_error_paths(tmp_path, capsys):
             ("seeds_empty", "graph: {family: complete, n: 3}\n"
                             "compare_seeds: []\n", "compare_seeds"),
             ("ragged_T", "graph: {family: complete, n: 3}\n"
-                         "integration: {h: 0.01, T: 0.015}\n", "integration.T")):
+                         "integration: {h: 0.01, T: 0.015}\n", "integration.T"),
+            ("named_edges", "graph: {family: complete, n: 3, "
+                            "edges: [[1, 2, 5.0]]}\n", "graph.edges"),
+            ("custom_weight", "graph: {family: custom, n: 2, weight: 2.0, "
+                              "edges: [[1, 2, 1.0], [2, 1, 1.0]]}\n", "graph.weight")):
         bad = _write(tmp_path, text, name + ".yaml")
         assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2, name
         assert field in capsys.readouterr().err, name

@@ -141,6 +141,8 @@ def test_make_graph_rejects_bad_input():
         make_graph("complete", 3, weight=-1.0)
     with pytest.raises(ConfigError):
         make_graph("custom", 3)
+    with pytest.raises(ConfigError, match="graph.edges"):
+        make_graph("complete", 3, edges=[(0, 1, 5.0)])  # a named family's own
 
 
 def test_topology_validation():

@@ -16,7 +16,10 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     rk4_step, sample_disturbances, simulate_classical,
                     simulate_mef, spectral_report, steady_gains,
                     uniform_params)
+from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon.simulate import _block_map, _rk4_maps
+
+from conftest import weighted_digraph as _weighted_digraph
 
 
 def test_rk4_zero_field():
@@ -278,18 +281,6 @@ def test_steady_gain_column_recorded():
     assert np.array_equal(traj.Q, np.tile(qstar, (traj.t.size, 1)))
 
 
-def _weighted_digraph():
-    """A strongly connected weighted digraph with non-uniform B, R, S and
-    G < S (so edge measurements are noisy), and Xi = 1/Q*."""
-    top = NetworkTopology(4, ((0, 1, 1.5), (1, 2, 0.7), (2, 3, 2.0),
-                              (3, 0, 1.1), (0, 2, 0.6), (2, 1, 1.3)))
-    B = np.array([1.0, 0.6, 1.7, 1.2])
-    R = np.array([0.5, 1.0, 2.0, 0.8])
-    S = np.array([1.0, 2.0, 1.5, 3.0, 1.2, 2.5])
-    G = S * np.array([0.3, 0.9, 0.5, 0.7, 1.0, 0.4])
-    return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
-
-
 def _block_steps(A, config):
     """Steps per dense product of ``_propagate`` on zdot = A z, no noise."""
     return _block_map(_rk4_maps(A, config.h)[0], config.steps).shape[0] // A.shape[0]
@@ -348,6 +339,33 @@ def test_default_xi_makes_dynamic_equal_steady():
         for got, want in zip((base.x, base.u), _classical_stages(config)):
             assert got == pytest.approx(want, rel=0, abs=1e-12), prof.kind
     assert np.abs(steady.u).max() > 1.0  # the noise reaches u
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile("white", sigma=0.5),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
+    ids=["white", "sinusoid"])
+def test_u_readout_matches_coupling_at_every_point(profile):
+    # u is read out of the (x, x_hat) record after integrating; the loop's
+    # own coupling at each grid point (t_k, k) is its oracle.  G < S makes
+    # u read eps_edge, and T = 10 spans three readout chunks; the dynamic
+    # gain starts away from Q*.
+    ring = make_graph("undirected_ring", 40)
+    params = uniform_params(ring, R=0.7, S=2.0, G=1.0, Xi=2.0)
+    x0 = np.random.default_rng(9).uniform(-1.0, 1.0, 40)
+    for riccati in ("steady", "dynamic"):
+        config = ScenarioConfig(ring, params, x0, -x0, profile, h=0.01, T=10.0,
+                                seed=6, riccati=riccati)
+        loop = config.loop
+        assert config.steps + 1 > 2 * (CHUNK_ENTRIES // sum(loop.noise_sizes))
+        traj = simulate_mef(config)
+        real = sample_disturbances(profile, loop.noise_sizes, config.steps,
+                                   config.h, config.seed)
+        want = [loop.coupling(np.concatenate([traj.x[k], traj.x_hat[k]]),
+                              real.at(t, k))[0] for k, t in enumerate(traj.t)]
+        assert traj.u == pytest.approx(np.array(want), rel=0, abs=1e-12), riccati
+    assert not np.allclose(traj.Q[0], loop.q_star)  # the gain moved
+    assert np.abs(traj.u).max() > 1.0
 
 
 def test_u_reads_noise_only_through_edge_measurements():
