@@ -15,6 +15,7 @@ key, a missing required one, or a value its reader refuses is a
 from __future__ import annotations
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -131,7 +132,14 @@ def build_scenario(raw: dict, seed_override: int | None = None,
                       _number(w, "graph.edges")) for i, j, w in g["edges"]]
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"field 'graph.edges' must be [i, j, w] triples: {exc}") from exc
-    topology = make_graph(family, n, g["weight"], edges)
+    try:
+        topology = make_graph(family, n, g["weight"], edges)
+    except ConfigError as exc:  # quote a refused edge as the file wrote it, 1-based
+        at = re.match(r"edge #(\d+) [^:]*: (.*)", str(exc))
+        if at is None:
+            raise
+        k = int(at[1])
+        raise ConfigError(f"field 'graph.edges' entry {k + 1}, {g['edges'][k]}: {at[2]}") from exc
 
     for key in ("B", "Xi"):
         if p[key] is not None and p[key].size not in (1, n):

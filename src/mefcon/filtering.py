@@ -30,7 +30,7 @@ class FilterParams:
     """Tuning constants for every node and edge of one scenario.
 
     Arrays are aligned with the topology: node arrays have length N,
-    edge arrays align with ``topology.edges`` order.
+    edge arrays align with the ``topology.edge_arrays()`` order.
 
     Fields
     ------

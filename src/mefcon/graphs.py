@@ -25,47 +25,56 @@ from .errors import ConfigError, SolverError
 _FAMILIES = ("complete", "directed_cycle", "undirected_ring", "path", "custom")
 
 
-@dataclass(frozen=True)
+def _positive_int(value, name: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ConfigError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _refuse(edges: np.ndarray, bad: np.ndarray, reason: str) -> None:
+    """Raise for the first edge flagged in ``bad``, named by its position."""
+    if np.count_nonzero(bad):
+        k = int(bad.argmax())
+        i, j, w = edges[k].tolist()
+        raise ConfigError(f"edge #{k} ({i:g}, {j:g}, {w}): {reason}")
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class NetworkTopology:
-    """Immutable directed weighted graph.
+    """Immutable directed weighted graph, stored as its edge arrays only.
 
     Parameters
     ----------
     node_count : int
         Number of nodes N >= 1.
-    edges : tuple of (int, int, float)
-        Directed edges ``(i, j, w)``: node i observes node j, weight w > 0.
-        No self-loops, 0-based indices.
+    edges : sequence of (i, j, w), or an (E, 3) array
+        Directed edges: node i observes node j, weight w > 0 and finite;
+        no self-loops or duplicates, 0-based indices.  Errors name ``edge #k``.
     """
 
     node_count: int
-    edges: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
-    _arrays: tuple = field(init=False, repr=False, compare=False)
+    _arrays: tuple = field(repr=False)
 
-    def __post_init__(self) -> None:
-        if self.node_count < 1:
-            raise ConfigError("node_count must be a positive integer")
-        seen = set()
-        for i, j, w in self.edges:
-            if i == j:
-                raise ConfigError(f"self-loop ({i},{i}) is not allowed")
-            if not (0 <= i < self.node_count and 0 <= j < self.node_count):
-                raise ConfigError(f"edge ({i},{j}) out of range for N={self.node_count}")
-            if not w > 0:
-                raise ConfigError(f"edge ({i},{j}) has nonpositive weight {w}")
-            if (i, j) in seen:
-                raise ConfigError(f"duplicate edge ({i},{j})")
-            seen.add((i, j))
-        src, dst, w = zip(*self.edges) if self.edges else ((), (), ())
-        arrays = (np.array(src, dtype=int), np.array(dst, dtype=int),
-                  np.array(w, dtype=float))
-        for a in arrays:
-            a.flags.writeable = False
-        object.__setattr__(self, "_arrays", arrays)
+    def __init__(self, node_count: int, edges=()) -> None:
+        n = _positive_int(node_count, "node_count")
+        e = np.asarray(edges, dtype=float).reshape(len(edges), 3)
+        _refuse(e, ~((e[:, :2] >= 0) & (e[:, :2] < n)).all(1), f"out of range for N={n}")
+        src, dst, w = e[:, 0].astype(int), e[:, 1].astype(int), e[:, 2].copy()
+        _refuse(e, (e[:, 0] != src) | (e[:, 1] != dst), "node indices must be integers")
+        _refuse(e, src == dst, "self-loop is not allowed")
+        _refuse(e, ~((w > 0) & np.isfinite(w)), "weight must be finite and positive")
+        key = src * n + dst
+        s = np.sort(key)  # sort and compare neighbours: np.unique is ~60x slower at E = 1e6
+        if np.count_nonzero(s[1:] == s[:-1]):  # a repeat: flag all but each key's first
+            first = np.unique(key, return_index=True)[1]
+            _refuse(e, ~np.isin(np.arange(len(key)), first), "duplicate edge")
+        src.flags.writeable = dst.flags.writeable = w.flags.writeable = False
+        object.__setattr__(self, "node_count", n)
+        object.__setattr__(self, "_arrays", (src, dst, w))
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return len(self._arrays[0])
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(sources, targets, weights) as read-only numpy arrays, one entry
@@ -114,10 +123,9 @@ def is_strongly_connected(topology: NetworkTopology) -> bool:
 def is_balanced(topology: NetworkTopology) -> bool:
     """True iff weighted in-degree equals weighted out-degree at every node,
     to a relative 1e-12."""
-    src, dst, w = topology.edge_arrays()
-    n = topology.node_count
-    din = np.bincount(src, weights=w, minlength=n)
-    dout = np.bincount(dst, weights=w, minlength=n)
+    _, dst, w = topology.edge_arrays()
+    din = topology.in_degrees()
+    dout = np.bincount(dst, weights=w, minlength=topology.node_count)
     return bool(np.all(np.abs(din - dout) <= 1e-12 * (1.0 + np.abs(din))))
 
 
@@ -181,38 +189,29 @@ def make_graph(family: str, n: int, weight: float = 1.0,
         Node count, >= 1.
     weight : float
         Uniform edge weight for the named families.
-    edges : list of (i, j, w), optional
+    edges : sequence of (i, j, w) or an (E, 3) array, optional
         Explicit 0-based edge triples; required iff family is ``custom``,
         refused by the named families.
     """
     fam = family.replace("-", "_").lower()
     if fam not in _FAMILIES:
-        raise ConfigError(f"unknown graph family {family!r}; choose from {_FAMILIES}")
-    if n < 1:
-        raise ConfigError("graph size n must be >= 1")
-    if fam != "custom" and not weight > 0:
-        raise ConfigError("edge weight must be positive")
-    if fam != "custom" and edges is not None:
-        raise ConfigError("field 'graph.edges' is read only by family 'custom', "
-                          f"not {family!r}")
-
+        raise ConfigError(f"field 'graph.family' must be one of {_FAMILIES}, got {family!r}")
+    n = _positive_int(n, "field 'graph.n'")
+    if (fam == "custom") != (edges is not None):
+        raise ConfigError("field 'graph.edges' is required by family 'custom' and read "
+                          f"by no other family, got family {family!r}")
     if fam == "custom":
-        if edges is None:
-            raise ConfigError("custom family requires an explicit edge list")
-        return NetworkTopology(n, tuple((int(i), int(j), float(w)) for i, j, w in edges))
+        return NetworkTopology(n, edges)
+    if not 0 < weight < np.inf:
+        raise ConfigError(f"field 'graph.weight' must be finite and positive, got {weight!r}")
 
-    built: list[tuple[int, int, float]] = []
-    if fam == "complete":
-        built = [(i, j, weight) for i in range(n) for j in range(n) if i != j]
-    elif fam == "directed_cycle":
-        built = [(i, (i + 1) % n, weight) for i in range(n)] if n > 1 else []
-    elif fam == "undirected_ring":
-        pairs = set()
-        for i in range(n):
-            for j in ((i + 1) % n, (i - 1) % n):
-                if i != j:
-                    pairs.add((i, j))
-        built = [(i, j, weight) for i, j in sorted(pairs)]
-    elif fam == "path":
-        built = [(i, i + 1, weight) for i in range(n - 1)]
-    return NetworkTopology(n, tuple(built))
+    # each family in ascending (i, j) order, except the cycle's closing edge
+    if fam == "complete" or (fam == "undirected_ring" and n <= 2):
+        src, dst = np.nonzero(~np.eye(n, dtype=bool))
+    elif fam == "undirected_ring":  # neighbours i - 1 and i + 1, ascending
+        src = np.repeat(np.arange(n), 2)
+        dst = np.sort((src.reshape(n, 2) + [-1, 1]) % n, axis=1).ravel()
+    else:  # directed_cycle and path: i -> i + 1, the cycle closing at n - 1 -> 0
+        src = np.arange(n if fam == "directed_cycle" and n > 1 else n - 1)
+        dst = (src + 1) % n
+    return NetworkTopology(n, np.column_stack([src, dst, np.full(len(src), weight)]))

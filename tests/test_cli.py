@@ -524,7 +524,13 @@ def test_config_error_paths(tmp_path, capsys):
             ("named_edges", "graph: {family: complete, n: 3, "
                             "edges: [[1, 2, 5.0]]}\n", "graph.edges"),
             ("custom_weight", "graph: {family: custom, n: 2, weight: 2.0, "
-                              "edges: [[1, 2, 1.0], [2, 1, 1.0]]}\n", "graph.weight")):
+                              "edges: [[1, 2, 1.0], [2, 1, 1.0]]}\n", "graph.weight"),
+            ("n_zero", "graph: {family: complete, n: 0}\n", "graph.n"),
+            ("weight_negative", "graph: {family: complete, n: 3, weight: -1}\n",
+             "graph.weight"),
+            ("family_unknown", "graph: {family: torus, n: 3}\n", "graph.family"),
+            ("edge_self_loop", "graph: {family: custom, n: 2, edges: [[1, 2, 1.0], "
+                               "[1, 1, 1.0]]}\n", "graph.edges' entry 2, [1, 1, 1.0]")):
         bad = _write(tmp_path, text, name + ".yaml")
         assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2, name
         assert field in capsys.readouterr().err, name

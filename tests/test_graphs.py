@@ -34,19 +34,26 @@ def test_adjacency_plus_degree_recovers_laplacian():
     top, _ = random_case(3)
     A = adjacency(top)
     assert np.array_equal(A - degree_matrix(top), laplacian(top))
-    for i, j, w in top.edges:
-        assert A[i, j] == w
-    assert A.sum() == pytest.approx(sum(w for _, _, w in top.edges))
+    src, dst, w = top.edge_arrays()
+    for i, j, wij in zip(src, dst, w):
+        assert A[i, j] == wij
+    assert A.sum() == pytest.approx(w.sum())
 
 
 def test_edge_arrays_built_once_and_read_only():
     top, _ = random_case(5)
     src, dst, w = top.edge_arrays()
     assert top.edge_arrays()[0] is src
-    assert list(zip(src.tolist(), dst.tolist(), w.tolist())) == list(top.edges)
+    edges = ((2, 0, 1.5), (0, 1, 0.25), (1, 2, 2.0), (0, 2, 1.0))  # not sorted
+    for given in (edges, np.array(edges)):  # triples or an (E, 3) array
+        a, b, c = NetworkTopology(3, given).edge_arrays()
+        assert list(zip(a.tolist(), b.tolist(), c.tolist())) == list(edges)
+        assert (a.dtype, b.dtype, c.dtype) == (np.dtype(int),) * 2 + (np.dtype(float),)
     with pytest.raises(ValueError):
         w[0] = 1.0
     assert all(a.size == 0 for a in NetworkTopology(1).edge_arrays())
+    with pytest.raises(AttributeError):  # the arrays are the only edge list
+        top.edges
 
 
 @given(st.integers(min_value=0, max_value=2000))
@@ -121,15 +128,38 @@ def test_null_vector_rejects_disconnected():
 
 
 def test_make_graph_families():
+    # the per-family builders make_graph used before it built arrays: the
+    # order they give is the order of the eps_edge streams, per-edge S and G
+    # and the y_edge columns
+    def oracle(fam, n):
+        if fam == "complete":
+            return [(i, j) for i in range(n) for j in range(n) if i != j]
+        if fam == "directed_cycle":
+            return [(i, (i + 1) % n) for i in range(n)] if n > 1 else []
+        if fam == "undirected_ring":
+            return sorted({(i, j) for i in range(n)
+                           for j in ((i + 1) % n, (i - 1) % n) if i != j})
+        return [(i, i + 1) for i in range(n - 1)]
+
+    for fam in ("complete", "directed_cycle", "undirected_ring", "path"):
+        for n in range(1, 13):
+            src, dst, w = make_graph(fam, n, weight=0.7).edge_arrays()
+            assert list(zip(src.tolist(), dst.tolist())) == oracle(fam, n), (fam, n)
+            assert np.array_equal(w, np.full(len(src), 0.7)), (fam, n)
     assert make_graph("complete", 3).edge_count == 6
-    cyc = make_graph("directed_cycle", 3)
-    assert set((i, j) for i, j, _ in cyc.edges) == {(0, 1), (1, 2), (2, 0)}
+    src, dst, _ = make_graph("directed_cycle", 3).edge_arrays()
+    assert set(zip(src.tolist(), dst.tolist())) == {(0, 1), (1, 2), (2, 0)}
     assert make_graph("undirected_ring", 5).edge_count == 10
     assert make_graph("undirected_ring", 2).edge_count == 2
     assert make_graph("path", 4).edge_count == 3
     assert make_graph("complete", 100).edge_count == 9900
     custom = make_graph("custom", 3, edges=[(0, 1, 2.0), (1, 2, 1.0), (2, 0, 1.0)])
-    assert custom.edges[0] == (0, 1, 2.0)
+    assert tuple(a[0] for a in custom.edge_arrays()) == (0, 1, 2.0)
+    # the duplicate check sorts the keys i N + j; a repeat at the end of a
+    # million edges is found and named by its position
+    big = np.column_stack(make_graph("complete", 1000).edge_arrays())
+    with pytest.raises(ConfigError, match=r"edge #999000 \(999, 998, 1.0\): duplicate"):
+        NetworkTopology(1000, np.vstack([big, big[-1]]))
 
 
 def test_make_graph_rejects_bad_input():
@@ -143,6 +173,17 @@ def test_make_graph_rejects_bad_input():
         make_graph("custom", 3)
     with pytest.raises(ConfigError, match="graph.edges"):
         make_graph("complete", 3, edges=[(0, 1, 5.0)])  # a named family's own
+    with pytest.raises(ConfigError, match=r"edge #0 \(0.5, 1, 1.0\)"):
+        make_graph("custom", 3, edges=[(0.5, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    with pytest.raises(ConfigError, match="graph.weight"):
+        make_graph("complete", 3, weight=np.inf)
+    with pytest.raises(ConfigError, match="graph.weight"):
+        make_graph("complete", 3, weight=np.nan)
+    for n in (True, 2.5, 0):
+        with pytest.raises(ConfigError, match="graph.n"):
+            make_graph("complete", n)
+    with pytest.raises(ConfigError, match="graph.family"):
+        make_graph("torus", 3)
 
 
 def test_topology_validation():
@@ -156,6 +197,24 @@ def test_topology_validation():
         NetworkTopology(2, ((0, 1, 1.0), (0, 1, 2.0)))  # duplicate
     with pytest.raises(ConfigError):
         NetworkTopology(0)
+    # each refusal names the first offending edge and its position
+    with pytest.raises(ConfigError, match=r"edge #1 \(0.5, 1, 1.0\): node indices"):
+        NetworkTopology(3, ((1, 2, 1.0), (0.5, 1, 1.0)))
+    with pytest.raises(ConfigError, match=r"edge #0 \(0, 1, inf\): weight must be finite"):
+        NetworkTopology(3, ((0, 1, np.inf),))
+    with pytest.raises(ConfigError, match=r"edge #1 \(1, 0, nan\): weight must be finite"):
+        NetworkTopology(3, ((0, 1, 1.0), (1, 0, np.nan)))
+    with pytest.raises(ConfigError, match=r"edge #0 \(nan, 1, 1.0\)"):
+        NetworkTopology(3, ((np.nan, 1, 1.0),))
+    with pytest.raises(ConfigError, match=r"edge #2 \(0, 1, 2.0\): duplicate edge"):
+        NetworkTopology(3, ((0, 1, 1.0), (1, 0, 1.0), (0, 1, 2.0)))
+    with pytest.raises(ConfigError, match=r"edge #1 \(2, 2, 1.0\): self-loop"):
+        NetworkTopology(3, ((0, 1, 1.0), (2, 2, 1.0)))
+    with pytest.raises(ConfigError, match=r"edge #0 \(-1, 1, 1.0\): out of range for N=3"):
+        NetworkTopology(3, ((-1, 1, 1.0),))
+    for n in (2.5, True, np.nan):
+        with pytest.raises(ConfigError, match="node_count"):
+            NetworkTopology(n)
 
 
 def test_degree_helpers():
