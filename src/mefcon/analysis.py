@@ -412,10 +412,13 @@ def deviation_series(series: np.ndarray) -> np.ndarray:
     return np.sum((series - series.mean(axis=1, keepdims=True)) ** 2, axis=1)
 
 
+def _second_half_mean(dev: np.ndarray) -> float:
+    return float(dev[dev.shape[0] // 2:].mean())
+
+
 def empirical_deviation(series: np.ndarray) -> float:
     """Time average over the second half of sum_i (x_i - mean(x))^2."""
-    dev = deviation_series(series)
-    return float(dev[dev.shape[0] // 2:].mean())
+    return _second_half_mean(deviation_series(series))
 
 
 @dataclass(frozen=True)
@@ -467,10 +470,10 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     for s in seed_list:
         cfg = config.with_seed(s)
         tb, tm = simulate_classical(cfg), simulate_mef(cfg)
-        runs = (tb.x, tm.x_hat, tm.x)
-        stats.append([empirical_deviation(x) for x in runs])
+        devs = [deviation_series(x) for x in (tb.x, tm.x_hat, tm.x)]
+        stats.append([_second_half_mean(dev) for dev in devs])
         if first is None:
-            first = (tb.t, *(deviation_series(x) for x in runs))
+            first = (tb.t, *devs)
     base, est, state = np.array(stats).T
     return ComparisonResult(seed_list, d_ave, base, est, state, *first)
 

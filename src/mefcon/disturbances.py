@@ -32,7 +32,7 @@ from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
 # Noise entries per chunk, which bounds one noise temporary (white draws;
-# the input terms of ``simulate._propagate`` and the u readout of
+# the input terms of ``simulate._input_terms`` and the u readout of
 # ``simulate._readout``).  Smaller chunks pay more per-call overhead,
 # larger ones more memory.
 CHUNK_ENTRIES = 1 << 16
@@ -91,7 +91,8 @@ class DisturbanceRealization:
     ``sin(omega t) amp cos(phase) + cos(omega t) amp sin(phase)``, so a
     read takes two sines per time point, however many signals there
     are; white draws depend only on ``step``, clamped to the drawn
-    steps.  Both arguments may be arrays.
+    steps.  Both arguments may be arrays.  ``mapped`` reads a linear map
+    of w without building w.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -137,6 +138,31 @@ class DisturbanceRealization:
             return (np.multiply.outer(np.sin(wt), self._amp_cos)
                     + np.multiply.outer(np.cos(wt), self._amp_sin))
         return self._draws.take(step, axis=0, mode="clip")
+
+    def mapped(self, t, step, *maps) -> np.ndarray:
+        """M w(t_k) for arrays of m times and m steps, M the product of
+        ``maps``, as an (M rows, m) array: ``M @ at(t, step).T`` up to
+        rounding, with the maps applied right to left.
+
+        A sinusoid is M w(t) = (M amp_cos) sin(omega t) + (M amp_sin)
+        cos(omega t): the maps act on the two amplitude vectors only, and
+        no (m, width) w is built.  White draws are read once and mapped
+        as they are.
+        """
+        kind = self.profile.kind
+        if kind == "zero":
+            return np.zeros((maps[0].shape[0], np.size(t)))
+        if kind == "sinusoid":
+            W = np.stack([self._amp_cos, self._amp_sin], axis=1)
+        else:
+            W = self._draws.take(step, axis=0, mode="clip").T
+        for M in reversed(maps):
+            W = M @ W
+        if kind == "white":
+            return W
+        wt = self._omega * np.asarray(t)
+        return (np.multiply.outer(W[:, 0], np.sin(wt))
+                + np.multiply.outer(W[:, 1], np.cos(wt)))
 
 
 def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],

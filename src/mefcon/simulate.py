@@ -6,8 +6,15 @@ over flat edge arrays.  Under the steady gain the loop is linear and
 time-invariant, so ``simulate_mef`` and ``simulate_classical`` advance it
 with precomputed RK4 maps (``_propagate``), each kept sparse or dense by
 its fill; only the dynamic gain evaluates the RK4 stages one by one
-(``rk4_step``).  Every run integrates only its record, and the consensus
-input u is read out of that record afterwards (``_readout``).
+(``rk4_step``).  The propagator reads each disturbance once per chunk of
+steps: a white draw is held over the step, so its three stage reads
+collapse into one held map, and a sinusoid is mapped through its two
+amplitude vectors (``DisturbanceRealization.mapped``).
+
+Every run integrates only its record.  The consensus input u is read out
+of that record (``_readout``) when ``Trajectory.u`` is first read, except
+where u reads white edge noise: that u is read at once, so an unread u
+never keeps the draws alive.
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
@@ -19,7 +26,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, partial
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -95,13 +103,23 @@ class Trajectory:
     For baseline runs the estimates are the states (no filter), u records
     the applied coupling drift, and the gain column is zero.  A gain that
     stays constant is a read-only broadcast view of one row.
+
+    u is computed by ``readout`` on first read and kept.  A readout holds
+    the record, the loop's maps and, for sinusoids, the realization's
+    two amplitude vectors; never white draws, since a u that reads them
+    is computed before the run returns.
     """
 
     t: np.ndarray
     x: np.ndarray
     x_hat: np.ndarray
-    u: np.ndarray
     Q: np.ndarray
+    readout: Callable[[], np.ndarray] = field(repr=False, compare=False)
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """Consensus input at every grid point (the baseline: its drift)."""
+        return self.readout()
 
     @property
     def e(self) -> np.ndarray:
@@ -291,14 +309,17 @@ def _stored(M):
 
 
 def _rk4_maps(A, h: float) -> list:
-    """The RK4 step of zdot = A z + g(t) as linear maps [P - I, K1, K2],
-    M = h A.
+    """The RK4 step of zdot = A z + g(t) as linear maps [P - I, K1, K2,
+    K_white], M = h A.
 
     One step is z + (P - I) z + K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h)
     with P - I = M + M^2/2 + M^3/6 + M^4/24, K1 = h/6 (I + M + M^2/2 +
-    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  Each power of M, and each
-    map, is stored by its fill (see ``_stored``); the identity takes the
-    storage of M, so dense maps never mix with a sparse identity.
+    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  An input held over the step,
+    g(t) = g(t + h/2) = g(t + h), enters through the one map K_white =
+    K1 + K2 + (h/6) I = h (I + M/2 + M^2/6 + M^3/24), the held-input
+    discretization.  Each power of M, and each map, is stored by its fill
+    (see ``_stored``); the identity takes the storage of M, so dense maps
+    never mix with a sparse identity.
     """
     n, M = A.shape[0], _stored(h * A)
     powers = [sparse.eye_array(n, format="csr") if sparse.issparse(M) else np.eye(n), M]
@@ -312,7 +333,8 @@ def _rk4_maps(A, h: float) -> list:
         return _stored(out)
 
     return [poly(0.0, 1.0, 1 / 2, 1 / 6, 1 / 24),
-            poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12)]
+            poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12),
+            poly(h, h / 2, h / 6, h / 24)]
 
 
 # Bounds the block map's size and the cost of building its powers.  It
@@ -353,38 +375,50 @@ def _block_map(step, steps: int):
     return stack[:B].reshape(B * n, n)
 
 
+def _input_terms(maps, inputs, real, h: float, out: np.ndarray) -> None:
+    """Write the input term H_k of step k of ``_propagate`` into out[k],
+    k < len(out); ``maps`` are ``_rk4_maps``'s.
+
+    H_k = K1 g(t_k) + K2 g(t_k + h/2) + (h/6) g(t_k + h), g = inputs w,
+    w = ``real.at(., k)``: the stages the stage-by-stage RK4 reads.  A
+    white draw is held over the step, so H_k = K_white inputs w_k, one
+    read of the draws; a sinusoid reads its three stage times in closed
+    form (``real.mapped``).  Read in chunks of at most ``CHUNK_ENTRIES``
+    noise entries (or one step).
+    """
+    _, K1, K2, K_white = maps
+    steps, white = len(out), real.profile.kind == "white"
+    rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
+    for k in range(0, steps, rows):
+        ks = np.arange(k, min(k + rows, steps))
+        t = ks * h
+        if white:
+            H = real.mapped(t, ks, K_white, inputs)
+        else:
+            H = (real.mapped(t, ks, K1, inputs) + real.mapped(t + 0.5 * h, ks, K2, inputs)
+                 + (h / 6.0) * real.mapped(t + h, ks, inputs))
+        out[k:k + ks.size] = H.T
+
+
 def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
     precomputed linear maps; returns (t, z records).
 
-    Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k =
-    K1 g(t_k) + K2 g(t_k + h/2) + (h/6) g(t_k + h) and g = inputs w,
-    w = ``real.at(., k)``: the stages the stage-by-stage RK4 reads.  A
-    annihilates the constant vector, so a consensus state stays exact.
-    H is read for the whole run before stepping, in chunks of at most
-    ``CHUNK_ENTRIES`` noise entries (or one step), into the records it is
-    added to.  Without noise H = 0, and small dense maps advance a block
-    of steps per product (``_block_map``).  Finiteness is checked once
-    over all records after stepping; the first non-finite row names the
-    failing step.
+    Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k of
+    ``_input_terms``.  A annihilates the constant vector, so a consensus
+    state stays exact.  H is read for the whole run before stepping,
+    straight into the records it is added to.  Without noise H = 0, and
+    small dense maps advance a block of steps per product
+    (``_block_map``).  Finiteness is checked once over all records after
+    stepping; the first non-finite row names the failing step.
     """
-    step, K1, K2 = _rk4_maps(A, h)
+    maps = _rk4_maps(A, h)
     noisy = real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
     z_rec = np.zeros((steps + 1, z.size))
-    rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
-
-    def noise(M, t, ks):  # M w(t) of steps ks, one column per step
-        return M @ real.at(t, ks).T
-
     if noisy:
-        for k in range(0, steps, rows):
-            ks = np.arange(k, min(k + rows, steps))
-            t = ts[ks]
-            H = (K1 @ noise(inputs, t, ks) + K2 @ noise(inputs, t + 0.5 * h, ks)
-                 + (h / 6.0) * noise(inputs, t + h, ks))
-            z_rec[k + 1:k + ks.size + 1] = H.T
-    block = _block_map(step, steps) if not noisy else step
+        _input_terms(maps, inputs, real, h, z_rec[1:])
+    block = maps[0] if noisy else _block_map(maps[0], steps)
     n, B = z.size, block.shape[0] // z.size
     z_rec[0] = z
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
@@ -401,10 +435,10 @@ def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
              width: int) -> np.ndarray:
     """The consensus input u = state_map (z - z[0]) + noise_map w(t_k) at
     every grid point t_k of the record z_rec, w = ``real.at(t_k, k)``;
-    ``noise_map`` None: u sees no noise.
+    ``noise_map`` None: u sees no noise, and ``real`` is not read.
 
     Read in chunks of at most ``CHUNK_ENTRIES`` entries of the ``width``
-    noise streams (or one point), the chunks of ``_propagate``.
+    noise streams (or one point), the chunks of ``_input_terms``.
     """
     u_rec = np.empty((ts.size, state_map.shape[0]))
     rows = max(1, CHUNK_ENTRIES // width)
@@ -414,9 +448,24 @@ def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
         d = z_rec[k:k + ks.size] - z_rec[k:k + ks.size, :1]
         u = state_map @ d.T
         if noisy:
-            u += noise_map @ real.at(ts[ks], ks).T
+            u += real.mapped(ts[ks], ks, noise_map)
         u_rec[k:k + ks.size] = u.T
     return u_rec
+
+
+def _u_readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
+               width: int) -> Callable[[], np.ndarray]:
+    """The ``Trajectory.readout`` of a record: ``_readout`` deferred to the
+    first read of u, or run now when u reads white draws, so that an
+    unread u never keeps the draws alive.  A u without noise holds no
+    realization."""
+    if noise_map is None:
+        real = None
+    read = partial(_readout, state_map, noise_map, ts, z_rec, real, width)
+    if real is None or real.profile.kind != "white":
+        return read
+    u_rec = read()
+    return lambda: u_rec
 
 
 def simulate_mef(config: ScenarioConfig) -> Trajectory:
@@ -427,7 +476,7 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
     is linear and time-invariant, so its RK4 steps are precomputed linear
     maps (``_propagate``); the dynamic loop evaluates its stages.  Both
-    read u out of the (x, x_hat) record (``_readout``).
+    read u out of the (x, x_hat) record (``_u_readout``).
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -454,9 +503,9 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
         for k in range(steps):
             z_rec[k + 1] = rk4_step(lambda t, z: f(t, k, z), z_rec[k], ts[k], h)
         q_rec = z_rec[:, 2 * n:]
-    u_rec = _readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
-                     sum(loop.noise_sizes))
-    return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], u_rec, q_rec)
+    readout = _u_readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
+                         sum(loop.noise_sizes))
+    return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
 
 
 def measurements(config: ScenarioConfig,
@@ -486,8 +535,8 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
                                config.seed)
     ts, x_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), config.x0, real,
                            config.h, config.steps)
-    u_rec = _readout(Lp, None, ts, x_rec, real, n)
-    return Trajectory(ts, x_rec, x_rec, u_rec, np.broadcast_to(0.0, x_rec.shape))
+    return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
+                      _u_readout(Lp, None, ts, x_rec, real, n))
 
 
 def basic_scenario(n: int = 2, family: str = "complete", *, B=1.0, R=1.0,

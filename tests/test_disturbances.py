@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 
 from mefcon import ConfigError, DisturbanceProfile, sample_disturbances
 
@@ -84,6 +85,20 @@ def test_array_read_stacks_the_scalar_reads(kind):
             wt = 2 * np.pi * f * t[:, None]
             want = amp * np.sin(wt + phase)
             assert np.all(np.abs(got - want) <= 1e-15 * amp * (1 + wt)), f
+
+
+@pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
+def test_mapped_read_is_the_map_of_the_read(kind):
+    # M1 M2 w(t_k) without building w: the sinusoid maps its two
+    # amplitude vectors, white draws are mapped as read
+    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1, seed=6)
+    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1)
+    t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])
+    rng = np.random.default_rng(1)
+    M1, M2 = rng.normal(size=(2, 6)), sparse.csr_array(rng.normal(size=(6, 11)))
+    got = real.mapped(t, k, M1, M2)
+    assert got.shape == (2, 4)
+    assert got == pytest.approx(M1 @ (M2 @ real.at(t, k).T), rel=1e-14, abs=1e-15)
 
 
 def test_white_std_scaling():

@@ -1,5 +1,8 @@
+import gc
+import itertools
 import math
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -9,15 +12,18 @@ from hypothesis import strategies as st
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     NetworkTopology, ScenarioConfig, SimulationError,
-                    Trajectory, assemble_global, basic_scenario,
-                    control_input, disagreement_norms, exp_bound_constants,
+                    Trajectory, assemble_global, basic_scenario, certify,
+                    check_envelope, control_input, disagreement_norms,
+                    exp_bound_constants,
                     laplacian, left_null_vector_of, make_graph, measurements,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
-                    rk4_step, sample_disturbances, simulate_classical,
+                    rk4_step, run_comparison, sample_disturbances,
+                    simulate_classical,
                     simulate_mef, spectral_report, steady_gains,
                     uniform_params)
 from mefcon.disturbances import CHUNK_ENTRIES
-from mefcon.simulate import _block_map, _rk4_maps
+from mefcon import simulate as simulate_module
+from mefcon.simulate import _block_map, _input_terms, _rk4_maps
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -366,6 +372,130 @@ def test_u_readout_matches_coupling_at_every_point(profile):
         assert traj.u == pytest.approx(np.array(want), rel=0, abs=1e-12), riccati
     assert not np.allclose(traj.Q[0], loop.q_star)  # the gain moved
     assert np.abs(traj.u).max() > 1.0
+
+
+def _counting_readout(monkeypatch):
+    """Count the calls of ``simulate._readout`` from here on."""
+    calls = []
+    readout = simulate_module._readout
+
+    def counted(*args):
+        calls.append(1)
+        return readout(*args)
+
+    monkeypatch.setattr(simulate_module, "_readout", counted)
+    return calls
+
+
+def test_unread_u_is_never_computed(monkeypatch):
+    # comparison and envelope runs read x and x_hat only, so u is never
+    # read out; a read computes it once and keeps it
+    calls = _counting_readout(monkeypatch)
+    run_comparison(_white_config(T=1.0), seeds=[1, 2])
+    config = basic_scenario(2, "undirected_ring", x0=[0.0, 1.0], T=5.0,
+                            profile=DisturbanceProfile("sinusoid", delta_max=0.1,
+                                                       eps_max=0.1))
+    check_envelope(config, certify(config, spectral_report(config.loop)))
+    traj = simulate_mef(basic_scenario(3, T=1.0))
+    assert not calls
+    u = traj.u
+    assert len(calls) == 1 and traj.u is u
+
+
+def _ring_runs(profile):
+    """Steady, dynamic and baseline runs on the ring N = 40 with G < S, so
+    u reads eps_edge; each with the config it ran."""
+    ring = make_graph("undirected_ring", 40)
+    params = uniform_params(ring, R=0.7, S=2.0, G=1.0, Xi=2.0)
+    x0 = np.random.default_rng(9).uniform(-1.0, 1.0, 40)
+    configs = [ScenarioConfig(ring, params, x0, -x0, profile, h=0.01, T=10.0,
+                              seed=6, riccati=riccati)
+               for riccati in ("steady", "dynamic")]
+    return [(c, simulate_mef(c)) for c in configs] + [
+        (configs[0], simulate_classical(configs[0]))]
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile(),
+    DisturbanceProfile("white", sigma=0.5),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
+    ids=["zero", "white", "sinusoid"])
+def test_later_u_equals_an_eager_readout(profile):
+    for config, traj in _ring_runs(profile):
+        loop, n = config.loop, config.topology.node_count
+        if traj.x_hat is traj.x:  # the baseline, stored as it steps
+            maps = (simulate_module._stored(laplacian(config.topology)), None)
+            sizes, z = (n,), traj.x
+        else:
+            maps, sizes = (loop.u_state, loop.u_noise), loop.noise_sizes
+            z = np.hstack([traj.x, traj.x_hat])
+        real = sample_disturbances(profile, sizes, config.steps, config.h,
+                                   config.seed)
+        want = simulate_module._readout(*maps, traj.t, z, real, sum(sizes))
+        assert np.array_equal(traj.u, want), (config.riccati, traj.x_hat is traj.x)
+
+
+def test_white_run_keeps_no_realization(monkeypatch):
+    # an unread u must not keep the white draws alive: with G < S the run
+    # reads u at once, with G = S u reads no noise; a sinusoid u is read
+    # later, from the realization's amplitudes
+    refs = []
+    sample = simulate_module.sample_disturbances
+
+    def tracked(*args):
+        real = sample(*args)
+        refs.append(weakref.ref(real))
+        return real
+
+    monkeypatch.setattr(simulate_module, "sample_disturbances", tracked)
+    white = DisturbanceProfile("white", sigma=0.5)
+    for S, riccati in itertools.product((2.0, 1.0), ("steady", "dynamic")):
+        config = basic_scenario(3, S=S, G=1.0, profile=white, T=0.2,
+                                riccati=riccati)
+        for run in (simulate_mef, simulate_classical):
+            traj = run(config)
+            gc.collect()
+            assert refs[-1]() is None, (S, riccati, run.__name__)
+            assert np.abs(traj.u).max() > 0
+    sinusoid = DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2)
+    traj = simulate_mef(basic_scenario(3, S=2.0, G=1.0, profile=sinusoid, T=1.0))
+    gc.collect()
+    assert refs[-1]() is not None  # the readout holds it until u is read
+
+
+def _three_stages(maps, inputs, real, h, steps):
+    """K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h), g = inputs w, w read per
+    stage with ``real.at``: the input terms before the held map."""
+    _, K1, K2, _ = maps
+    ks = np.arange(steps)
+    t = ks * h
+
+    def g(t):
+        return inputs @ real.at(t, ks).T
+
+    return (K1 @ g(t) + K2 @ g(t + 0.5 * h) + (h / 6.0) * g(t + h)).T
+
+
+@pytest.mark.parametrize("family, n, sparse_maps",
+                         [("undirected_ring", 40, True), ("complete", 20, False)])
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile("white", sigma=0.5),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
+    ids=["white", "sinusoid"])
+def test_input_terms_match_the_three_stages(family, n, sparse_maps, profile):
+    # the held white map and the closed-form sinusoid against the three
+    # stage reads, over several chunks of steps
+    top = make_graph(family, n)
+    loop = ClosedLoop(top, uniform_params(top, R=0.7, S=2.0, G=1.0))
+    h, steps = 0.01, 1000
+    assert steps > 2 * (CHUNK_ENTRIES // loop.inputs.shape[1])
+    maps = _rk4_maps(loop.A, h)
+    assert all(sparse.issparse(M) == sparse_maps for M in maps)
+    real = sample_disturbances(profile, loop.noise_sizes, steps, h, 3)
+    H = np.empty((steps, 2 * n))
+    _input_terms(maps, loop.inputs, real, h, H)
+    want = _three_stages(maps, loop.inputs, real, h, steps)
+    assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
 
 def test_u_reads_noise_only_through_edge_measurements():
