@@ -30,8 +30,9 @@ from scipy import sparse
 from .disturbances import DisturbanceProfile
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
-from .graphs import (NetworkTopology, adjacency, degree_matrix, laplacian,
-                     left_null_vector, standard_laplacian)
+from .graphs import (NetworkTopology, adjacency, degree_matrix,
+                     is_strongly_connected, laplacian, left_null_vector,
+                     standard_laplacian)
 from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, simulate_classical,
                        simulate_mef)
 
@@ -289,34 +290,40 @@ def disagreement_norms(traj: Trajectory, x_star) -> np.ndarray:
 class Certificate:
     """The consensus value x* of a configured run, its weights nu and ISS
     constants, the paper's phi_max beside phi, the largest steady gain
-    and RK4's margin at the run's step (see ``certify``).  phi_max is
-    None where its closed form does not apply: R or S not uniform."""
+    and RK4's margin at the run's step (see ``certify``).  phi, phi_max
+    and the asymptotic ball are None under white noise, which has no
+    amplitude bound; phi_max is None also where its closed form does not
+    apply: R or S not uniform."""
 
     x_star: float
     nu: np.ndarray
     a: float
     b: float
-    phi: float
+    phi: float | None
     phi_max: float | None
     Q_max: float
     rk4_margin: float
 
     @property
-    def asymptotic_ball(self) -> float:
-        return self.b * self.phi / self.a
+    def asymptotic_ball(self) -> float | None:
+        return None if self.phi is None else self.b * self.phi / self.a
 
 
 def certify(config: ScenarioConfig, report: SpectralReport) -> Certificate:
     """The certificate of ``config``'s run from its ``ClosedLoop`` and
     ``report``, F's spectrum.  x* = nu . (x0, prior) is the steady gain's
     value, reached by a dynamic gain only from Q(0) = Q*, i.e. Xi = 1/Q*;
-    a and b need one zero and 2N - 1 stable eigenvalues."""
+    the graph must be strongly connected, and a and b need one zero and
+    2N - 1 stable eigenvalues."""
     loop = config.loop
     if config.riccati == "dynamic" and not np.allclose(
             config.params.Xi * loop.q_star, 1.0, rtol=0.0, atol=1e-9):
         raise ConfigError("params.Xi must be 1/Q* (leave it null) for riccati: "
                           "dynamic: a gain started elsewhere reaches a consensus "
                           "value x* that is not predicted here")
+    if not is_strongly_connected(config.topology):
+        raise SolverError("the graph is not strongly connected: no consensus "
+                          "value x* or ISS envelope to certify")
     x_star = float(loop.nu @ np.concatenate([config.x0, config.prior]))
     if report.q != 1 or report.stable_count != 2 * loop.n - 1:
         raise SolverError(
@@ -324,15 +331,16 @@ def certify(config: ScenarioConfig, report: SpectralReport) -> Certificate:
             f"{report.q} zero and {report.stable_count} stable eigenvalues of "
             f"F; the certificate needs 1 and {2 * loop.n - 1}")
     a, b = exp_bound_constants(loop, report)
-    profile = config.profile
-    try:
-        closed_form = phi_max(config.params, config.topology, profile.delta_max,
-                              profile.eps_max)
-    except ConfigError:  # R or S not uniform; a, b, nu and phi still hold
-        closed_form = None
-    return Certificate(
-        x_star, loop.nu, a, b, phi_projected(loop, profile.amplitudes(loop.noise_sizes)),
-        closed_form, float(loop.q_star.max()), report.rk4_margin(config.h))
+    bounds = config.profile.bounds()
+    phi = closed_form = None  # white noise: no bound to certify against
+    if bounds is not None:
+        phi = phi_projected(loop, config.profile.amplitudes(loop.noise_sizes))
+        try:
+            closed_form = phi_max(config.params, config.topology, *bounds)
+        except ConfigError:  # R or S not uniform; a, b, nu and phi still hold
+            pass
+    return Certificate(x_star, loop.nu, a, b, phi, closed_form,
+                       float(loop.q_star.max()), report.rk4_margin(config.h))
 
 
 @dataclass(frozen=True)

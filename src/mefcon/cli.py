@@ -37,6 +37,10 @@ def _finite(v: float):
     return v if math.isfinite(v) else None
 
 
+def _shown(v: float | None) -> str:
+    return "null" if v is None else f"{v:.6g}"
+
+
 def _write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> None:
     data = np.column_stack(arrays)
     np.savetxt(path, data, delimiter=",", header=",".join(columns),
@@ -118,10 +122,9 @@ def cmd_analyze(args) -> int:
         cert = certify(config, report)
         payload["equilibrium"] = {"x_star": cert.x_star, "weights": cert.nu.tolist()}
         payload["iss"] = {k: getattr(cert, k) for k in _ISS + ("Q_max",)}
-        closed = "null" if cert.phi_max is None else f"{cert.phi_max:.6g}"
         print(f"analyze: q={report.q}, stable={report.stable_count}, "
               f"x*={cert.x_star:.12g}, a={cert.a:.6g}, b={cert.b:.6g}, "
-              f"phi={cert.phi:.6g} (phi_max={closed})")
+              f"phi={_shown(cert.phi)} (phi_max={_shown(cert.phi_max)})")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "
@@ -201,11 +204,22 @@ def cmd_envelope(args) -> int:
     return 0
 
 
+def _seed(text: str) -> int:
+    """--seed's value: an integer, at least 0, as numpy's seeding takes it."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = -1
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
+    return seed
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario config file (YAML or JSON)")
     sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--seed", type=int, default=None,
-                     help="override the scenario seed")
+    sub.add_argument("--seed", type=_seed, default=None,
+                     help="override the scenario seed (a nonnegative integer)")
     sub.add_argument("--riccati", choices=("steady", "dynamic"), default=None,
                      help="override the gain mode")
 

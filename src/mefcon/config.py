@@ -7,9 +7,11 @@ dict with every default filled in, which the CLI embeds into manifests so
 a run can be reproduced from its manifest alone.
 
 ``_SCHEMA`` and ``_TOP`` list every accepted key with its default and the
-reader that checks its value (README.md describes each key).  An unknown
+reader that checks its value (README.md describes each key); the
+disturbance section accepts only the fields its kind reads.  An unknown
 key, a missing required one, or a value its reader refuses is a
-``ConfigError`` that names the field.
+``ConfigError`` that names the field.  The scenario seed is the one root
+of a run's draws: the random x0 and every disturbance stream.
 """
 
 from __future__ import annotations
@@ -50,6 +52,14 @@ def _integer(value, field: str) -> int:
     return value
 
 
+def _seed(value, field: str) -> int:
+    """A seed: an integer, at least 0, as numpy's seeding takes it."""
+    v = _integer(value, field)
+    if v < 0:
+        raise ConfigError(f"field '{field}' must be a nonnegative integer, got {value!r}")
+    return v
+
+
 def _numbers(value, field: str) -> np.ndarray:
     """One number or a list of them, as a 1-D array."""
     items = value if isinstance(value, (list, tuple)) else [value]
@@ -65,14 +75,17 @@ _SCHEMA = {
     "params": {"B": (1.0, _numbers), "R": (1.0, _number), "S": (1.0, _number),
                "G": (1.0, _number), "Xi": (None, _numbers)},
     "initial": {"x0": ({"random_uniform": {}}, None), "prior": ("same", None)},
-    "disturbance": {"kind": ("zero", None), "delta_max": (0.0, _number),
-                    "eps_max": (0.0, _number), "sigma": (1.0, _number),
-                    "frequency": (1.0, _number), "seed": (None, _integer)},
+    # one field set per kind: the fields that kind reads (see _disturbance)
+    "disturbance": {
+        "zero": {},
+        "sinusoid": {"delta_max": (0.0, _number), "eps_max": (0.0, _number),
+                     "frequency": (1.0, _number)},
+        "white": {"sigma": (1.0, _number)}},
     # steps is the echo's derived count, checked against T/h when present
     "integration": {"h": (0.01, _number), "T": (50.0, _number),
                     "steps": (None, _integer)},
 }
-_TOP = {**{name: ({}, None) for name in _SCHEMA}, "seed": (0, _integer),
+_TOP = {**{name: ({}, None) for name in _SCHEMA}, "seed": (0, _seed),
         "riccati": ("steady", None), "algorithm": ("filter", None),
         "compare_seeds": (None, None)}
 _RANDOM_UNIFORM = {"low": (-1.0, _number), "high": (1.0, _number)}
@@ -96,6 +109,18 @@ def _read(mapping, spec: dict, prefix: str = "") -> dict:
     return out
 
 
+def _disturbance(mapping) -> dict:
+    """The disturbance section's spec for the kind ``mapping`` names: kind
+    itself and the fields that kind reads, so that ``_read`` refuses a
+    field the kind does not read as an unknown key."""
+    kinds = _SCHEMA["disturbance"]
+    kind = mapping.get("kind", "zero") if isinstance(mapping, dict) else "zero"
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"field 'disturbance.kind' must be one of {list(kinds)}, "
+                          f"got {kind!r}")
+    return {"kind": ("zero", None), **kinds[kind]}
+
+
 def load_config(path: str | Path) -> dict:
     """Parse a config file into a raw dict; ``build_scenario`` checks its keys."""
     p = Path(path)
@@ -115,8 +140,9 @@ def build_scenario(raw: dict, seed_override: int | None = None,
                    ) -> tuple[ScenarioConfig, dict]:
     """Turn a raw config dict into a ScenarioConfig plus a resolved echo."""
     top = _read(raw, _TOP)
+    specs = {**_SCHEMA, "disturbance": _disturbance(top["disturbance"])}
     sections = {name: _read(top[name], spec, name + ".")
-                for name, spec in _SCHEMA.items()}
+                for name, spec in specs.items()}
     g, p, ini, d, it = sections.values()
     n = g["n"]
     if n is None:
@@ -148,11 +174,8 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     params = uniform_params(topology, B=p["B"], R=p["R"], S=p["S"], G=p["G"],
                             Xi=p["Xi"])
 
-    seed = top["seed"] if seed_override is None else int(seed_override)
-
-    profile = DisturbanceProfile(
-        kind=str(d["kind"]), delta_max=d["delta_max"], eps_max=d["eps_max"],
-        sigma=d["sigma"], frequency=d["frequency"], seed=d["seed"])
+    seed = top["seed"] if seed_override is None else _seed(seed_override, "seed")
+    profile = DisturbanceProfile(**d)
 
     x0_spec = ini["x0"]
     if isinstance(x0_spec, dict):
@@ -160,7 +183,8 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         ru = _read(x0_spec["random_uniform"], _RANDOM_UNIFORM,
                    "initial.x0.random_uniform.")
         if ru["high"] <= ru["low"]:
-            raise ConfigError("initial.x0 random_uniform needs high > low")
+            raise ConfigError("field 'initial.x0.random_uniform.high' must "
+                              f"exceed low = {ru['low']}, got {ru['high']}")
         rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(4)[3])
         x0 = rng.uniform(ru["low"], ru["high"], n)
     else:
@@ -185,7 +209,7 @@ def build_scenario(raw: dict, seed_override: int | None = None,
 
     cs = [seed] if top["compare_seeds"] is None else top["compare_seeds"]
     if isinstance(cs, (list, tuple)):
-        compare_seeds = [_integer(s, "compare_seeds") for s in cs]
+        compare_seeds = [_seed(s, "compare_seeds") for s in cs]
     else:
         compare_seeds = list(range(seed, seed + _integer(cs, "compare_seeds")))
     if not compare_seeds:
@@ -207,7 +231,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         g["edges"] = [[i + 1, j + 1, w] for i, j, w in edges]
     p.update(B=params.B.tolist(), Xi=params.Xi.tolist())
     ini.update(x0=config.x0.tolist(), prior=config.prior.tolist())
-    d["seed"] = profile.seed if profile.seed is not None else seed
     it["steps"] = config.steps
     resolved = {**top, **sections, "seed": seed, "riccati": riccati,
                 "compare_seeds": compare_seeds}

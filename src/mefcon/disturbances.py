@@ -14,11 +14,12 @@ Three kinds:
     unit-intensity continuous white noise at sigma = 1).  Values are
     frozen across the stages of one RK4 step.
 
-Three independent streams are spawned from the seed: one for the input
-disturbances delta, one for the self-measurement errors, one for the
-neighbor-measurement errors.  A run builds only the streams it reads,
-stacked in that order, and sharing a seed between two runs shares the
-delta realization even if one run never reads the measurement streams.
+Three independent streams are spawned from the run's seed, the one root
+of every draw of a run: one for the input disturbances delta, one for
+the self-measurement errors, one for the neighbor-measurement errors.
+A run builds only the streams it reads, stacked in that order, and
+sharing a seed between two runs shares the delta realization even if one
+run never reads the measurement streams.
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ class DisturbanceProfile:
         White-noise intensity; per-step std is sigma / sqrt(h).
     frequency : float
         Sinusoid frequency in cycles per time unit.
-    seed : int or None
-        Stream seed; None defers to the scenario seed.
+
+    The draws come from the run's seed (``sample_disturbances``).
     """
 
     kind: str = "zero"
@@ -61,7 +62,6 @@ class DisturbanceProfile:
     eps_max: float = 0.0
     sigma: float = 1.0
     frequency: float = 1.0
-    seed: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -73,12 +73,23 @@ class DisturbanceProfile:
         if self.kind == "sinusoid" and self.frequency <= 0:
             raise ConfigError("sinusoid frequency must be positive")
 
-    def amplitudes(self, sizes: tuple[int, ...]) -> np.ndarray:
+    def bounds(self) -> tuple[float, float] | None:
+        """Bounds on |delta| and on the measurement errors, as the kind
+        reads them: 0 for zero, (delta_max, eps_max) for a sinusoid, None
+        for white noise, which has no amplitude bound."""
+        if self.kind == "white":
+            return None
+        return (self.delta_max, self.eps_max) if self.kind == "sinusoid" else (0.0, 0.0)
+
+    def amplitudes(self, sizes: tuple[int, ...]) -> np.ndarray | None:
         """Bound on |w_j| for every signal of the streams of lengths
-        ``sizes`` (a prefix of delta, eps_self, eps_edge): delta_max on
-        delta, eps_max on the measurement errors."""
-        bounds = (self.delta_max, self.eps_max, self.eps_max)
-        return np.repeat(bounds[:len(sizes)], sizes)
+        ``sizes`` (a prefix of delta, eps_self, eps_edge), from ``bounds``;
+        None for white noise."""
+        bounds = self.bounds()
+        if bounds is None:
+            return None
+        delta, eps = bounds
+        return np.repeat((delta, eps, eps)[:len(sizes)], sizes)
 
 
 class DisturbanceRealization:
@@ -104,9 +115,8 @@ class DisturbanceRealization:
         kind = profile.kind
         if kind == "zero":  # reads no stream
             return
-        use_seed = profile.seed if profile.seed is not None else seed
         rngs = [np.random.default_rng(kid)
-                for kid in np.random.SeedSequence(use_seed).spawn(3)]
+                for kid in np.random.SeedSequence(seed).spawn(3)]
         if kind == "sinusoid":
             phase = np.concatenate(
                 [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])

@@ -18,8 +18,7 @@ never keeps the draws alive.
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
-disturbance seed, which is what makes head-to-head noise comparisons
-meaningful.
+seed, which is what makes head-to-head noise comparisons meaningful.
 """
 
 from __future__ import annotations
@@ -57,6 +56,8 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         n = self.topology.node_count
+        if self.seed < 0:
+            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if self.h <= 0:
             raise ConfigError("integration.h must be positive")
         if self.steps < 1 or abs(self.T / self.h - self.steps) > 1e-9 * self.steps:
@@ -88,10 +89,9 @@ class ScenarioConfig:
         return ClosedLoop(self.topology, self.params)
 
     def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with both the scenario and disturbance seed replaced.  The
-        seed changes neither topology nor params, so the copy shares this
-        config's ``loop``."""
-        copy = replace(self, seed=seed, profile=replace(self.profile, seed=seed))
+        """Copy with the seed replaced.  The seed changes neither topology
+        nor params, so the copy shares this config's ``loop``."""
+        copy = replace(self, seed=seed)
         copy.__dict__["loop"] = self.loop  # where cached_property keeps it
         return copy
 

@@ -105,7 +105,7 @@ def test_criterion_5_disturbed_envelope():
     params = uniform_params(top)
     x0 = np.array([0.0, 1.0])
     profile = DisturbanceProfile(kind="sinusoid", delta_max=0.1, eps_max=0.1,
-                                 frequency=1.0, seed=7)
+                                 frequency=1.0)
     traj = simulate_mef(ScenarioConfig(top, params, x0, None, profile,
                                        0.01, 30.0, seed=7))
     system = assemble_global(top, params)
@@ -129,7 +129,7 @@ def test_criterion_6_minimum_energy_oracle():
     x0 = np.array([0.3, -0.5])
     h, T = 0.001, 0.5
     profile = DisturbanceProfile(kind="sinusoid", delta_max=0.5, eps_max=0.5,
-                                 frequency=1.3, seed=3)
+                                 frequency=1.3)
     config = ScenarioConfig(top, params, x0, None, profile, h, T, seed=3)
     traj = simulate_mef(config)
     K = config.steps

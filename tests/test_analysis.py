@@ -251,11 +251,13 @@ def test_iss_envelope_shape():
 
 
 def test_check_envelope_refuses_white_noise(monkeypatch):
-    # white noise has no amplitude bound (phi would read 0), so the library
-    # refuses it before integrating, as the envelope verb does
+    # white noise has no amplitude bound: the certificate has no phi, and
+    # the library refuses it before integrating, as the envelope verb does
     config = basic_scenario(2, "undirected_ring", profile=DisturbanceProfile(
         kind="white", sigma=1.0), h=0.01, T=30.0)
     cert = certify(config, spectral_report(config.loop))
+    assert cert.phi is cert.phi_max is cert.asymptotic_ball is None
+    assert cert.a > 0 and cert.b >= 1
     import mefcon.analysis as analysis_mod
     monkeypatch.setattr(analysis_mod, "simulate_mef", None)  # never reached
     with pytest.raises(ConfigError, match="not kind 'white'"):
@@ -347,6 +349,8 @@ def test_run_comparison_statistics_shape():
     assert res.series_baseline.shape == res.t.shape
     assert res.d_ave == pytest.approx(0.5 * 3 / 4)
     assert np.all(res.baseline > 0)
+    with pytest.raises(ConfigError, match="at least one seed"):
+        run_comparison(cfg, seeds=[])
 
 
 def test_run_comparison_builds_one_closed_loop(monkeypatch):

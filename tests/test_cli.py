@@ -30,7 +30,7 @@ RING_SINUSOID = """
 graph: {family: undirected_ring, n: 2}
 params: {B: 1.0, R: 1.0, S: 1.0, G: 1.0}
 initial: {x0: [0.0, 1.0]}
-disturbance: {kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0, seed: 7}
+disturbance: {kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0}
 integration: {h: 0.01, T: 30.0}
 seed: 7
 """
@@ -103,6 +103,16 @@ def test_resolved_echo_rebuilds_the_scenario():
                                             "edges": [[1, 2, 0.5], [2, 1, 2.0]]}})
     assert "weight" not in resolved["graph"]
     assert build_scenario(resolved)[1] == resolved
+    # each disturbance kind echoes the fields it reads, and no seed but the run's
+    white = RING_SINUSOID.replace(
+        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0",
+        "kind: white, sigma: 0.5")
+    for text, fields in ((TWO_NODE, ["kind"]),
+                         (RING_SINUSOID, ["delta_max", "eps_max", "frequency", "kind"]),
+                         (white, ["kind", "sigma"])):
+        _, resolved = build_scenario(yaml.safe_load(text))
+        assert sorted(resolved["disturbance"]) == fields
+        assert build_scenario(resolved)[1] == resolved
 
 
 def test_simulate_baseline_algorithm(tmp_path):
@@ -257,6 +267,23 @@ compare_seeds: [0, 1, 2]
     assert len(summary["filter_states"]) == 3
     assert summary["means"]["baseline"] > 0
     assert isinstance(summary["estimates_below_baseline_all_seeds"], bool)
+    assert summary["config"]["disturbance"] == {"kind": "white", "sigma": 1.0}
+
+
+def test_compare_directed_graph_has_no_analytical_coherence(tmp_path, capsys):
+    # the closed form holds for undirected graphs only: null, not a number
+    cfg = _write(tmp_path, """
+graph: {family: directed_cycle, n: 3}
+initial: {x0: [0.1, -0.3, 0.7]}
+disturbance: {kind: white, sigma: 0.5}
+integration: {h: 0.01, T: 1.0}
+""")
+    out = tmp_path / "cmpd"
+    assert main(["compare", "--config", cfg, "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text(),
+                         parse_constant=_refuse_constant)
+    assert summary["coherence_analytical"] is None
+    assert "D_ave=nan" in capsys.readouterr().out
 
 
 def test_envelope_containment(tmp_path):
@@ -273,7 +300,7 @@ def test_envelope_containment(tmp_path):
 
 def test_envelope_rejects_white_noise(tmp_path, capsys):
     cfg = _write(tmp_path, RING_SINUSOID.replace(
-        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0, seed: 7",
+        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0",
         "kind: white, sigma: 1.0"))
     assert main(["envelope", "--config", cfg, "--out", str(tmp_path / "x")]) == 2
     assert "bounded continuous" in capsys.readouterr().err
@@ -322,8 +349,9 @@ graph:
           [6, 1, 1.1], [1, 4, 0.6], [3, 1, 1.8], [5, 2, 0.8]]
 params: {B: [1.0, 0.5, 2.0, 1.2, 0.8, 1.5], R: 0.7, S: 1.3, G: 1.0}
 initial: {x0: [0.3, -0.2, 0.9, 0.1, -0.6, 0.4]}
-disturbance: {kind: sinusoid, delta_max: 0.05, eps_max: 0.02, frequency: 0.5, seed: 3}
+disturbance: {kind: sinusoid, delta_max: 0.05, eps_max: 0.02, frequency: 0.5}
 integration: {h: 0.01, T: 20.0}
+seed: 3
 """
 
 
@@ -375,6 +403,17 @@ def test_missing_phi_max_is_null(tmp_path, monkeypatch, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["iss"]["phi_max"] is None
 
 
+def test_white_noise_certificate_has_no_bound(tmp_path, capsys):
+    # white noise has no amplitude bound: phi, phi_max and the asymptotic
+    # ball are null, not 0; a and b still describe the loop
+    path = CONFIGS / "complete100_compare.yaml"
+    assert main(["analyze", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert "phi=null (phi_max=null)" in capsys.readouterr().out
+    iss = json.loads((tmp_path / "report.json").read_text())["iss"]
+    assert iss["phi"] is iss["phi_max"] is iss["asymptotic_ball"] is None
+    assert iss["a"] > 0 and iss["b"] >= 1
+
+
 def test_library_certificate_matches_the_artifacts(tmp_path):
     path = CONFIGS / "two_ring_envelope.yaml"
     config, _ = build_scenario(load_config(path))
@@ -411,7 +450,7 @@ def test_certificate_covers_non_unit_G(tmp_path):
     assert env["violations"] == 0
     # disturbance-free twin with unequal priors: x* is where the run settles
     twin = _write(tmp_path, text.replace(
-        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0, seed: 7",
+        "kind: sinusoid, delta_max: 0.1, eps_max: 0.1, frequency: 1.0",
         "kind: zero").replace("x0: [0.0, 1.0]", "x0: [0.0, 1.0], prior: [0.3, 0.6]")
         .replace("T: 30.0", "T: 100.0"), "twin.yaml")
     assert main(["analyze", "--config", twin, "--out", str(tmp_path / "trep")]) == 0
@@ -473,7 +512,9 @@ def test_envelope_refuses_an_unstable_step(tmp_path, capsys):
 
 
 def test_envelope_solver_failure_exits_4(tmp_path, capsys):
-    text = """
+    # two disjoint pairs, and a path, which is connected but not strongly:
+    # the certificate refuses both, as analyze reports them uncertified
+    two_pairs = """
 graph:
   family: custom
   n: 4
@@ -482,10 +523,30 @@ params: {R: 1.0, S: 1.0, G: 1.0}
 initial: {x0: [0.0, 1.0, 2.0, 3.0]}
 disturbance: {kind: zero}
 """
-    cfg = _write(tmp_path, text)
-    assert main(["envelope", "--config", cfg, "--out", str(tmp_path / "x")]) == 4
-    # the consensus weights fail first, before F's spectrum is counted
-    assert "strongly connected" in capsys.readouterr().err
+    path = """
+graph: {family: path, n: 4}
+initial: {x0: [0.0, 1.0, 2.0, 3.0]}
+disturbance: {kind: sinusoid, delta_max: 0.1, eps_max: 0.1}
+integration: {h: 0.01, T: 5.0}
+"""
+    for name, text in (("two_pairs", two_pairs), ("path", path)):
+        cfg = _write(tmp_path, text, name + ".yaml")
+        out = tmp_path / name
+        assert main(["envelope", "--config", cfg, "--out", str(out / "env")]) == 4, name
+        assert "not strongly connected" in capsys.readouterr().err, name
+        assert not (out / "env" / "envelope.csv").exists(), name
+        assert main(["analyze", "--config", cfg, "--out", str(out / "rep")]) == 0, name
+        assert "not strongly connected" in capsys.readouterr().out, name
+        rep = json.loads((out / "rep" / "report.json").read_text())
+        assert "iss" not in rep and rep["warnings"], name
+
+
+def _exit_code(argv):
+    """main's exit code, with argparse's refusals (SystemExit) included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 def test_config_error_paths(tmp_path, capsys):
@@ -504,7 +565,7 @@ def test_config_error_paths(tmp_path, capsys):
     notyaml = _write(tmp_path, "{:::", "broken.yaml")
     assert main(["simulate", "--config", notyaml, "--out", str(tmp_path)]) == 2
     assert "config parse error" in capsys.readouterr().err
-    for name, text, field in (
+    for name, text, field, *flags in (
             ("n_text", "graph: {family: complete, n: abc}\n", "graph.n"),
             ("delta_text", "graph: {family: complete, n: 3}\n"
                            "disturbance: {kind: sinusoid, delta_max: x}\n",
@@ -530,9 +591,49 @@ def test_config_error_paths(tmp_path, capsys):
              "graph.weight"),
             ("family_unknown", "graph: {family: torus, n: 3}\n", "graph.family"),
             ("edge_self_loop", "graph: {family: custom, n: 2, edges: [[1, 2, 1.0], "
-                               "[1, 1, 1.0]]}\n", "graph.edges' entry 2, [1, 1, 1.0]")):
+                               "[1, 1, 1.0]]}\n", "graph.edges' entry 2, [1, 1, 1.0]"),
+            ("edge_pair", "graph: {family: custom, n: 2, edges: [[1, 2]]}\n",
+             "graph.edges"),
+            ("root_list", "- 1\n- 2\n", "config root"),
+            ("section_list", "graph: [1, 2]\n", "section 'graph'"),
+            ("B_length", "graph: {family: complete, n: 3}\nparams: {B: [1.0, 2.0]}\n",
+             "params.B"),
+            ("Xi_length", "graph: {family: complete, n: 3}\n"
+                          "params: {Xi: [1.0, 2.0, 3.0, 4.0]}\n", "params.Xi"),
+            ("uniform_empty", "graph: {family: complete, n: 3}\ninitial: {x0: "
+                              "{random_uniform: {low: 1.0, high: 1.0}}}\n",
+             "initial.x0.random_uniform.high"),
+            ("x0_length", "graph: {family: complete, n: 3}\n"
+                          "initial: {x0: [0.0, 1.0]}\n", "initial.x0"),
+            ("prior_length", "graph: {family: complete, n: 3}\n"
+                             "initial: {prior: [0.0, 1.0]}\n", "initial.prior"),
+            ("prior_text", "graph: {family: complete, n: 3}\n"
+                           "initial: {prior: zero}\n", "initial.prior"),
+            ("algorithm_unknown", "graph: {family: complete, n: 3}\n"
+                                  "algorithm: gossip\n", "field 'algorithm'"),
+            ("kind_unknown", "graph: {family: complete, n: 3}\n"
+                             "disturbance: {kind: brownian}\n", "disturbance.kind"),
+            # a disturbance field that its kind does not read, the old noise seed too
+            ("sigma_sinusoid", "graph: {family: complete, n: 3}\n"
+                               "disturbance: {kind: sinusoid, sigma: 1.0}\n",
+             "disturbance.sigma"),
+            ("delta_white", "graph: {family: complete, n: 3}\n"
+                            "disturbance: {kind: white, delta_max: 0.1}\n",
+             "disturbance.delta_max"),
+            ("frequency_zero", "graph: {family: complete, n: 3}\n"
+                               "disturbance: {kind: zero, frequency: 1.0}\n",
+             "disturbance.frequency"),
+            ("disturbance_seed", "graph: {family: complete, n: 3}\n"
+                                 "disturbance: {seed: 7}\n", "disturbance.seed"),
+            ("seed_negative", "graph: {family: complete, n: 3}\nseed: -1\n",
+             "field 'seed'"),
+            ("seeds_negative_entry", "graph: {family: complete, n: 3}\n"
+                                     "compare_seeds: [-2]\n", "compare_seeds"),
+            ("seed_flag_negative", "graph: {family: complete, n: 3}\n", "--seed",
+             "--seed", "-3")):
         bad = _write(tmp_path, text, name + ".yaml")
-        assert main(["simulate", "--config", bad, "--out", str(tmp_path)]) == 2, name
+        assert _exit_code(["simulate", "--config", bad, "--out", str(tmp_path),
+                           *flags]) == 2, name
         assert field in capsys.readouterr().err, name
 
 

@@ -21,8 +21,8 @@ def test_zero_profile():
 
 def test_sinusoid_amplitude_bound():
     prof = DisturbanceProfile(kind="sinusoid", delta_max=0.1, eps_max=0.25,
-                              frequency=1.3, seed=3)
-    real = sample_disturbances(prof, (4, 4, 6), 100, 0.01)
+                              frequency=1.3)
+    real = sample_disturbances(prof, (4, 4, 6), 100, 0.01, 3)
     for t in np.linspace(0, 5, 997):
         d, es, ee = _streams(real, t, 0, 4)
         assert np.abs(d).max() <= 0.1 + 1e-15
@@ -31,18 +31,18 @@ def test_sinusoid_amplitude_bound():
 
 
 def test_sinusoid_deterministic_and_smooth():
-    prof = DisturbanceProfile(kind="sinusoid", delta_max=0.1, eps_max=0.1, seed=9)
-    r1 = sample_disturbances(prof, (2, 2, 2), 10, 0.01)
-    r2 = sample_disturbances(prof, (2, 2, 2), 10, 0.01)
+    prof = DisturbanceProfile(kind="sinusoid", delta_max=0.1, eps_max=0.1)
+    r1 = sample_disturbances(prof, (2, 2, 2), 10, 0.01, 9)
+    r2 = sample_disturbances(prof, (2, 2, 2), 10, 0.01, 9)
     assert np.array_equal(_streams(r1, 0.37, 3, 2)[0], _streams(r2, 0.37, 3, 2)[0])
     # exact-time evaluation: value changes within a step (RK4 stage points)
     assert not np.array_equal(_streams(r1, 0.030, 3, 2)[0], _streams(r1, 0.035, 3, 2)[0])
 
 
 def test_white_reproducible_and_frozen_per_step():
-    prof = DisturbanceProfile(kind="white", sigma=1.0, seed=42)
-    r1 = sample_disturbances(prof, (3, 3, 2), 50, 0.02)
-    r2 = sample_disturbances(prof, (3, 3, 2), 50, 0.02)
+    prof = DisturbanceProfile(kind="white", sigma=1.0)
+    r1 = sample_disturbances(prof, (3, 3, 2), 50, 0.02, 42)
+    r2 = sample_disturbances(prof, (3, 3, 2), 50, 0.02, 42)
     d1 = _streams(r1, 0.5, 25, 3)
     d2 = _streams(r2, 0.5, 25, 3)
     for a, b in zip(d1, d2):
@@ -55,7 +55,7 @@ def test_white_reproducible_and_frozen_per_step():
 
 
 def test_white_step_index_is_clamped_to_the_drawn_steps():
-    real = sample_disturbances(DisturbanceProfile(kind="white", seed=4), (2, 2), 5, 0.1)
+    real = sample_disturbances(DisturbanceProfile(kind="white"), (2, 2), 5, 0.1, 4)
     rows = [real.at(0.0, k) for k in range(5)]
     assert all(not np.array_equal(a, b) for a, b in zip(rows, rows[1:]))
     assert np.array_equal(real.at(0.0, -1), rows[0])
@@ -65,8 +65,8 @@ def test_white_step_index_is_clamped_to_the_drawn_steps():
 
 @pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
 def test_array_read_stacks_the_scalar_reads(kind):
-    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1, seed=6)
-    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1)
+    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
+    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1, 6)
     t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])
     rows = real.at(t, k)
     assert rows.shape == (4, 11)
@@ -80,8 +80,8 @@ def test_array_read_stacks_the_scalar_reads(kind):
         t = np.linspace(0.0, 50.0, 2001)
         for f in (0.5, 7.3):
             prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1,
-                                      frequency=f, seed=6)
-            got = sample_disturbances(prof, (3, 3, 5), 8, 0.1).at(t, np.zeros(t.size, int))
+                                      frequency=f)
+            got = sample_disturbances(prof, (3, 3, 5), 8, 0.1, 6).at(t, np.zeros(t.size, int))
             wt = 2 * np.pi * f * t[:, None]
             want = amp * np.sin(wt + phase)
             assert np.all(np.abs(got - want) <= 1e-15 * amp * (1 + wt)), f
@@ -91,8 +91,8 @@ def test_array_read_stacks_the_scalar_reads(kind):
 def test_mapped_read_is_the_map_of_the_read(kind):
     # M1 M2 w(t_k) without building w: the sinusoid maps its two
     # amplitude vectors, white draws are mapped as read
-    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1, seed=6)
-    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1)
+    prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
+    real = sample_disturbances(prof, (3, 3, 5), 8, 0.1, 6)
     t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])
     rng = np.random.default_rng(1)
     M1, M2 = rng.normal(size=(2, 6)), sparse.csr_array(rng.normal(size=(6, 11)))
@@ -103,17 +103,17 @@ def test_mapped_read_is_the_map_of_the_read(kind):
 
 def test_white_std_scaling():
     h = 0.004
-    prof = DisturbanceProfile(kind="white", sigma=2.0, seed=0)
-    real = sample_disturbances(prof, (1000, 1000, 0), 200, h)
+    prof = DisturbanceProfile(kind="white", sigma=2.0)
+    real = sample_disturbances(prof, (1000, 1000, 0), 200, h, 0)
     draws = np.concatenate([_streams(real, k * h, k, 1000)[0] for k in range(200)])
     assert draws.std() == pytest.approx(2.0 / np.sqrt(h), rel=0.02)
 
 
 def test_white_edge_stream_independent():
     # dropping the edge stream must not change the node streams
-    prof = DisturbanceProfile(kind="white", sigma=1.0, seed=7)
-    with_e = sample_disturbances(prof, (4, 4, 5), 30, 0.01)
-    without = sample_disturbances(prof, (4, 4), 30, 0.01)
+    prof = DisturbanceProfile(kind="white", sigma=1.0)
+    with_e = sample_disturbances(prof, (4, 4, 5), 30, 0.01, 7)
+    without = sample_disturbances(prof, (4, 4), 30, 0.01, 7)
     for k in (0, 10, 29):
         assert np.array_equal(_streams(with_e, 0, k, 4)[0], _streams(without, 0, k, 4)[0])
         assert np.array_equal(_streams(with_e, 0, k, 4)[1], _streams(without, 0, k, 4)[1])
@@ -122,22 +122,30 @@ def test_white_edge_stream_independent():
 
 
 def test_streams_differ_from_each_other():
-    prof = DisturbanceProfile(kind="white", sigma=1.0, seed=1)
-    real = sample_disturbances(prof, (5, 5, 5), 10, 0.1)
+    prof = DisturbanceProfile(kind="white", sigma=1.0)
+    real = sample_disturbances(prof, (5, 5, 5), 10, 0.1, 1)
     d, es, ee = _streams(real, 0.0, 0, 5)
     assert not np.array_equal(d, es)
     assert not np.array_equal(es, ee)
 
 
-def test_profile_seed_wins_over_run_seed():
-    prof = DisturbanceProfile(kind="white", sigma=1.0, seed=5)
-    a = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=100)
-    b = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=200)
-    assert np.array_equal(_streams(a, 0, 0, 2)[0], _streams(b, 0, 0, 2)[0])
-    unseeded = DisturbanceProfile(kind="white", sigma=1.0)
-    c = sample_disturbances(unseeded, (2, 2, 0), 10, 0.1, seed=100)
-    d = sample_disturbances(unseeded, (2, 2, 0), 10, 0.1, seed=200)
+def test_run_seed_changes_the_draws():
+    prof = DisturbanceProfile(kind="white", sigma=1.0)
+    c = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=100)
+    d = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=200)
     assert not np.array_equal(_streams(c, 0, 0, 2)[0], _streams(d, 0, 0, 2)[0])
+
+
+def test_amplitudes_follow_the_kind():
+    # a kind's bounds are the fields it reads: zero reads none, and white
+    # noise has no amplitude bound
+    sizes = (2, 2, 3)
+    for kind, want in (("zero", [0.0] * 7),
+                       ("sinusoid", [0.2, 0.2, 0.1, 0.1, 0.1, 0.1, 0.1])):
+        prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
+        assert prof.amplitudes(sizes).tolist() == want, kind
+    assert DisturbanceProfile(kind="white", delta_max=0.2).amplitudes(sizes) is None
+    assert DisturbanceProfile(kind="white").bounds() is None
 
 
 def test_profile_validation():

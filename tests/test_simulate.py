@@ -183,11 +183,11 @@ def test_error_bookkeeping_exact():
 def test_delta_stream_shared_with_baseline():
     # the delta draw must not depend on the other streams, so the baseline
     # (which reads delta alone) sees the same realization as the filter
-    for prof in (DisturbanceProfile(kind="white", sigma=1.0, seed=3),
+    for prof in (DisturbanceProfile(kind="white", sigma=1.0),
                  DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
-                                    frequency=1.7, seed=3)):
-        with_edges = sample_disturbances(prof, (4, 4, 12), 20, 0.01)
-        no_edges = sample_disturbances(prof, (4,), 20, 0.01)
+                                    frequency=1.7)):
+        with_edges = sample_disturbances(prof, (4, 4, 12), 20, 0.01, 3)
+        no_edges = sample_disturbances(prof, (4,), 20, 0.01, 3)
         for t, k in ((0.0, 0), (0.075, 7), (0.19, 19)):
             assert no_edges.at(t, k).shape == (4,)
             assert np.array_equal(with_edges.at(t, k)[:4], no_edges.at(t, k))
@@ -256,7 +256,7 @@ def test_exponential_decay_rate():
 
 def test_rk4_order_on_smooth_run():
     prof = DisturbanceProfile(kind="sinusoid", delta_max=0.3, eps_max=0.2,
-                              frequency=1.0, seed=6)
+                              frequency=1.0)
     terminal = {}
     for h in (0.04, 0.02, 0.01):
         cfg = basic_scenario(2, x0=[0.0, 1.0], profile=prof, h=h, T=1.0, seed=6)
@@ -665,7 +665,9 @@ def test_steps_and_with_seed():
     with pytest.raises(ConfigError, match="integration.T"):
         basic_scenario(2, h=0.01, T=0.015)
     assert cfg.with_seed(9).seed == 9
-    assert cfg.with_seed(9).profile.seed == 9
+    assert cfg.with_seed(9).profile is cfg.profile
+    with pytest.raises(ConfigError, match="seed"):
+        basic_scenario(2, x0=[0.0, 1.0], seed=-1)
 
 
 def test_trajectory_h_property():
