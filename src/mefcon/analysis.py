@@ -27,14 +27,14 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from .disturbances import DisturbanceProfile
+from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, adjacency, degree_matrix,
                      is_strongly_connected, laplacian, left_null_vector,
                      standard_laplacian)
-from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, simulate_classical,
-                       simulate_mef)
+from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, _simulate_classical,
+                       _simulate_mef, simulate_mef)
 
 
 @dataclass(frozen=True)
@@ -459,10 +459,11 @@ class ComparisonResult:
 def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     """Run baseline and filter on shared noise realizations per seed.
 
-    Both systems consume the identical delta stream for each seed; the
-    filter additionally sees its measurement-error streams.  Per-time
-    deviation series are kept for the first seed; summary statistics are
-    collected across all of them.
+    Both systems consume the identical delta stream for each seed, drawn
+    once: the baseline reads the first N columns of the filter's
+    realization, and the filter additionally its measurement-error
+    streams.  Per-time deviation series are kept for the first seed;
+    summary statistics are collected across all of them.
     """
     if config.profile.kind not in ("white", "zero"):
         raise ConfigError("comparison runs need a white (or zero) profile")
@@ -477,7 +478,10 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     stats, first = [], None
     for s in seed_list:
         cfg = config.with_seed(s)
-        tb, tm = simulate_classical(cfg), simulate_mef(cfg)
+        real = sample_disturbances(cfg.profile, cfg.loop.noise_sizes, cfg.steps,
+                                   cfg.h, s)
+        tb = _simulate_classical(cfg, real.leading(cfg.topology.node_count))
+        tm = _simulate_mef(cfg, real)
         devs = [deviation_series(x) for x in (tb.x, tm.x_hat, tm.x)]
         stats.append([_second_half_mean(dev) for dev in devs])
         if first is None:

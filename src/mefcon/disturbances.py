@@ -24,6 +24,7 @@ run never reads the measurement streams.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 
@@ -66,12 +67,16 @@ class DisturbanceProfile:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"disturbance kind {self.kind!r} not in {_KINDS}")
-        if self.delta_max < 0 or self.eps_max < 0:
-            raise ConfigError("disturbance bounds must be nonnegative")
+        for name in ("delta_max", "eps_max"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"field 'disturbance.{name}' must be nonnegative, "
+                                  f"got {getattr(self, name)}")
         if self.kind == "white" and self.sigma < 0:
-            raise ConfigError("white-noise sigma must be nonnegative")
+            raise ConfigError(f"field 'disturbance.sigma' must be nonnegative, "
+                              f"got {self.sigma}")
         if self.kind == "sinusoid" and self.frequency <= 0:
-            raise ConfigError("sinusoid frequency must be positive")
+            raise ConfigError(f"field 'disturbance.frequency' must be positive, "
+                              f"got {self.frequency}")
 
     def bounds(self) -> tuple[float, float] | None:
         """Bounds on |delta| and on the measurement errors, as the kind
@@ -103,7 +108,7 @@ class DisturbanceRealization:
     read takes two sines per time point, however many signals there
     are; white draws depend only on ``step``, clamped to the drawn
     steps.  Both arguments may be arrays.  ``mapped`` reads a linear map
-    of w without building w.
+    of w without building w; ``leading`` gives the delta stream alone.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -136,6 +141,19 @@ class DisturbanceRealization:
                     self._draws[r:r + rows, start:start + size] = rng.normal(
                         0.0, std, (rows, size))
                 start += size
+
+    def leading(self, size: int) -> "DisturbanceRealization":
+        """The first ``size`` signals alone, sharing this realization's
+        arrays: for the delta stream's length N, what ``sample_disturbances``
+        draws for sizes (N,) from the same seed, without drawing again."""
+        part = copy.copy(self)
+        part._width = size
+        kind = self.profile.kind
+        if kind == "white":
+            part._draws = self._draws[:, :size]
+        elif kind == "sinusoid":
+            part._amp_cos, part._amp_sin = self._amp_cos[:size], self._amp_sin[:size]
+        return part
 
     def at(self, t, step) -> np.ndarray:
         """w at time ``t`` of step ``step``; arrays of m times and m steps

@@ -11,6 +11,14 @@ steps: a white draw is held over the step, so its three stage reads
 collapse into one held map, and a sinusoid is mapped through its two
 amplitude vectors (``DisturbanceRealization.mapped``).
 
+A noisy run on a dense step map steps in blocks of 8 steps, in three
+phases (``_noisy_blocks``): each block's input sum, over all blocks at
+once; a carry of the block starts, one product with P^8 - I per block;
+then the states inside the blocks, over all blocks at once.  The number
+of dense matrix-matrix products is fixed; only the carry grows with the
+step count.  Zero-noise runs advance input-free blocks (``_block_map``),
+and sparse maps one product per step.
+
 Every run integrates only its record.  The consensus input u is read out
 of that record (``_readout``) when ``Trajectory.u`` is first read, except
 where u reads white edge noise: that u is read at once, so an unread u
@@ -73,7 +81,8 @@ class ScenarioConfig:
             raise ConfigError(f"prior must have length {n}, got shape {prior.shape}")
         object.__setattr__(self, "prior", prior)
         if self.riccati not in _RICCATI_MODES:
-            raise ConfigError(f"riccati mode must be one of {_RICCATI_MODES}")
+            raise ConfigError(f"field 'riccati' must be one of {list(_RICCATI_MODES)}, "
+                              f"got {self.riccati!r}")
         if len(self.params.B) != n:
             raise ConfigError("params node arrays do not match the topology")
         if len(self.params.S_edge) != self.topology.edge_count:
@@ -342,6 +351,24 @@ def _rk4_maps(A, h: float) -> list:
 # step.  It is a chosen cap, not a measured break-even.
 _BLOCK_ENTRIES = 1 << 15
 _BLOCK_STEPS = 64
+# Steps per block of a noisy run on a dense step map (``_noisy_blocks``).
+# On complete N = 100 (2N = 200) 8 ran as fast as 64, with fewer products.
+_NOISY_BLOCK = 8
+
+
+def _step_powers(step, B: int):
+    """Yield P^j - I for j = 1..B, P = I + ``step`` dense.
+
+    P^{j+1} - I = D + D_j + D D_j (D = ``step``, D_j = P^j - I) never
+    subtracts I, so the powers keep the accuracy of the step map; along
+    the consensus direction, where the state never decays, a leak in
+    P^j - I would add up over a run.
+    """
+    Dj = step
+    yield Dj
+    for _ in range(B - 1):
+        Dj = Dj + step + step @ Dj
+        yield Dj
 
 
 def _block_map(step, steps: int):
@@ -349,13 +376,11 @@ def _block_map(step, steps: int):
     one product: ``step`` = P - I itself when B = 1.
 
     s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
-    the map is P^j - I, which takes s_0 to s_j - s_0; a partial block of
-    b steps reads its top b row blocks.  B = 1 when ``step`` is stored
-    sparse; else B = max(1, min(64, ``steps``, 2^15 // n^2)), the most
-    steps whose map has at most 2^15 entries, cut to the last power P^B
-    that is finite (one check over the whole stack).  P^{j+1} - I = D +
-    D_j + D D_j (D = P - I, D_j = P^j - I) never subtracts I, so the
-    powers keep the accuracy of the step map.
+    the map is P^j - I (``_step_powers``), which takes s_0 to s_j - s_0;
+    a partial block of b steps reads its top b row blocks.  B = 1 when
+    ``step`` is stored sparse; else B = max(1, min(64, ``steps``, 2^15 //
+    n^2)), the most steps whose map has at most 2^15 entries, cut to the
+    last power P^B that is finite (one check over the whole stack).
     """
     if sparse.issparse(step):
         return step
@@ -364,11 +389,9 @@ def _block_map(step, steps: int):
     if B == 1:
         return step
     stack = np.empty((B, n, n))  # row block j - 1 holds P^j - I
-    stack[0] = step
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(1, B):
-            np.add(stack[j - 1], step, out=stack[j])
-            stack[j] += step @ stack[j - 1]
+        for j, Dj in enumerate(_step_powers(step, B)):
+            stack[j] = Dj
     finite = np.isfinite(stack).all(axis=(1, 2))
     if not finite.all():
         B = max(1, int(np.argmin(finite)))
@@ -400,6 +423,49 @@ def _input_terms(maps, inputs, real, h: float, out: np.ndarray) -> None:
         out[k:k + ks.size] = H.T
 
 
+def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
+    """Advance ``z_rec`` over its full blocks of B steps in place; returns
+    the steps done, 0 where P^B - I is not finite.
+
+    On entry z_rec[0] is the start and z_rec[k + 1] holds the input term
+    H_k of step k (``_input_terms``); on return rows 1..bB hold the
+    states, b the number of full blocks.  Three phases, each over all
+    blocks at once except the carry:
+
+    1. C_b = sum_i P^{B-1-i} H_{bB+i}, by Horner's rule with D = ``step``:
+       B - 1 products of D with all blocks' partial sums.
+    2. The carry, in order: z_{(b+1)B} = z_{bB} + (P^B - I)(z_{bB} -
+       z_{bB}[0]) + C_b, one matrix-vector product per block.  It writes
+       over H_{bB+B-1}, which only phase 1 reads.
+    3. The fill: every state inside the blocks by the step z + D(z -
+       z[0]) + H from the block starts, B - 1 products of D.
+
+    With P^B - I from ``_step_powers`` that is 3(B - 1) dense
+    matrix-matrix products however many steps there are.  Every
+    temporary has one row per block.
+    """
+    for PB in _step_powers(step, B):  # ends at P^B - I
+        pass
+    if not np.isfinite(PB).all():
+        return 0
+    n = step.shape[0]
+    blocks = (z_rec.shape[0] - 1) // B
+    R = z_rec[1:blocks * B + 1].reshape(blocks, B, n)  # R[b, i]: step bB + i
+    C = R[:, 0].copy()
+    for i in range(1, B):
+        C += (C - C[:, :1]) @ step.T
+        C += R[:, i]
+    z = z_rec[0]
+    for b in range(blocks):
+        R[b, -1] = z + PB @ (z - z[0]) + C[b]
+        z = R[b, -1]
+    prev = z_rec[0:blocks * B:B]  # the block starts z_{bB}
+    for i in range(B - 1):
+        R[:, i] += prev + (prev - prev[:, :1]) @ step.T
+        prev = R[:, i]
+    return blocks * B
+
+
 def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
     precomputed linear maps; returns (t, z records).
@@ -407,22 +473,35 @@ def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k of
     ``_input_terms``.  A annihilates the constant vector, so a consensus
     state stays exact.  H is read for the whole run before stepping,
-    straight into the records it is added to.  Without noise H = 0, and
-    small dense maps advance a block of steps per product
-    (``_block_map``).  Finiteness is checked once over all records after
-    stepping; the first non-finite row names the failing step.
+    straight into the records it is added to.  Three step forms:
+
+    - Without noise H = 0, and small dense maps advance a block of steps
+      per product (``_block_map``).
+    - With noise, a dense step map and at least two blocks of 8 steps,
+      the full blocks take three phases over all blocks at once
+      (``_noisy_blocks``): each block's input sum, a carry of the block
+      starts with P^8 - I, then the states inside the blocks.
+    - Otherwise, and for the steps after the last full block, one
+      product per step.
+
+    Finiteness is checked once over all records after stepping; the
+    first non-finite row names the failing step.
     """
     maps = _rk4_maps(A, h)
-    noisy = real.profile.kind != "zero"
+    step, noisy = maps[0], real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
     z_rec = np.zeros((steps + 1, z.size))
     if noisy:
         _input_terms(maps, inputs, real, h, z_rec[1:])
-    block = maps[0] if noisy else _block_map(maps[0], steps)
+    block = step if noisy else _block_map(step, steps)
     n, B = z.size, block.shape[0] // z.size
     z_rec[0] = z
+    done = 0
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-        for k in range(0, steps, B):
+        if noisy and not sparse.issparse(step) and steps >= 2 * _NOISY_BLOCK:
+            done = _noisy_blocks(step, z_rec, _NOISY_BLOCK)
+            z = z_rec[done]
+        for k in range(done, steps, B):
             b = min(B, steps - k)
             Z = z_rec[k + 1:k + b + 1]
             Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
@@ -478,12 +557,17 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     maps (``_propagate``); the dynamic loop evaluates its stages.  Both
     read u out of the (x, x_hat) record (``_u_readout``).
     """
+    return _simulate_mef(config, sample_disturbances(
+        config.profile, config.loop.noise_sizes, config.steps, config.h, config.seed))
+
+
+def _simulate_mef(config: ScenarioConfig, real) -> Trajectory:
+    """``simulate_mef`` under the realization ``real`` of the loop's noise
+    streams."""
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
-                      "guaranteed", RuntimeWarning, stacklevel=2)
+                      "guaranteed", RuntimeWarning, stacklevel=3)
     loop = config.loop
-    real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
-                               config.h, config.seed)
     n, h, steps = loop.n, config.h, config.steps
     if config.riccati == "steady":
         ts, z_rec = _propagate(loop.A, loop.inputs,
@@ -528,11 +612,17 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     trajectory reports estimates equal to states (e = 0), u equal to the
     coupling drift, and zero gains.
     """
+    n = config.topology.node_count
+    return _simulate_classical(config, sample_disturbances(
+        config.profile, (n,), config.steps, config.h, config.seed))
+
+
+def _simulate_classical(config: ScenarioConfig, real) -> Trajectory:
+    """``simulate_classical`` under the realization ``real`` of the delta
+    stream alone, such as a filter run's ``real.leading(N)``."""
     top = config.topology
     Lp = _stored(laplacian(top))  # -L_std
     n = top.node_count
-    real = sample_disturbances(config.profile, (n,), config.steps, config.h,
-                               config.seed)
     ts, x_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), config.x0, real,
                            config.h, config.steps)
     return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),

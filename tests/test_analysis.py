@@ -12,9 +12,9 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     exp_bound_constants, iss_envelope, laplacian,
                     left_null_vector, left_null_vector_of, make_graph,
                     phi_max, predict_equilibrium, run_comparison,
-                    simulate_mef, spectral_report, steady_gains,
+                    simulate_classical, simulate_mef, spectral_report, steady_gains,
                     uniform_params)
-from mefcon.analysis import _grid_overshoot
+from mefcon.analysis import _grid_overshoot, _second_half_mean
 
 from conftest import weighted_digraph
 
@@ -351,6 +351,30 @@ def test_run_comparison_statistics_shape():
     assert np.all(res.baseline > 0)
     with pytest.raises(ConfigError, match="at least one seed"):
         run_comparison(cfg, seeds=[])
+
+
+def test_run_comparison_draws_each_seed_once(monkeypatch):
+    # the baseline reads the filter's delta columns, and its run is the one
+    # simulate_classical gives with its own draw, byte for byte
+    import mefcon.analysis as analysis_module
+    draws, sample = [], analysis_module.sample_disturbances
+
+    def counting(*args, **kwargs):
+        draws.append(args[1])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(analysis_module, "sample_disturbances", counting)
+    cfg = basic_scenario(12, profile=DisturbanceProfile(kind="white", sigma=1.0),
+                         S=2.0, G=1.0, h=0.01, T=1.03, seed=4)
+    res = run_comparison(cfg, seeds=[4, 5])
+    assert draws == [(12, 12, 132)] * 2
+    for k, seed in enumerate((4, 5)):
+        base = simulate_classical(cfg.with_seed(seed))
+        mef = simulate_mef(cfg.with_seed(seed))
+        assert res.baseline[k] == _second_half_mean(deviation_series(base.x))
+        assert res.mef_states[k] == _second_half_mean(deviation_series(mef.x))
+        if k == 0:  # the series are kept for the first seed
+            assert res.series_baseline.tobytes() == deviation_series(base.x).tobytes()
 
 
 def test_run_comparison_builds_one_closed_loop(monkeypatch):

@@ -637,6 +637,19 @@ def test_config_error_paths(tmp_path, capsys):
         assert field in capsys.readouterr().err, name
 
 
+@pytest.mark.parametrize("body, field", [
+    ("disturbance: {kind: sinusoid, delta_max: -0.1}\n", "field 'disturbance.delta_max'"),
+    ("disturbance: {kind: sinusoid, eps_max: -0.1}\n", "field 'disturbance.eps_max'"),
+    ("disturbance: {kind: white, sigma: -1}\n", "field 'disturbance.sigma'"),
+    ("disturbance: {kind: sinusoid, frequency: 0}\n", "field 'disturbance.frequency'"),
+    ("riccati: adaptive\n", "field 'riccati'")],
+    ids=["delta_max", "eps_max", "sigma", "frequency", "riccati"])
+def test_refused_value_names_its_field(tmp_path, capsys, body, field):
+    bad = _write(tmp_path, "graph: {family: complete, n: 3}\n" + body)
+    assert _exit_code(["simulate", "--config", bad, "--out", str(tmp_path / "out")]) == 2
+    assert field in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_numerical_failure_exits_3(tmp_path):
     text = """

@@ -3,6 +3,8 @@ import itertools
 import math
 import warnings
 import weakref
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,12 @@ from hypothesis import strategies as st
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     NetworkTopology, ScenarioConfig, SimulationError,
-                    Trajectory, assemble_global, basic_scenario, certify,
+                    Trajectory, assemble_global, basic_scenario,
+                    build_scenario, certify,
                     check_envelope, control_input, disagreement_norms,
                     exp_bound_constants,
-                    laplacian, left_null_vector_of, make_graph, measurements,
+                    laplacian, left_null_vector_of, load_config, make_graph,
+                    measurements,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
                     rk4_step, run_comparison, sample_disturbances,
                     simulate_classical,
@@ -26,6 +30,8 @@ from mefcon import simulate as simulate_module
 from mefcon.simulate import _block_map, _input_terms, _rk4_maps
 
 from conftest import weighted_digraph as _weighted_digraph
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 def test_rk4_zero_field():
@@ -191,6 +197,21 @@ def test_delta_stream_shared_with_baseline():
         for t, k in ((0.0, 0), (0.075, 7), (0.19, 19)):
             assert no_edges.at(t, k).shape == (4,)
             assert np.array_equal(with_edges.at(t, k)[:4], no_edges.at(t, k))
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile(), DisturbanceProfile("white", sigma=1.0),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=1.7)],
+    ids=["zero", "white", "sinusoid"])
+def test_baseline_on_the_filter_draws_is_byte_identical(profile):
+    # the baseline under the delta columns of the filter's realization is
+    # the baseline under its own draw
+    cfg = basic_scenario(12, profile=profile, S=2.0, G=1.0, h=0.01, T=1.03, seed=3)
+    real = sample_disturbances(profile, cfg.loop.noise_sizes, cfg.steps, cfg.h, 3)
+    shared = simulate_module._simulate_classical(cfg, real.leading(12))
+    own = simulate_classical(cfg)
+    assert shared.x.tobytes() == own.x.tobytes()
+    assert shared.u.tobytes() == own.u.tobytes()
 
 
 def test_disturbance_free_consensus_two_nodes():
@@ -637,6 +658,107 @@ def test_noisy_blowup_names_the_same_step(profile):
                          h=10.0, T=500.0, seed=3)
     with pytest.raises(SimulationError, match="non-finite.*t=160$"):
         simulate_mef(cfg)
+
+
+_NOISY = [DisturbanceProfile("white", sigma=0.5),
+           DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)]
+
+
+def _dense_noisy_cases(profile):
+    """The weighted digraph (2N = 8, noisy edges) and complete N = 12
+    (2N = 24), both with Xi = 1/Q*, so steady and dynamic runs agree."""
+    top, params = _weighted_digraph()
+    complete = make_graph("complete", 12)
+    x0 = np.random.default_rng(2).uniform(-1.0, 1.0, 12)
+    return [ScenarioConfig(top, params, np.array([0.4, -0.3, 0.9, 0.1]),
+                           np.array([0.6, -0.4, 0.95, 0.4]), profile, h=0.01),
+            ScenarioConfig(complete, uniform_params(complete, R=0.7, S=2.0, G=1.0),
+                           x0, -x0, profile, h=0.01)]
+
+
+def _spy_blocks(monkeypatch):
+    """Record the steps that every ``_noisy_blocks`` call advanced."""
+    done, blocks = [], simulate_module._noisy_blocks
+
+    def spy(*args):
+        done.append(blocks(*args))
+        return done[-1]
+
+    monkeypatch.setattr(simulate_module, "_noisy_blocks", spy)
+    return done
+
+
+@pytest.mark.parametrize("profile", _NOISY, ids=["white", "sinusoid"])
+def test_noisy_blocks_match_the_dynamic_gain(profile, monkeypatch):
+    # dense noisy runs step in blocks of 8: fewer than two blocks keep the
+    # step loop, 64 steps are whole blocks, 203 leave 3 steps for the loop
+    done = _spy_blocks(monkeypatch)
+    for config in _dense_noisy_cases(profile):
+        loop = config.loop
+        assert isinstance(_rk4_maps(loop.A, config.h)[0], np.ndarray)
+        for steps, blocked in ((15, []), (64, [64]), (203, [200])):
+            cfg = replace(config, T=steps * config.h)
+            done.clear()
+            steady = simulate_mef(cfg)
+            assert done == blocked, steps
+            dynamic = simulate_mef(replace(cfg, riccati="dynamic"))
+            for name in ("x", "x_hat", "u"):
+                assert getattr(steady, name) == pytest.approx(
+                    getattr(dynamic, name), rel=0, abs=1e-12), (steps, name)
+            base = simulate_classical(cfg)
+            for got, want in zip((base.x, base.u), _classical_stages(cfg)):
+                assert got == pytest.approx(want, rel=0, abs=1e-12), steps
+
+
+def test_noisy_blocks_stay_near_the_step_loop(monkeypatch):
+    # on the compare config the blocked run may drift from the dynamic-gain
+    # oracle at most 5 times as far as the one-product-per-step loop does
+    config, _ = build_scenario(load_config(CONFIGS / "complete100_compare.yaml"))
+
+    def distance(run, oracle):
+        return max(np.abs(run.x - oracle.x).max(), np.abs(run.x_hat - oracle.x_hat).max())
+
+    done = _spy_blocks(monkeypatch)
+    for seed in (0, 9):
+        cfg = config.with_seed(seed)
+        oracle = simulate_mef(replace(cfg, riccati="dynamic"))
+        blocked = simulate_mef(cfg)
+        assert done == [2496]  # 312 blocks of 8, then 4 single steps
+        with monkeypatch.context() as m:
+            m.setattr(simulate_module, "_NOISY_BLOCK", cfg.steps)  # under two blocks
+            stepped = simulate_mef(cfg)
+        assert done == [2496]
+        assert distance(blocked, oracle) <= 5 * distance(stepped, oracle), seed
+        done.clear()
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("profile", _NOISY, ids=["white", "sinusoid"])
+def test_noisy_blocks_refuse_an_unstable_step(profile, monkeypatch):
+    done = _spy_blocks(monkeypatch)
+    for config in _dense_noisy_cases(profile):
+        with pytest.raises(SimulationError, match="non-finite"):
+            simulate_mef(replace(config, h=5.0, T=500.0))
+        assert done[-1] == 96
+    # where P^8 - I itself overflows, the run steps one product at a time
+    # and names the step that the zero-noise run names
+    top = make_graph("undirected_ring", 2)
+    params = uniform_params(top, B=1.0, R=1e-20, S=1.0, G=1.0)
+    for prof in (DisturbanceProfile(), profile):
+        cfg = ScenarioConfig(top, params, np.array([0.0, 1.0]), None, prof,
+                             h=10.0, T=500.0, seed=3)
+        with pytest.raises(SimulationError, match="non-finite.*t=70$"):
+            simulate_mef(cfg)
+    assert done[-1] == 0
+
+
+@pytest.mark.parametrize("profile", _NOISY, ids=["white", "sinusoid"])
+def test_noisy_blocks_rerun_byte_identical(profile):
+    config = replace(_dense_noisy_cases(profile)[1], T=2.03)
+    for run in (simulate_mef, simulate_classical):
+        first, second = run(config), run(config)
+        for name in ("x", "x_hat", "u"):
+            assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
 
 
 def test_scenario_validation():
