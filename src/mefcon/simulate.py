@@ -14,10 +14,10 @@ amplitude vectors (``DisturbanceRealization.mapped``).
 A noisy run on a dense step map steps in blocks of 8 steps, in three
 phases (``_noisy_blocks``): each block's input sum, over all blocks at
 once; a carry of the block starts, one product with P^8 - I per block;
-then the states inside the blocks, over all blocks at once.  The number
-of dense matrix-matrix products is fixed; only the carry grows with the
-step count.  Zero-noise runs advance input-free blocks (``_block_map``),
-and sparse maps one product per step.
+then the states inside the blocks, over all blocks at once.  These
+phases make 21 dense matrix-matrix products however long the run; only
+the carry grows with the step count.  Zero-noise runs advance input-free
+blocks (``_block_map``), and sparse maps one product per step.
 
 Every run integrates only its record.  The consensus input u is read out
 of that record (``_readout``) when ``Trajectory.u`` is first read, except
