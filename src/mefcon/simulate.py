@@ -352,7 +352,8 @@ def _rk4_maps(A, h: float) -> list:
 _BLOCK_ENTRIES = 1 << 15
 _BLOCK_STEPS = 64
 # Steps per block of a noisy run on a dense step map (``_noisy_blocks``).
-# On complete N = 100 (2N = 200) 8 ran as fast as 64, with fewer products.
+# One compare seed on complete N = 100 (2N = 200, 2 500 steps) ran as fast
+# at 8 as at 16, and faster than at 4 or 64, under one or two BLAS threads.
 _NOISY_BLOCK = 8
 
 
