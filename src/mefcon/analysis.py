@@ -30,7 +30,7 @@ from scipy import sparse
 from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
-from .graphs import (NetworkTopology, adjacency, degree_matrix,
+from .graphs import (NetworkTopology, degree_matrix,
                      is_strongly_connected, laplacian, left_null_vector,
                      standard_laplacian)
 from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, _simulate_classical,
@@ -396,14 +396,27 @@ def check_envelope(config: ScenarioConfig, certificate: Certificate) -> Envelope
                          ratio, float(np.max(np.abs(c - c[0]))), float(norms[0]))
 
 
+def _symmetric_weights(topology: NetworkTopology) -> bool:
+    """|a_ij - a_ji| <= 1e-12 for every edge (i, j), a missing reverse edge
+    weighing 0: a dense ``allclose(A, A.T, rtol=0, atol=1e-12)`` read off
+    the edge arrays, matching key i N + j to j N + i."""
+    n = topology.node_count
+    src, dst, w = topology.edge_arrays()
+    order = np.argsort(src * n + dst)
+    keys = (src * n + dst)[order]
+    reverse = dst * n + src
+    at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
+    back = np.where(keys[at] == reverse, w[order][at], 0.0)
+    return bool(np.all(np.abs(w - back) <= 1e-12))
+
+
 def analytical_coherence(topology: NetworkTopology) -> CoherenceReport:
     """Closed-form deviation sum (1/2) sum_{i>=2} 1/lambda_i(L_std).
 
     Valid for undirected (symmetric-weight) graphs; a disconnected graph
     (lambda_2 <= 1e-8) reports an infinite value explicitly.
     """
-    A = adjacency(topology)
-    if not np.allclose(A, A.T, rtol=0, atol=1e-12):
+    if not _symmetric_weights(topology):
         raise ConfigError("analytical coherence needs an undirected "
                           "(symmetric-weight) graph")
     lam = np.linalg.eigvalsh(standard_laplacian(topology))  # ascending

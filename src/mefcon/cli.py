@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._csv import write_csv
 from .analysis import (certify, check_envelope, require_bounded, run_comparison,
                        spectral_report)
 from .config import build_scenario, load_config
@@ -39,12 +40,6 @@ def _finite(v: float):
 
 def _shown(v: float | None) -> str:
     return "null" if v is None else f"{v:.6g}"
-
-
-def _write_csv(path: Path, columns: list[str], arrays: list[np.ndarray]) -> None:
-    data = np.column_stack(arrays)
-    np.savetxt(path, data, delimiter=",", header=",".join(columns),
-               comments="", fmt="%.17g")
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -80,7 +75,7 @@ def cmd_simulate(args) -> int:
                + [f"e_{i}" for i in range(1, n + 1)]
                + [f"u_{i}" for i in range(1, n + 1)])
     csv_path = out / "trajectory.csv"
-    _write_csv(csv_path, columns, [traj.t, traj.x, traj.x_hat, traj.e, traj.u])
+    write_csv(csv_path, columns, [traj.t, traj.x, traj.x_hat, traj.e, traj.u])
     manifest = {
         **_header("simulate", resolved),
         "algorithm": algorithm,
@@ -143,11 +138,11 @@ def cmd_compare(args) -> int:
     result = run_comparison(config, seeds)
     duration = time.perf_counter() - start
     csv_path = out / "comparison.csv"
-    _write_csv(csv_path,
-               ["t", "deviation_baseline", "deviation_filter_estimates",
-                "deviation_filter_states"],
-               [result.t, result.series_baseline, result.series_mef_estimates,
-                result.series_mef_states])
+    write_csv(csv_path,
+              ["t", "deviation_baseline", "deviation_filter_estimates",
+               "deviation_filter_states"],
+              [result.t, result.series_baseline, result.series_mef_estimates,
+               result.series_mef_states])
     summary = {
         **_header("compare", resolved),
         "seeds": list(result.seeds),
@@ -181,8 +176,8 @@ def cmd_envelope(args) -> int:
     cert = certify(config, spectral_report(config.loop, args.tolerance))
     check = check_envelope(config, cert)
     csv_path = out / "envelope.csv"
-    _write_csv(csv_path, ["t", "disagreement_norm", "envelope", "bound"],
-               [check.t, check.norms, check.envelope, check.bound])
+    write_csv(csv_path, ["t", "disagreement_norm", "envelope", "bound"],
+              [check.t, check.norms, check.envelope, check.bound])
     summary = {
         **_header("envelope", resolved),
         **{k: getattr(cert, k) for k in _ISS + ("x_star", "rk4_margin")},

@@ -5,15 +5,15 @@ import pytest
 from scipy.linalg import expm
 
 from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
-                    NetworkTopology, ScenarioConfig, analytical_coherence,
+                    NetworkTopology, ScenarioConfig, adjacency, analytical_coherence,
                     assemble_global,
                     basic_scenario, certify, check_envelope, deviation_series, disagreement_norms,
                     disagreement_state, empirical_deviation,
                     exp_bound_constants, iss_envelope, laplacian,
                     left_null_vector, left_null_vector_of, make_graph,
                     phi_max, predict_equilibrium, run_comparison,
-                    simulate_classical, simulate_mef, spectral_report, steady_gains,
-                    uniform_params)
+                    simulate_classical, simulate_mef, spectral_report,
+                    standard_laplacian, steady_gains, uniform_params)
 from mefcon.analysis import _grid_overshoot, _second_half_mean
 
 from conftest import weighted_digraph
@@ -312,6 +312,33 @@ def test_coherence_disconnected_is_infinite():
 def test_coherence_requires_symmetry():
     with pytest.raises(ConfigError):
         analytical_coherence(make_graph("directed_cycle", 4))
+
+
+@pytest.mark.parametrize("skew, lone, symmetric", [
+    (0.0, None, True), (5e-13, None, True), (2e-12, None, False),
+    (0.0, 1.0, False), (0.0, 1e-13, True)])
+def test_coherence_symmetry_check_reads_the_edges(skew, lone, symmetric):
+    """The edge-array check accepts and refuses what the dense
+    allclose(A, A.T, atol=1e-12) did, and D_ave is the dense eigvalsh's."""
+    rng = np.random.default_rng(5)
+    n = 9
+    edges = [(i, (i + 1) % n, 1.0) for i in range(n)] + [((i + 1) % n, i, 1.0) for i in range(n)]
+    for i in range(n):
+        for j in range(i + 2, n - (i == 0)):
+            if rng.random() < 0.4 and (i, j) != (0, 4):
+                w = float(rng.uniform(0.5, 2.0))
+                edges += [(i, j, w), (j, i, w + skew)]
+    if lone is not None:  # an edge without its reverse
+        edges.append((0, 4, lone))
+    top = NetworkTopology(n, edges)
+    A = adjacency(top)
+    assert np.allclose(A, A.T, rtol=0, atol=1e-12) == symmetric
+    if not symmetric:
+        with pytest.raises(ConfigError, match="undirected"):
+            analytical_coherence(top)
+        return
+    lam = np.linalg.eigvalsh(standard_laplacian(top))
+    assert np.array_equal(analytical_coherence(top).eigenvalues, lam)
 
 
 def test_empirical_deviation_window():
