@@ -6,6 +6,7 @@ longer calls it.
 
 import io
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -79,6 +80,21 @@ def test_format_fixed_cases(name):
     values = _cases()[name]
     ends_row = np.arange(values.size) % 7 == 6
     assert _csv._format(values, ends_row) == _python(values, ends_row)
+
+
+def test_scaled_product_error_is_far_below_the_tie_margin():
+    """ph + pl is |v| 10**(16 - E) to within 1e-13 absolute, so a fraction
+    outside 1e-6 of one half rounds as the exact product does."""
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        np.abs(rng.standard_normal(1500)) * 10.0 ** rng.integers(-250, 250, 1500),
+        _cases()["powers of ten and neighbours"]])
+    values = values[(values >= _csv._LOW) & (values <= _csv._HIGH)]
+    E = np.floor(np.log10(values)).astype(np.int64)
+    ph, pl = _csv._scaled(values, E)
+    for v, e, hi, lo in zip(values.tolist(), E.tolist(), ph.tolist(), pl.tolist()):
+        exact = Fraction(v) * Fraction(10) ** (16 - e)
+        assert abs(Fraction(hi) + Fraction(lo) - exact) < Fraction(1, 10 ** 13)
 
 
 def test_unsettled_exponent_goes_to_python(monkeypatch):
