@@ -402,8 +402,9 @@ def _symmetric_weights(topology: NetworkTopology) -> bool:
     the edge arrays, matching key i N + j to j N + i."""
     n = topology.node_count
     src, dst, w = topology.edge_arrays()
-    order = np.argsort(src * n + dst)
-    keys = (src * n + dst)[order]
+    key = src * n + dst
+    order = np.argsort(key)
+    keys = key[order]
     reverse = dst * n + src
     at = np.minimum(np.searchsorted(keys, reverse), keys.size - 1)
     back = np.where(keys[at] == reverse, w[order][at], 0.0)
