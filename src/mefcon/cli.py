@@ -28,7 +28,7 @@ from ._csv import write_csv
 from .analysis import (certify, check_envelope, require_bounded, run_comparison,
                        spectral_report)
 from .config import build_scenario, load_config
-from .errors import BoundViolationError, MefconError
+from .errors import BoundViolationError, ConfigError, MefconError
 from .graphs import is_balanced, is_strongly_connected
 from .simulate import simulate_classical, simulate_mef
 
@@ -50,7 +50,11 @@ def _prepare(args) -> tuple:
     raw = load_config(args.config)
     config, resolved = build_scenario(raw, args.seed, args.riccati)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, no permission
+        raise ConfigError(f"--out {out}: cannot make the output directory: "
+                          f"{exc.strerror}") from exc
     return config, resolved, out
 
 

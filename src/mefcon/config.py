@@ -124,10 +124,13 @@ def _disturbance(mapping) -> dict:
 def load_config(path: str | Path) -> dict:
     """Parse a config file into a raw dict; ``build_scenario`` checks its keys."""
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"config file not found: {p}")
     try:
-        raw = yaml.load(p.read_text(), Loader=_LOADER)
+        text = p.read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not text
+        raise ConfigError(f"--config {p}: cannot read the config file: "
+                          f"{getattr(exc, 'strerror', None) or exc}") from exc
+    try:
+        raw = yaml.load(text, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -102,13 +102,15 @@ class DisturbanceRealization:
 
     ``sizes`` are the lengths of the streams the run reads, a prefix of
     (delta: N, eps_self: N, eps_edge: E); ``at(t, step)`` returns them
-    stacked into one input vector w.  Sinusoids are evaluated at the
-    exact time ``t`` (RK4 stages included) as
-    ``sin(omega t) amp cos(phase) + cos(omega t) amp sin(phase)``, so a
-    read takes two sines per time point, however many signals there
-    are; white draws depend only on ``step``, clamped to the drawn
-    steps.  Both arguments may be arrays.  ``mapped`` reads a linear map
-    of w without building w; ``leading`` gives the delta stream alone.
+    stacked into one input vector w.  A sinusoid is w(t) = Re(c e^{i
+    omega t}) with one complex amplitude c = -i amp e^{i phase} per
+    signal, evaluated at the exact time ``t`` (RK4 stages included), so
+    a read takes one cosine and one sine per time point, however many
+    signals there are; zero noise is c = 0.  White draws depend only on
+    ``step``, clamped to the drawn steps.  Both arguments may be arrays.
+    ``omega`` is the angular frequency, 0 for white draws and zero noise,
+    which hold their value over a step.  ``mapped`` reads a linear map of
+    w without building w; ``leading`` gives the delta stream alone.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -116,18 +118,19 @@ class DisturbanceRealization:
         if len(sizes) > 3:
             raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
         self.profile = profile
-        self._width = width = sum(sizes)
+        width = sum(sizes)
         kind = profile.kind
-        if kind == "zero":  # reads no stream
+        self.omega = 2 * math.pi * profile.frequency if kind == "sinusoid" else 0.0
+        if kind == "zero":  # reads no stream: a sinusoid of amplitude 0
+            self._c = np.zeros(width)
             return
         rngs = [np.random.default_rng(kid)
                 for kid in np.random.SeedSequence(seed).spawn(3)]
         if kind == "sinusoid":
             phase = np.concatenate(
                 [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
-            amp = profile.amplitudes(sizes)
-            self._amp_cos, self._amp_sin = amp * np.cos(phase), amp * np.sin(phase)
-            self._omega = 2 * math.pi * profile.frequency
+            # -i amp e^{i phase}, so that Re(c e^{i omega t}) = amp sin(omega t + phase)
+            self._c = profile.amplitudes(sizes) * (np.sin(phase) - 1j * np.cos(phase))
         elif kind == "white":
             # row k holds step k's draws; each stream fills its own columns
             # in row blocks, which draws the same numbers as one call
@@ -147,50 +150,37 @@ class DisturbanceRealization:
         arrays: for the delta stream's length N, what ``sample_disturbances``
         draws for sizes (N,) from the same seed, without drawing again."""
         part = copy.copy(self)
-        part._width = size
-        kind = self.profile.kind
-        if kind == "white":
+        if self.profile.kind == "white":
             part._draws = self._draws[:, :size]
-        elif kind == "sinusoid":
-            part._amp_cos, part._amp_sin = self._amp_cos[:size], self._amp_sin[:size]
+        else:
+            part._c = self._c[:size]
         return part
 
     def at(self, t, step) -> np.ndarray:
         """w at time ``t`` of step ``step``; arrays of m times and m steps
         give the m vectors as rows of an (m, width) array."""
-        kind = self.profile.kind
-        if kind == "zero":
-            return np.zeros(np.shape(t) + (self._width,))
-        if kind == "sinusoid":
-            wt = self._omega * np.asarray(t)
-            return (np.multiply.outer(np.sin(wt), self._amp_cos)
-                    + np.multiply.outer(np.cos(wt), self._amp_sin))
-        return self._draws.take(step, axis=0, mode="clip")
+        return self.mapped(t, step).T
 
     def mapped(self, t, step, *maps) -> np.ndarray:
         """M w(t_k) for arrays of m times and m steps, M the product of
-        ``maps``, as an (M rows, m) array: ``M @ at(t, step).T`` up to
-        rounding, with the maps applied right to left.
+        ``maps`` (the identity when there are none), as an (M rows, m)
+        array: ``M @ at(t, step).T`` up to rounding, with the maps applied
+        right to left.  A scalar time and step give one vector.
 
-        A sinusoid is M w(t) = (M amp_cos) sin(omega t) + (M amp_sin)
-        cos(omega t): the maps act on the two amplitude vectors only, and
-        no (m, width) w is built.  White draws are read once and mapped
-        as they are.
+        A sinusoid (zero noise: c = 0) is M w(t) = Re((M c) e^{i omega
+        t}): the maps act on the amplitude vector c only, no (m, width) w
+        is built, and a map may be complex (``simulate._rk4_maps``), since
+        the real part is taken last.  White draws are mapped as read.
         """
-        kind = self.profile.kind
-        if kind == "zero":
-            return np.zeros((maps[0].shape[0], np.size(t)))
-        if kind == "sinusoid":
-            W = np.stack([self._amp_cos, self._amp_sin], axis=1)
-        else:
-            W = self._draws.take(step, axis=0, mode="clip").T
+        white = self.profile.kind == "white"
+        W = self._draws.take(step, axis=0, mode="clip").T if white else self._c
         for M in reversed(maps):
             W = M @ W
-        if kind == "white":
+        if white:
             return W
-        wt = self._omega * np.asarray(t)
-        return (np.multiply.outer(W[:, 0], np.sin(wt))
-                + np.multiply.outer(W[:, 1], np.cos(wt)))
+        wt = self.omega * np.asarray(t)
+        return (np.multiply.outer(W.real, np.cos(wt))
+                - np.multiply.outer(W.imag, np.sin(wt)))
 
 
 def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],

@@ -15,7 +15,7 @@ approximation weight G satisfies 0 < G <= S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -53,14 +53,17 @@ class FilterParams:
     Xi: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.any(self.R_self <= 0):
-            raise ConfigError("R_self must be strictly positive")
-        if np.any(self.S_edge <= 0) or np.any(self.G_edge <= 0):
-            raise ConfigError("S and G must be strictly positive")
-        if np.any(self.G_edge > self.S_edge * (1 + 1e-12)):
-            raise ConfigError("G must not exceed S (R_nbr = S - G must be >= 0)")
-        if np.any(self.Xi <= 0):
-            raise ConfigError("Xi must be strictly positive")
+        # a refusal names the config field that fills the array (params.R
+        # fills R_self) and the first refused entry
+        for name, v in (("R", self.R_self), ("S", self.S_edge), ("G", self.G_edge),
+                        ("Xi", self.Xi)):
+            if not np.all(v > 0):
+                raise ConfigError(f"field 'params.{name}' must be strictly positive, "
+                                  f"got {v[~(v > 0)][0]}")
+        over = self.G_edge > self.S_edge * (1 + 1e-12)
+        if np.any(over):
+            raise ConfigError(f"field 'params.G' must not exceed params.S = "
+                              f"{self.S_edge[over][0]}, got {self.G_edge[over][0]}")
 
     @property
     def R_nbr_edge(self) -> np.ndarray:
@@ -74,23 +77,21 @@ def uniform_params(topology: NetworkTopology, B: float | np.ndarray = 1.0,
     """Broadcast scalar tuning constants over a topology.
 
     When ``Xi`` is omitted it defaults to 1/Q* per node, the choice that
-    freezes the Riccati gain at its fixed point from t = 0.
+    freezes the Riccati gain at its fixed point from t = 0.  A refused
+    constant is a ``ConfigError`` naming its config field (``params.R``...).
     """
     n, m = topology.node_count, topology.edge_count
-    if R <= 0 or S <= 0 or G <= 0:
-        raise ConfigError("R, S, G must be strictly positive")
     Bv = np.broadcast_to(np.asarray(B, dtype=float), (n,)).copy()
-    Rv = np.full(n, float(R))
-    Sv = np.full(m, float(S))
-    Gv = np.full(m, float(G))
+    Xiv = np.broadcast_to(np.asarray(1.0 if Xi is None else Xi, dtype=float), (n,))
+    params = FilterParams(Bv, np.full(n, float(R)), np.full(m, float(S)),
+                          np.full(m, float(G)), Xiv.copy())
     if Xi is None:
-        q = steady_gains(topology, Bv, Rv, Sv)
+        q = steady_gains(topology, Bv, params.R_self, params.S_edge)
         if np.any(q <= 0):
-            raise ConfigError("default Xi = 1/Q* requires nonzero B everywhere")
-        Xiv = 1.0 / q
-    else:
-        Xiv = np.broadcast_to(np.asarray(Xi, dtype=float), (n,)).copy()
-    return FilterParams(Bv, Rv, Sv, Gv, Xiv)
+            raise ConfigError("field 'params.B' must be nonzero at every node for the "
+                              f"default Xi = 1/Q*, got {Bv[q <= 0][0]}")
+        params = replace(params, Xi=1.0 / q)
+    return params
 
 
 def eta_star(y_ij: float, x_i: float, G_ij: float, R_ij: float) -> float:

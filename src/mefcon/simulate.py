@@ -7,9 +7,9 @@ time-invariant, so ``simulate_mef`` and ``simulate_classical`` advance it
 with precomputed RK4 maps (``_propagate``), each kept sparse or dense by
 its fill; only the dynamic gain evaluates the RK4 stages one by one
 (``rk4_step``).  The propagator reads each disturbance once per chunk of
-steps: a white draw is held over the step, so its three stage reads
-collapse into one held map, and a sinusoid is mapped through its two
-amplitude vectors (``DisturbanceRealization.mapped``).
+steps through one input map K(omega h): a sinusoid is an input that
+rotates by e^{i omega h} per step, and a white draw, held over the step,
+is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.mapped``).
 
 A noisy run on a dense step map steps in blocks of 8 steps, in three
 phases (``_noisy_blocks``): each block's input sum, over all blocks at
@@ -31,6 +31,7 @@ seed, which is what makes head-to-head noise comparisons meaningful.
 
 from __future__ import annotations
 
+import cmath
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -115,7 +116,7 @@ class Trajectory:
 
     u is computed by ``readout`` on first read and kept.  A readout holds
     the record, the loop's maps and, for sinusoids, the realization's
-    two amplitude vectors; never white draws, since a u that reads them
+    complex amplitude vector; never white draws, since a u that reads them
     is computed before the run returns.
     """
 
@@ -317,16 +318,17 @@ def _stored(M):
     return M.toarray() if sparse.issparse(M) else M
 
 
-def _rk4_maps(A, h: float) -> list:
-    """The RK4 step of zdot = A z + g(t) as linear maps [P - I, K1, K2,
-    K_white], M = h A.
+def _rk4_maps(A, h: float, theta: float) -> list:
+    """The RK4 step of zdot = A z + Re(g e^{i omega t}) as the linear maps
+    [P - I, K], M = h A, theta = omega h.
 
-    One step is z + (P - I) z + K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h)
-    with P - I = M + M^2/2 + M^3/6 + M^4/24, K1 = h/6 (I + M + M^2/2 +
-    M^3/4) and K2 = h/6 (4I + 2M + M^2/2).  An input held over the step,
-    g(t) = g(t + h/2) = g(t + h), enters through the one map K_white =
-    K1 + K2 + (h/6) I = h (I + M/2 + M^2/6 + M^3/24), the held-input
-    discretization.  Each power of M, and each map, is stored by its fill
+    One step is z + (P - I) z + Re(K g e^{i omega t}) with P - I = M +
+    M^2/2 + M^3/6 + M^4/24 and K = h/6 [(I + M + M^2/2 + M^3/4) + (4I +
+    2M + M^2/2) e^{i theta/2} + I e^{i theta}], which sums the stage reads
+    at t, t + h/2 and t + h.  Its coefficients are the held ones plus
+    terms in d = e^{i theta/2} - 1, so a held input (theta = 0) gets the
+    real K = h (I + M/2 + M^2/6 + M^3/24), the held-input discretization,
+    bit for bit.  Each power of M, and each map, is stored by its fill
     (see ``_stored``); the identity takes the storage of M, so dense maps
     never mix with a sparse identity.
     """
@@ -341,9 +343,11 @@ def _rk4_maps(A, h: float) -> list:
             out = out + c * Mk
         return _stored(out)
 
+    e = cmath.exp(0.5j * theta) if theta else 1.0  # real floats at theta = 0
+    d = e - 1.0
     return [poly(0.0, 1.0, 1 / 2, 1 / 6, 1 / 24),
-            poly(h / 6, h / 6, h / 12, h / 24), poly(4 * h / 6, 2 * h / 6, h / 12),
-            poly(h, h / 2, h / 6, h / 24)]
+            poly(h + (h / 6) * d * (e + 5), h / 2 + (h / 3) * d, h / 6 + (h / 12) * d,
+                 h / 24)]
 
 
 # Bounds the block map's size and the cost of building its powers.  It
@@ -399,29 +403,20 @@ def _block_map(step, steps: int):
     return stack[:B].reshape(B * n, n)
 
 
-def _input_terms(maps, inputs, real, h: float, out: np.ndarray) -> None:
+def _input_terms(K, inputs, real, h: float, out: np.ndarray) -> None:
     """Write the input term H_k of step k of ``_propagate`` into out[k],
-    k < len(out); ``maps`` are ``_rk4_maps``'s.
+    k < len(out); K is ``_rk4_maps``'s input map at theta = real.omega h.
 
-    H_k = K1 g(t_k) + K2 g(t_k + h/2) + (h/6) g(t_k + h), g = inputs w,
-    w = ``real.at(., k)``: the stages the stage-by-stage RK4 reads.  A
-    white draw is held over the step, so H_k = K_white inputs w_k, one
-    read of the draws; a sinusoid reads its three stage times in closed
-    form (``real.mapped``).  Read in chunks of at most ``CHUNK_ENTRIES``
-    noise entries (or one step).
+    H_k sums the reads of g = inputs w, w = ``real.at(., k)``, at the
+    stage times t_k, t_k + h/2 and t_k + h of the stage-by-stage RK4.  w
+    rotates at one frequency omega (0 for a held draw), so H_k = Re(K
+    inputs c e^{i omega t_k}) is one read (``real.mapped``), in chunks of
+    at most ``CHUNK_ENTRIES`` noise entries (or one step).
     """
-    _, K1, K2, K_white = maps
-    steps, white = len(out), real.profile.kind == "white"
     rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
-    for k in range(0, steps, rows):
-        ks = np.arange(k, min(k + rows, steps))
-        t = ks * h
-        if white:
-            H = real.mapped(t, ks, K_white, inputs)
-        else:
-            H = (real.mapped(t, ks, K1, inputs) + real.mapped(t + 0.5 * h, ks, K2, inputs)
-                 + (h / 6.0) * real.mapped(t + h, ks, inputs))
-        out[k:k + ks.size] = H.T
+    for k in range(0, len(out), rows):
+        ks = np.arange(k, min(k + rows, len(out)))
+        out[k:k + ks.size] = real.mapped(ks * h, ks, K, inputs).T
 
 
 def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
@@ -488,12 +483,12 @@ def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     Finiteness is checked once over all records after stepping; the
     first non-finite row names the failing step.
     """
-    maps = _rk4_maps(A, h)
-    step, noisy = maps[0], real.profile.kind != "zero"
+    step, K = _rk4_maps(A, h, real.omega * h)
+    noisy = real.profile.kind != "zero"
     ts = np.arange(steps + 1) * h
     z_rec = np.zeros((steps + 1, z.size))
     if noisy:
-        _input_terms(maps, inputs, real, h, z_rec[1:])
+        _input_terms(K, inputs, real, h, z_rec[1:])
     block = step if noisy else _block_map(step, steps)
     n, B = z.size, block.shape[0] // z.size
     z_rec[0] = z

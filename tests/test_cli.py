@@ -642,12 +642,40 @@ def test_config_error_paths(tmp_path, capsys):
     ("disturbance: {kind: sinusoid, eps_max: -0.1}\n", "field 'disturbance.eps_max'"),
     ("disturbance: {kind: white, sigma: -1}\n", "field 'disturbance.sigma'"),
     ("disturbance: {kind: sinusoid, frequency: 0}\n", "field 'disturbance.frequency'"),
-    ("riccati: adaptive\n", "field 'riccati'")],
-    ids=["delta_max", "eps_max", "sigma", "frequency", "riccati"])
+    ("riccati: adaptive\n", "field 'riccati'"),
+    # params refusals quote the (first) refused value too
+    ("params: {R: 0}\n", "field 'params.R' must be strictly positive, got 0.0"),
+    ("params: {S: -1}\n", "field 'params.S' must be strictly positive, got -1.0"),
+    ("params: {G: 0}\n", "field 'params.G' must be strictly positive, got 0.0"),
+    ("params: {G: 3}\n", "field 'params.G' must not exceed params.S = 1.0, got 3.0"),
+    ("params: {Xi: -1}\n", "field 'params.Xi' must be strictly positive, got -1.0"),
+    ("params: {Xi: [1, 0, 2]}\n", "field 'params.Xi' must be strictly positive, got 0.0"),
+    ("params: {B: [1, 0, 2]}\n", "field 'params.B' must be nonzero at every node "
+                                 "for the default Xi = 1/Q*, got 0.0"),
+    ("params: {B: 0}\n", "field 'params.B' must be nonzero at every node for the "
+                         "default Xi = 1/Q*, got 0.0")],
+    ids=["delta_max", "eps_max", "sigma", "frequency", "riccati", "R", "S", "G",
+         "G_above_S", "Xi", "Xi_entry", "B_entry", "B_default_Xi"])
 def test_refused_value_names_its_field(tmp_path, capsys, body, field):
     bad = _write(tmp_path, "graph: {family: complete, n: 3}\n" + body)
     assert _exit_code(["simulate", "--config", bad, "--out", str(tmp_path / "out")]) == 2
     assert field in capsys.readouterr().err
+
+
+def test_unreadable_paths_exit_2(tmp_path, capsys):
+    # a directory or a binary file as --config, a file in the way of --out
+    binary = tmp_path / "binary.yaml"
+    binary.write_bytes(bytes([0x93, 0xff, 0x00, 0x80]))
+    for config in (tmp_path, binary):
+        assert main(["simulate", "--config", str(config), "--out",
+                     str(tmp_path / "out")]) == 2
+        assert "--config" in capsys.readouterr().err
+    good, taken = _write(tmp_path, TWO_NODE), tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["simulate", "--config", good, "--out", str(out)]) == 2
+        assert "--out" in capsys.readouterr().err
+    assert taken.read_text() == ""
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -89,8 +89,8 @@ def test_array_read_stacks_the_scalar_reads(kind):
 
 @pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
 def test_mapped_read_is_the_map_of_the_read(kind):
-    # M1 M2 w(t_k) without building w: the sinusoid maps its two
-    # amplitude vectors, white draws are mapped as read
+    # M1 M2 w(t_k) without building w: the sinusoid maps its complex
+    # amplitude vector, white draws are mapped as read
     prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
     real = sample_disturbances(prof, (3, 3, 5), 8, 0.1, 6)
     t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])

@@ -27,7 +27,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     uniform_params)
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import simulate as simulate_module
-from mefcon.simulate import _block_map, _input_terms, _rk4_maps
+from mefcon.simulate import _block_map, _input_terms, _rk4_maps, _stored
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -310,7 +310,8 @@ def test_steady_gain_column_recorded():
 
 def _block_steps(A, config):
     """Steps per dense product of ``_propagate`` on zdot = A z, no noise."""
-    return _block_map(_rk4_maps(A, config.h)[0], config.steps).shape[0] // A.shape[0]
+    step = _rk4_maps(A, config.h, 0.0)[0]
+    return _block_map(step, config.steps).shape[0] // A.shape[0]
 
 
 def _classical_stages(config):
@@ -355,7 +356,8 @@ def test_default_xi_makes_dynamic_equal_steady():
                 blocks = _block_steps(A, config)
                 assert blocks > 1 and config.steps % blocks, blocks
             if top is ring:
-                assert all(sparse.issparse(M) for M in _rk4_maps(A, config.h))
+                theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
+                assert all(sparse.issparse(M) for M in _rk4_maps(A, config.h, theta))
         steady = simulate_mef(config)
         dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
                                               riccati="dynamic", **kw))
@@ -484,10 +486,18 @@ def test_white_run_keeps_no_realization(monkeypatch):
     assert refs[-1]() is not None  # the readout holds it until u is read
 
 
-def _three_stages(maps, inputs, real, h, steps):
+def _stage_maps(A, h):
+    """The RK4 stage maps (K1, K2) of zdot = A z + g(t), dense from M = h
+    A: K1 = h/6 (I + M + M^2/2 + M^3/4), K2 = h/6 (4I + 2M + M^2/2)."""
+    M = h * (A.toarray() if sparse.issparse(A) else A)
+    I, M2 = np.eye(M.shape[0]), M @ M
+    return (h / 6) * (I + M + M2 / 2 + M2 @ M / 4), (h / 6) * (4 * I + 2 * M + M2 / 2)
+
+
+def _three_stages(A, inputs, real, h, steps):
     """K1 g(t) + K2 g(t + h/2) + (h/6) g(t + h), g = inputs w, w read per
-    stage with ``real.at``: the input terms before the held map."""
-    _, K1, K2, _ = maps
+    stage with ``real.at``: the input terms before the one input map."""
+    K1, K2 = _stage_maps(A, h)
     ks = np.arange(steps)
     t = ks * h
 
@@ -504,19 +514,48 @@ def _three_stages(maps, inputs, real, h, steps):
     DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
     ids=["white", "sinusoid"])
 def test_input_terms_match_the_three_stages(family, n, sparse_maps, profile):
-    # the held white map and the closed-form sinusoid against the three
-    # stage reads, over several chunks of steps
+    # the one input map K(omega h), held white (theta = 0) and rotating
+    # sinusoid, against the three stage reads, over several chunks of steps
     top = make_graph(family, n)
     loop = ClosedLoop(top, uniform_params(top, R=0.7, S=2.0, G=1.0))
     h, steps = 0.01, 1000
     assert steps > 2 * (CHUNK_ENTRIES // loop.inputs.shape[1])
-    maps = _rk4_maps(loop.A, h)
-    assert all(sparse.issparse(M) == sparse_maps for M in maps)
     real = sample_disturbances(profile, loop.noise_sizes, steps, h, 3)
+    maps = _rk4_maps(loop.A, h, real.omega * h)
+    assert all(sparse.issparse(M) == sparse_maps for M in maps)
     H = np.empty((steps, 2 * n))
-    _input_terms(maps, loop.inputs, real, h, H)
-    want = _three_stages(maps, loop.inputs, real, h, steps)
+    _input_terms(maps[1], loop.inputs, real, h, H)
+    want = _three_stages(loop.A, loop.inputs, real, h, steps)
     assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("family, n, sparse_maps",
+                         [("undirected_ring", 40, True), ("complete", 20, False)])
+def test_input_map_is_the_three_stage_sum(family, n, sparse_maps):
+    # K(theta) = K1 + K2 e^{i theta/2} + (h/6) e^{i theta}: real and the
+    # held-input map bit for bit at theta = 0, the stage sum elsewhere
+    top = make_graph(family, n)
+    A = ClosedLoop(top, uniform_params(top, R=0.7, S=2.0, G=1.0)).A
+    h = 0.01
+    M = _stored(h * A)
+    I = sparse.eye_array(2 * n, format="csr") if sparse.issparse(M) else np.eye(2 * n)
+    M2 = _stored(M @ M)
+    M3 = _stored(M @ M2)
+    held = _stored(h * I + (h / 2) * M + (h / 6) * M2 + (h / 24) * M3)
+
+    def dense(X):
+        return X.toarray() if sparse.issparse(X) else X
+
+    K = _rk4_maps(A, h, 0.0)[1]
+    assert np.isrealobj(K) and sparse.issparse(K) == sparse.issparse(held) == sparse_maps
+    assert np.array_equal(dense(K), dense(held))
+    K1, K2 = _stage_maps(A, h)
+    for theta in (1e-8, 0.3, np.pi):
+        K = _rk4_maps(A, h, theta)[1]
+        assert sparse.issparse(K) == sparse.issparse(_stored(K)) == sparse_maps
+        want = (K1 + K2 * np.exp(0.5j * theta)
+                + (h / 6) * np.exp(1j * theta) * np.eye(2 * n))
+        assert np.abs(dense(K) - want).max() <= 1e-15 * np.abs(want).max(), theta
 
 
 def test_u_reads_noise_only_through_edge_measurements():
@@ -547,11 +586,12 @@ def test_propagator_storage_follows_fill():
     ring = make_graph("undirected_ring", 500)
     loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
     assert loop.A.nnz <= 8 * 500
-    for M in _rk4_maps(loop.A, 0.01):
-        assert sparse.issparse(M) and M.nnz <= 40 * 500
+    for theta in (0.0, 0.3):
+        for M in _rk4_maps(loop.A, 0.01, theta):
+            assert sparse.issparse(M) and M.nnz <= 40 * 500
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
-    assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01))
+    assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, 0.3))
     # zero-noise blocks of steps only where a dense block map stays small:
     # the 4-node digraph (2N = 8) takes several steps per product, the
     # dense 2N = 200 map and the sparse ring one step
@@ -695,7 +735,7 @@ def test_noisy_blocks_match_the_dynamic_gain(profile, monkeypatch):
     done = _spy_blocks(monkeypatch)
     for config in _dense_noisy_cases(profile):
         loop = config.loop
-        assert isinstance(_rk4_maps(loop.A, config.h)[0], np.ndarray)
+        assert isinstance(_rk4_maps(loop.A, config.h, 0.0)[0], np.ndarray)
         for steps, blocked in ((15, []), (64, [64]), (203, [200])):
             cfg = replace(config, T=steps * config.h)
             done.clear()
