@@ -33,8 +33,7 @@ from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, degree_matrix,
                      is_strongly_connected, laplacian, left_null_vector,
                      standard_laplacian)
-from .simulate import (ClosedLoop, ScenarioConfig, Trajectory, _simulate_classical,
-                       _simulate_mef, simulate_mef)
+from .simulate import ClosedLoop, ScenarioConfig, Trajectory, _simulate_both, simulate_mef
 
 
 @dataclass(frozen=True)
@@ -474,10 +473,11 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     """Run baseline and filter on shared noise realizations per seed.
 
     Both systems consume the identical delta stream for each seed, drawn
-    once: the baseline reads the first N columns of the filter's
-    realization, and the filter additionally its measurement-error
-    streams.  Per-time deviation series are kept for the first seed;
-    summary statistics are collected across all of them.
+    once: one pass over the filter's realization feeds both runs, the
+    baseline's input term from the delta columns (the first N) of each
+    chunk, and the filter's from all its streams.  Per-time deviation
+    series are kept for the first seed; summary statistics are collected
+    across all of them.
     """
     if config.profile.kind not in ("white", "zero"):
         raise ConfigError("comparison runs need a white (or zero) profile")
@@ -494,8 +494,7 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
         cfg = config.with_seed(s)
         real = sample_disturbances(cfg.profile, cfg.loop.noise_sizes, cfg.steps,
                                    cfg.h, s)
-        tb = _simulate_classical(cfg, real.leading(cfg.topology.node_count))
-        tm = _simulate_mef(cfg, real)
+        tb, tm = _simulate_both(cfg, real)
         devs = [deviation_series(x) for x in (tb.x, tm.x_hat, tm.x)]
         stats.append([_second_half_mean(dev) for dev in devs])
         if first is None:

@@ -12,7 +12,8 @@ Three kinds:
     Piecewise-constant Gaussian draws per integration step with standard
     deviation ``sigma / sqrt(h)`` (so the discrete process approximates
     unit-intensity continuous white noise at sigma = 1).  Values are
-    frozen across the stages of one RK4 step.
+    frozen across the stages of one RK4 step.  They are drawn chunk by
+    chunk as a pass reads them, never stored for the whole run.
 
 Three independent streams are spawned from the run's seed, the one root
 of every draw of a run: one for the input disturbances delta, one for
@@ -25,18 +26,20 @@ run never reads the measurement streams.
 from __future__ import annotations
 
 import copy
+import itertools
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
-# Noise entries per chunk, which bounds one noise temporary (white draws;
-# the input terms of ``simulate._input_terms`` and the u readout of
-# ``simulate._readout``).  Smaller chunks pay more per-call overhead,
-# larger ones more memory.
+# Noise entries per chunk of a pass (``DisturbanceRealization.chunks``),
+# which bounds one noise temporary: a chunk of white draws, and what the
+# readers of the pass make of it (``simulate._pass``).  Smaller chunks pay
+# more per-call overhead, larger ones more memory.
 CHUNK_ENTRIES = 1 << 16
 
 
@@ -111,6 +114,15 @@ class DisturbanceRealization:
     ``omega`` is the angular frequency, 0 for white draws and zero noise,
     which hold their value over a step.  ``mapped`` reads a linear map of
     w without building w; ``leading`` gives the delta stream alone.
+
+    A white realization keeps its seed and per-step std, never its
+    draws.  ``chunks`` reads the run in one pass in step order and draws
+    each block's rows as it is read, so a pass holds about one block per
+    reader (a run's readers read at most ``CHUNK_ENTRIES`` noise entries
+    a block, or one step), however long the run.  Every pass starts from
+    fresh generators and gives the same numbers, bit for bit those of one
+    ``normal`` call per stream for the whole run.  A random-access read
+    (``at``, ``mapped``) replays a pass up to the last step it reads.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -118,41 +130,26 @@ class DisturbanceRealization:
         if len(sizes) > 3:
             raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
         self.profile = profile
-        width = sum(sizes)
+        self.sizes, self.steps = tuple(sizes), steps
         kind = profile.kind
         self.omega = 2 * math.pi * profile.frequency if kind == "sinusoid" else 0.0
-        if kind == "zero":  # reads no stream: a sinusoid of amplitude 0
-            self._c = np.zeros(width)
-            return
-        rngs = [np.random.default_rng(kid)
-                for kid in np.random.SeedSequence(seed).spawn(3)]
-        if kind == "sinusoid":
-            phase = np.concatenate(
-                [rng.uniform(0, 2 * math.pi, size) for rng, size in zip(rngs, sizes)])
+        if kind == "white":
+            self._seed, self._std = seed, profile.sigma / math.sqrt(h)
+        elif kind == "sinusoid":
+            phase = np.concatenate([rng.uniform(0, 2 * math.pi, size)
+                                    for rng, size in zip(_streams(seed), sizes)])
             # -i amp e^{i phase}, so that Re(c e^{i omega t}) = amp sin(omega t + phase)
             self._c = profile.amplitudes(sizes) * (np.sin(phase) - 1j * np.cos(phase))
-        elif kind == "white":
-            # row k holds step k's draws; each stream fills its own columns
-            # in row blocks, which draws the same numbers as one call
-            std = profile.sigma / math.sqrt(h)
-            self._draws = np.empty((steps, width))
-            start = 0
-            for rng, size in zip(rngs, sizes):
-                block = max(1, CHUNK_ENTRIES // max(size, 1))
-                for r in range(0, steps, block):
-                    rows = min(block, steps - r)
-                    self._draws[r:r + rows, start:start + size] = rng.normal(
-                        0.0, std, (rows, size))
-                start += size
+        else:  # reads no stream: a sinusoid of amplitude 0
+            self._c = np.zeros(sum(sizes))
 
     def leading(self, size: int) -> "DisturbanceRealization":
-        """The first ``size`` signals alone, sharing this realization's
-        arrays: for the delta stream's length N, what ``sample_disturbances``
-        draws for sizes (N,) from the same seed, without drawing again."""
+        """The first ``size`` signals alone, which must end a stream: for
+        the delta stream's length N, what ``sample_disturbances`` draws for
+        sizes (N,) from the same seed, sharing this realization's state."""
         part = copy.copy(self)
-        if self.profile.kind == "white":
-            part._draws = self._draws[:, :size]
-        else:
+        part.sizes = self.sizes[:list(itertools.accumulate(self.sizes)).index(size) + 1]
+        if self.profile.kind != "white":
             part._c = self._c[:size]
         return part
 
@@ -170,17 +167,104 @@ class DisturbanceRealization:
         A sinusoid (zero noise: c = 0) is M w(t) = Re((M c) e^{i omega
         t}): the maps act on the amplitude vector c only, no (m, width) w
         is built, and a map may be complex (``simulate._rk4_maps``), since
-        the real part is taken last.  White draws are mapped as read.
+        the real part is taken last.  White draws are mapped as read, here
+        from a replayed pass (``chunks`` reads a run without replaying).
         """
-        white = self.profile.kind == "white"
-        W = self._draws.take(step, axis=0, mode="clip").T if white else self._c
-        for M in reversed(maps):
-            W = M @ W
-        if white:
-            return W
+        if self.profile.kind == "white":
+            return _apply(maps, self._replay(step).T)
+        W = _apply(maps, self._c)
         wt = self.omega * np.asarray(t)
         return (np.multiply.outer(W.real, np.cos(wt))
                 - np.multiply.outer(W.imag, np.sin(wt)))
+
+    def chunks(self, count: int, *rows: int):
+        """One pass over steps 0..count-1 in step order, shared by readers
+        that each read blocks of their own length: reader i reads the
+        blocks of rows[i] steps that a pass of its own would give.  Yields
+        (i, ks, read) per block, in the order of the blocks' last steps
+        (ties to the lower i): ks are the block's steps and read(t, step,
+        *maps) is ``mapped`` for steps in ks; step None reads all of ks,
+        and a white block then passes its rows on without a copy.
+
+        White draws are made here, each stream's rows when a block first
+        reads them, and kept only until every reader has read them, so a
+        pass holds about one block per reader however long the run.
+        Steps from ``steps`` on read the last drawn step.
+        """
+        white = self.profile.kind == "white"
+        if white:
+            draw = self._drawer()
+            tape, lo = np.empty((0, sum(self.sizes))), 0  # the draws of steps lo..
+        done = [0] * len(rows)
+        while any(d < count for d in done):
+            i = min((j for j in range(len(rows)) if done[j] < count),
+                    key=lambda j: min(done[j] + rows[j], count))
+            a, b = done[i], min(done[i] + rows[i], count)
+            if not white:
+                yield i, np.arange(a, b), self.mapped
+                done[i] = b
+                continue
+            if lo + len(tape) < b:
+                new = draw(b)
+                tape = np.concatenate([tape, new]) if len(tape) else new
+            yield i, np.arange(a, b), partial(_mapped_rows, tape[a - lo:b - lo], a)
+            done[i] = b
+            cut = min(done) - lo
+            tape, lo = tape[cut:], lo + cut
+
+    def _drawer(self):
+        """draw(b): the white draws of the steps from the last b asked for
+        (0 at first) up to b, one row per step, each stream in its own
+        columns, from fresh generators; steps from ``steps`` on repeat the
+        last drawn step."""
+        rngs, width = _streams(self._seed), sum(self.sizes)
+        end, last = 0, None
+
+        def draw(b: int) -> np.ndarray:
+            nonlocal end, last
+            W = np.empty((b - end, width))
+            drawn = max(0, min(b, self.steps) - end)
+            start = 0
+            for rng, size in zip(rngs, self.sizes):
+                W[:drawn, start:start + size] = rng.normal(0.0, self._std, (drawn, size))
+                start += size
+            W[drawn:] = W[drawn - 1] if drawn else last  # the clamp past the end
+            end, last = b, W[-1]
+            return W
+
+        return draw
+
+    def _replay(self, step) -> np.ndarray:
+        """The white draws of ``step`` (clamped to the drawn steps) as rows,
+        from a pass up to the last step read."""
+        want = np.clip(step, 0, self.steps - 1)
+        flat = np.ravel(want)
+        out = np.empty((flat.size, sum(self.sizes)))
+        rows = max(1, CHUNK_ENTRIES // max(1, out.shape[1]))
+        for _, ks, read in self.chunks(int(flat.max()) + 1, rows):
+            hit = (flat >= ks[0]) & (flat <= ks[-1])
+            out[hit] = read(None, flat[hit]).T
+        return out.reshape(np.shape(want) + out.shape[1:])
+
+
+def _streams(seed: int) -> list[np.random.Generator]:
+    """The three generators of a run, fresh from its seed: delta, eps_self,
+    eps_edge."""
+    return [np.random.default_rng(kid) for kid in np.random.SeedSequence(seed).spawn(3)]
+
+
+def _apply(maps, W):
+    """M W, M the product of ``maps``, applied right to left."""
+    for M in reversed(maps):
+        W = M @ W
+    return W
+
+
+def _mapped_rows(W: np.ndarray, first: int, t, step, *maps) -> np.ndarray:
+    """``DisturbanceRealization.mapped`` on one block W of a white pass,
+    whose row j holds step first + j; step None reads every row."""
+    rows = W if step is None else W.take(np.asarray(step) - first, axis=0)
+    return _apply(maps, rows.T)
 
 
 def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],

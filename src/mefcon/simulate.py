@@ -11,6 +11,11 @@ steps through one input map K(omega h): a sinusoid is an input that
 rotates by e^{i omega h} per step, and a white draw, held over the step,
 is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.mapped``).
 
+A run reads its noise in one pass in step order (``_pass``), which draws
+white noise a chunk at a time as it is read; every reader of w takes its
+chunks from that pass: the input terms, the dynamic gain's steps, u's
+white noise term, and in a comparison the baseline's input terms too.
+
 A noisy run on a dense step map steps in blocks of 8 steps, in three
 phases (``_noisy_blocks``): each block's input sum, over all blocks at
 once; a carry of the block starts, one product with P^8 - I per block;
@@ -20,9 +25,8 @@ the carry grows with the step count.  Zero-noise runs advance input-free
 blocks (``_block_map``), and sparse maps one product per step.
 
 Every run integrates only its record.  The consensus input u is read out
-of that record (``_readout``) when ``Trajectory.u`` is first read, except
-where u reads white edge noise: that u is read at once, so an unread u
-never keeps the draws alive.
+of that record (``_readout``) when ``Trajectory.u`` is first read; where
+u reads white edge noise, its noise term comes from the run's pass.
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
@@ -114,10 +118,11 @@ class Trajectory:
     the applied coupling drift, and the gain column is zero.  A gain that
     stays constant is a read-only broadcast view of one row.
 
-    u is computed by ``readout`` on first read and kept.  A readout holds
-    the record, the loop's maps and, for sinusoids, the realization's
-    complex amplitude vector; never white draws, since a u that reads them
-    is computed before the run returns.
+    u is computed by ``readout`` on first read and kept, and the readout
+    is then replaced by one that returns it.  Until then it holds the
+    record, the loop's maps and what u's noise term needs: for white edge
+    noise the (steps + 1) x N term the run's pass read, for sinusoids the
+    realization's complex amplitude vector; never white draws.
     """
 
     t: np.ndarray
@@ -129,7 +134,9 @@ class Trajectory:
     @cached_property
     def u(self) -> np.ndarray:
         """Consensus input at every grid point (the baseline: its drift)."""
-        return self.readout()
+        u = self.readout()
+        self.readout = lambda: u  # drops what the readout held
+        return u
 
     @property
     def e(self) -> np.ndarray:
@@ -403,20 +410,36 @@ def _block_map(step, steps: int):
     return stack[:B].reshape(B * n, n)
 
 
-def _input_terms(K, inputs, real, h: float, out: np.ndarray) -> None:
-    """Write the input term H_k of step k of ``_propagate`` into out[k],
-    k < len(out); K is ``_rk4_maps``'s input map at theta = real.omega h.
+def _rows(width: int) -> int:
+    """Steps per block of a reader of ``width`` noise entries a step: at
+    most ``CHUNK_ENTRIES`` entries, or one step."""
+    return max(1, CHUNK_ENTRIES // width)
 
-    H_k sums the reads of g = inputs w, w = ``real.at(., k)``, at the
-    stage times t_k, t_k + h/2 and t_k + h of the stage-by-stage RK4.  w
-    rotates at one frequency omega (0 for a held draw), so H_k = Re(K
-    inputs c e^{i omega t_k}) is one read (``real.mapped``), in chunks of
-    at most ``CHUNK_ENTRIES`` noise entries (or one step).
+
+def _pass(real, count: int, *readers) -> None:
+    """One pass over the realization ``real``, steps 0..count-1 in order,
+    shared by ``readers``: each a pair (rows, fn), fn called as fn(ks,
+    read) on its blocks of ``rows`` steps, ks the block's steps and read
+    its read (``DisturbanceRealization.chunks``).  Each reader sees the
+    blocks of a pass of its own, so a dense map rounds as it would there,
+    and every white draw is made once for all of them."""
+    for i, ks, read in real.chunks(count, *(rows for rows, _ in readers)):
+        readers[i][1](ks, read)
+
+
+def _term(out: np.ndarray, ts: np.ndarray, *maps):
+    """The reader of a pass that writes M w(t_k, k) into out[k], t_k =
+    ts[k] and M the product of ``maps``.
+
+    With ``_rk4_maps``'s input map K at theta = omega h and the loop's
+    ``inputs``, that is the input term H_k of step k of ``_propagate``:
+    the reads of g = inputs w at the stage times t_k, t_k + h/2 and t_k +
+    h of the stage-by-stage RK4.  w rotates at one frequency omega (0 for
+    a held draw), so H_k = Re(K inputs c e^{i omega t_k}) is one read.
     """
-    rows = max(1, CHUNK_ENTRIES // inputs.shape[1])
-    for k in range(0, len(out), rows):
-        ks = np.arange(k, min(k + rows, len(out)))
-        out[k:k + ks.size] = real.mapped(ks * h, ks, K, inputs).T
+    def write(ks, read):
+        out[ks[0]:ks[-1] + 1] = read(ts[ks], None, *maps).T
+    return write
 
 
 def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
@@ -424,7 +447,7 @@ def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
     the steps done, 0 where P^B - I is not finite.
 
     On entry z_rec[0] is the start and z_rec[k + 1] holds the input term
-    H_k of step k (``_input_terms``); on return rows 1..bB hold the
+    H_k of step k (``_term``); on return rows 1..bB hold the
     states, b the number of full blocks.  Three phases, each over all
     blocks at once except the carry:
 
@@ -462,14 +485,15 @@ def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
     return blocks * B
 
 
-def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
-    """RK4 on the grid t_k = k h for zdot = A z + inputs w(t), with
-    precomputed linear maps; returns (t, z records).
+def _propagate(step, z_rec: np.ndarray, noisy: bool, ts: np.ndarray) -> None:
+    """RK4 on the grid ``ts`` for zdot = A z + inputs w(t), in place in
+    the record z_rec, with ``step`` = P - I from ``_rk4_maps``.
 
-    Step k is z + (P - I)(z - z[0]) + H_k, with the input term H_k of
-    ``_input_terms``.  A annihilates the constant vector, so a consensus
-    state stays exact.  H is read for the whole run before stepping,
-    straight into the records it is added to.  Three step forms:
+    On entry z_rec[0] is the start and, for a ``noisy`` run, z_rec[k + 1]
+    holds the input term H_k of step k (``_term``); on return row k holds
+    the state at t_k.  Step k is z + (P - I)(z - z[0]) + H_k.  A
+    annihilates the constant vector, so a consensus state stays exact.
+    Three step forms:
 
     - Without noise H = 0, and small dense maps advance a block of steps
       per product (``_block_map``).
@@ -483,15 +507,10 @@ def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
     Finiteness is checked once over all records after stepping; the
     first non-finite row names the failing step.
     """
-    step, K = _rk4_maps(A, h, real.omega * h)
-    noisy = real.profile.kind != "zero"
-    ts = np.arange(steps + 1) * h
-    z_rec = np.zeros((steps + 1, z.size))
-    if noisy:
-        _input_terms(K, inputs, real, h, z_rec[1:])
+    steps = z_rec.shape[0] - 1
     block = step if noisy else _block_map(step, steps)
+    z = z_rec[0]
     n, B = z.size, block.shape[0] // z.size
-    z_rec[0] = z
     done = 0
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         if noisy and not sparse.issparse(step) and steps >= 2 * _NOISY_BLOCK:
@@ -503,44 +522,57 @@ def _propagate(A, inputs, z: np.ndarray, real, h: float, steps: int):
             Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
             z = Z[-1]
     _check_finite(z_rec[1:], ts)
-    return ts, z_rec
+
+
+def _record(z0: np.ndarray, steps: int) -> np.ndarray:
+    """A zero record of steps + 1 rows that starts at z0."""
+    z_rec = np.zeros((steps + 1, z0.size))
+    z_rec[0] = z0
+    return z_rec
 
 
 def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
-             width: int) -> np.ndarray:
-    """The consensus input u = state_map (z - z[0]) + noise_map w(t_k) at
-    every grid point t_k of the record z_rec, w = ``real.at(t_k, k)``;
-    ``noise_map`` None: u sees no noise, and ``real`` is not read.
+             width: int, noise: np.ndarray | None = None) -> np.ndarray:
+    """The consensus input u = state_map (z - z[0]) + noise_map w(t_k, k)
+    at every grid point t_k of the record z_rec.
 
-    Read in chunks of at most ``CHUNK_ENTRIES`` entries of the ``width``
-    noise streams (or one point), the chunks of ``_input_terms``.
+    The noise term comes as ``noise``, one row per grid point, where the
+    run's own pass read it (white draws, ``_filter_run``); else one pass
+    of ``real`` reads it here.  ``noise_map`` None: u sees no noise, and
+    ``real`` is not read.  The state term is read in chunks of at most
+    ``CHUNK_ENTRIES`` entries of the ``width`` noise streams (or one
+    point), the chunks of the run's pass.
     """
     u_rec = np.empty((ts.size, state_map.shape[0]))
-    rows = max(1, CHUNK_ENTRIES // width)
-    noisy = noise_map is not None and real.profile.kind != "zero"
+    if noise is None and noise_map is not None and real.profile.kind != "zero":
+        _pass(real, ts.size, (_rows(width), _term(u_rec, ts, noise_map)))
+        noise = u_rec  # each chunk's noise is read before its u is written
+    rows = _rows(width)
     for k in range(0, ts.size, rows):
-        ks = np.arange(k, min(k + rows, ts.size))
-        d = z_rec[k:k + ks.size] - z_rec[k:k + ks.size, :1]
+        d = z_rec[k:k + rows] - z_rec[k:k + rows, :1]
         u = state_map @ d.T
-        if noisy:
-            u += real.mapped(ts[ks], ks, noise_map)
-        u_rec[k:k + ks.size] = u.T
+        if noise is not None:
+            u += noise[k:k + rows].T
+        u_rec[k:k + rows] = u.T
     return u_rec
 
 
 def _u_readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
-               width: int) -> Callable[[], np.ndarray]:
+               width: int, noise: np.ndarray | None = None) -> Callable[[], np.ndarray]:
     """The ``Trajectory.readout`` of a record: ``_readout`` deferred to the
-    first read of u, or run now when u reads white draws, so that an
-    unread u never keeps the draws alive.  A u without noise holds no
-    realization."""
-    if noise_map is None:
+    first read of u.  A u whose noise term the run read (``noise``) or
+    that reads no noise holds no realization."""
+    if noise is not None or noise_map is None:
         real = None
-    read = partial(_readout, state_map, noise_map, ts, z_rec, real, width)
-    if real is None or real.profile.kind != "white":
-        return read
-    u_rec = read()
-    return lambda: u_rec
+    return partial(_readout, state_map, noise_map, ts, z_rec, real, width, noise)
+
+
+def _run(real, steps: int, *runs) -> list[Trajectory]:
+    """The trajectories of ``runs``, each a (readers, finish) pair of
+    ``_filter_run`` or ``_classical_run`` under ``real``, after one pass
+    over ``real`` that feeds all their readers."""
+    _pass(real, steps, *(reader for readers, _ in runs for reader in readers))
+    return [finish() for _, finish in runs]
 
 
 def simulate_mef(config: ScenarioConfig) -> Trajectory:
@@ -553,52 +585,87 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     maps (``_propagate``); the dynamic loop evaluates its stages.  Both
     read u out of the (x, x_hat) record (``_u_readout``).
     """
-    return _simulate_mef(config, sample_disturbances(
-        config.profile, config.loop.noise_sizes, config.steps, config.h, config.seed))
+    real = sample_disturbances(config.profile, config.loop.noise_sizes, config.steps,
+                               config.h, config.seed)
+    return _run(real, config.steps, _filter_run(config, real))[0]
 
 
-def _simulate_mef(config: ScenarioConfig, real) -> Trajectory:
-    """``simulate_mef`` under the realization ``real`` of the loop's noise
-    streams."""
+def _filter_run(config: ScenarioConfig, real):
+    """The filter run under the realization ``real`` of the loop's noise
+    streams, as (readers, finish): the readers take their reads from a
+    pass over ``real`` (``_run``), and finish returns the trajectory.
+
+    The readers are the steady run's input terms, or the dynamic run's
+    steps, one chunk at a time; and, where u reads white draws (G < S),
+    u's noise term u_noise w_k, whose last grid point repeats the last
+    step's draws.
+    """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
                       "guaranteed", RuntimeWarning, stacklevel=3)
     loop = config.loop
     n, h, steps = loop.n, config.h, config.steps
+    ts = np.arange(steps + 1) * h
+    kind, rows = real.profile.kind, _rows(sum(loop.noise_sizes))
+    readers, noise = [], None
+    if loop.u_noise is not None and kind == "white":
+        noise = np.empty((steps + 1, n))
+        readers.append((rows, _term(noise, ts, loop.u_noise)))
     if config.riccati == "steady":
-        ts, z_rec = _propagate(loop.A, loop.inputs,
-                               np.concatenate([config.x0, config.prior]), real, h, steps)
+        step, K = _rk4_maps(loop.A, h, real.omega * h)
+        z_rec = _record(np.concatenate([config.x0, config.prior]), steps)
+        if kind != "zero":
+            readers.append((rows, _term(z_rec[1:], ts, K, loop.inputs)))
         q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
     else:
-        def f(t: float, k: int, z: np.ndarray) -> np.ndarray:
-            q, w = z[2 * n:], real.at(t, k)
+        def f(t: float, w: np.ndarray, z: np.ndarray) -> np.ndarray:
+            q = z[2 * n:]
             u, innov = loop.coupling(z[:2 * n], w)
             # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
             return np.concatenate([u + loop.B * w[:n], u + q * innov,
                                    loop.B ** 2 - q ** 2 * loop.ricc_coeff])
 
-        ts = np.arange(steps + 1) * h
-        z_rec = np.empty((steps + 1, 3 * n))
-        z_rec[0] = np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi])
-        for k in range(steps):
-            z_rec[k + 1] = rk4_step(lambda t, z: f(t, k, z), z_rec[k], ts[k], h)
+        def advance(ks, read):
+            for k in ks:
+                z_rec[k + 1] = rk4_step(lambda t, z: f(t, read(t, k), z), z_rec[k],
+                                        ts[k], h)
+
+        z_rec = _record(np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi]),
+                        steps)
+        readers.append((rows, advance))
         q_rec = z_rec[:, 2 * n:]
-    readout = _u_readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
-                         sum(loop.noise_sizes))
-    return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
+
+    def finish() -> Trajectory:
+        if config.riccati == "steady":
+            _propagate(step, z_rec, kind != "zero", ts)
+        if noise is not None:
+            noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
+        readout = _u_readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
+                             sum(loop.noise_sizes), noise)
+        return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
+
+    return readers, finish
 
 
 def measurements(config: ScenarioConfig,
                  traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
     """Measurements (y_self (K+1, N), y_edge (K+1, E)) of a filter run.
 
-    Replays the run's measurement noise on its grid, so each row is what
-    the nodes saw at that grid point.
+    Replays the run's measurement noise on its grid in one pass, so each
+    row is what the nodes saw at that grid point.
     """
     loop = config.loop
     real = sample_disturbances(config.profile, loop.noise_sizes, config.steps,
                                config.h, config.seed)
-    return loop.measure(traj.x, real.at(traj.t, np.arange(traj.t.size)))
+    y_self = np.empty_like(traj.x)
+    y_edge = np.empty((traj.t.size, loop.dst.size))
+
+    def measure(ks, read):
+        rows = slice(ks[0], ks[-1] + 1)
+        y_self[rows], y_edge[rows] = loop.measure(traj.x[rows], read(traj.t[ks], None).T)
+
+    _pass(real, traj.t.size, (_rows(sum(loop.noise_sizes)), measure))
+    return y_self, y_edge
 
 
 def simulate_classical(config: ScenarioConfig) -> Trajectory:
@@ -614,15 +681,39 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
 
 
 def _simulate_classical(config: ScenarioConfig, real) -> Trajectory:
-    """``simulate_classical`` under the realization ``real`` of the delta
-    stream alone, such as a filter run's ``real.leading(N)``."""
+    """``simulate_classical`` under the realization ``real``, whose first
+    stream is delta: its own, or a filter run's (``_classical_run``)."""
+    return _run(real, config.steps, _classical_run(config, real))[0]
+
+
+def _classical_run(config: ScenarioConfig, real):
+    """The baseline under ``real`` as ``_filter_run``'s (readers, finish).
+    It reads the delta columns of ``real``'s w, the first N, so a filter
+    run's pass can feed it (``_simulate_both``)."""
     top = config.topology
     Lp = _stored(laplacian(top))  # -L_std
-    n = top.node_count
-    ts, x_rec = _propagate(Lp, sparse.eye_array(n, format="csr"), config.x0, real,
-                           config.h, config.steps)
-    return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
-                      _u_readout(Lp, None, ts, x_rec, real, n))
+    n, h, steps = top.node_count, config.h, config.steps
+    ts = np.arange(steps + 1) * h
+    step, K = _rk4_maps(Lp, h, real.omega * h)
+    x_rec = _record(config.x0, steps)
+    noisy = real.profile.kind != "zero"
+    delta = sparse.eye_array(n, sum(real.sizes), format="csr")
+    readers = [(_rows(n), _term(x_rec[1:], ts, K, delta))] if noisy else []
+
+    def finish() -> Trajectory:
+        _propagate(step, x_rec, noisy, ts)
+        return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
+                          _u_readout(Lp, None, ts, x_rec, real, n))
+
+    return readers, finish
+
+
+def _simulate_both(config: ScenarioConfig, real) -> tuple[Trajectory, Trajectory]:
+    """The baseline and the filter run under one realization ``real`` of
+    the loop's noise streams, fed by one pass: the baseline reads its
+    delta columns, so each draw is made once."""
+    return tuple(_run(real, config.steps, _classical_run(config, real),
+                      _filter_run(config, real)))
 
 
 def basic_scenario(n: int = 2, family: str = "complete", *, B=1.0, R=1.0,

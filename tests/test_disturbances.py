@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from mefcon import ConfigError, DisturbanceProfile, sample_disturbances
+from mefcon.disturbances import CHUNK_ENTRIES
 
 
 def _streams(real, t, k, n):
@@ -63,6 +64,74 @@ def test_white_step_index_is_clamped_to_the_drawn_steps():
     assert np.array_equal(real.at(0.5, 9), rows[4])
 
 
+def _one_shot(sizes, steps, h, seed, sigma=1.0):
+    """Each stream's draws as one ``normal`` call for the whole run."""
+    kids = np.random.SeedSequence(seed).spawn(3)
+    return [np.random.default_rng(kid).normal(0.0, sigma / np.sqrt(h), (steps, size))
+            for kid, size in zip(kids, sizes)]
+
+
+def _pass_rows(real, count, rows, whole=False):
+    """The stacked w of steps 0..count-1, read by one pass in blocks of
+    ``rows`` steps, each block by its steps or, ``whole``, as a block."""
+    blocks = [read(None, None if whole else ks).T
+              for _, ks, read in real.chunks(count, rows)]
+    return np.concatenate(blocks)
+
+
+@pytest.mark.parametrize("sizes, steps, rows", [
+    ((3, 3, 5), 10, 3),                    # 4 blocks, the last of one step
+    ((4, 4), 37, 5),
+    ((2, 2, CHUNK_ENTRIES + 3), 5, None),  # wider than a chunk: one step a block
+])
+def test_streamed_white_draws_are_the_one_shot_draws(sizes, steps, rows):
+    # a pass draws each block's rows as it reads them, from fresh generators;
+    # every stream is bit for bit one normal call over the whole run
+    h, seed = 0.01, 11
+    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), sizes, steps, h, seed)
+    if rows is None:
+        rows = max(1, CHUNK_ENTRIES // sum(sizes))
+        assert rows == 1
+    assert steps % rows or rows == 1
+    first = _pass_rows(real, steps, rows)
+    assert first.tobytes() == np.hstack(_one_shot(sizes, steps, h, seed)).tobytes()
+    second = _pass_rows(real, steps, rows, whole=True)
+    assert second.tobytes() == first.tobytes()
+    # random access replays a pass, clamped to the drawn steps
+    for k, want in ((-1, 0), (0, 0), (steps - 1, steps - 1), (steps, steps - 1),
+                    (steps + 5, steps - 1)):
+        assert real.at(0.0, k).tobytes() == first[want].tobytes(), k
+    # a pass longer than the run repeats the last drawn step
+    longer = _pass_rows(real, steps + 2, rows)
+    assert longer[:steps].tobytes() == first.tobytes()
+    assert np.array_equal(longer[steps:], first[[-1, -1]])
+
+
+def test_readers_of_one_pass_see_their_own_blocks():
+    # readers with different block lengths share one pass: each gets the
+    # blocks a pass of its own gives, with the same draws, in the order of
+    # the blocks' last steps
+    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), (3, 3, 4), 23,
+                               0.1, 5)
+    want = _pass_rows(real, 23, 23)
+    seen = {0: [], 1: []}
+    ends = []
+    for i, ks, read in real.chunks(23, 4, 7):
+        assert ks.tolist() == list(range(len(seen[i]) * (4, 7)[i], ks[-1] + 1))
+        seen[i].append(read(None, ks).T)
+        ends.append(ks[-1])
+    assert ends == sorted(ends)
+    for i in (0, 1):
+        assert np.concatenate(seen[i]).tobytes() == want.tobytes()
+
+
+def test_white_realization_keeps_no_draws():
+    # a white realization holds its seed and std, no array
+    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), (100, 100, 3000),
+                               2000, 0.01, 1)
+    assert not [k for k, v in vars(real).items() if isinstance(v, np.ndarray)]
+
+
 @pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
 def test_array_read_stacks_the_scalar_reads(kind):
     prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
@@ -105,7 +174,8 @@ def test_white_std_scaling():
     h = 0.004
     prof = DisturbanceProfile(kind="white", sigma=2.0)
     real = sample_disturbances(prof, (1000, 1000, 0), 200, h, 0)
-    draws = np.concatenate([_streams(real, k * h, k, 1000)[0] for k in range(200)])
+    k = np.arange(200)
+    draws = real.at(k * h, k)[:, :1000]  # the delta stream of every step
     assert draws.std() == pytest.approx(2.0 / np.sqrt(h), rel=0.02)
 
 

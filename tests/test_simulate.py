@@ -1,6 +1,7 @@
 import gc
 import itertools
 import math
+import tracemalloc
 import warnings
 import weakref
 from dataclasses import replace
@@ -26,8 +27,9 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     simulate_mef, spectral_report, steady_gains,
                     uniform_params)
 from mefcon.disturbances import CHUNK_ENTRIES
+from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import _block_map, _input_terms, _rk4_maps, _stored
+from mefcon.simulate import _block_map, _pass, _rk4_maps, _stored, _term
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -321,9 +323,10 @@ def _classical_stages(config):
     real = sample_disturbances(config.profile, (n,), config.steps, config.h,
                                config.seed)
     xs = [config.x0]
-    for k in range(config.steps):
-        xs.append(rk4_step(lambda t, x: Lp @ x + real.at(t, k), xs[-1],
-                           k * config.h, config.h))
+    for _, ks, read in real.chunks(config.steps, config.steps):  # one block
+        for k in ks:
+            xs.append(rk4_step(lambda t, x: Lp @ x + read(t, k), xs[-1],
+                               k * config.h, config.h))
     return np.array(xs), np.array(xs) @ Lp.T
 
 
@@ -390,8 +393,9 @@ def test_u_readout_matches_coupling_at_every_point(profile):
         traj = simulate_mef(config)
         real = sample_disturbances(profile, loop.noise_sizes, config.steps,
                                    config.h, config.seed)
-        want = [loop.coupling(np.concatenate([traj.x[k], traj.x_hat[k]]),
-                              real.at(t, k))[0] for k, t in enumerate(traj.t)]
+        w = real.at(traj.t, np.arange(traj.t.size))  # one replay, not one a point
+        want = [loop.coupling(np.concatenate([traj.x[k], traj.x_hat[k]]), w[k])[0]
+                for k in range(traj.t.size)]
         assert traj.u == pytest.approx(np.array(want), rel=0, abs=1e-12), riccati
     assert not np.allclose(traj.Q[0], loop.q_star)  # the gain moved
     assert np.abs(traj.u).max() > 1.0
@@ -486,6 +490,68 @@ def test_white_run_keeps_no_realization(monkeypatch):
     assert refs[-1]() is not None  # the readout holds it until u is read
 
 
+def _white_digraph(T):
+    """White noise on a complete digraph N = 30 with G < S, so u reads the
+    E = 870 edge streams: the draws (steps x 930 values) are 15 times the
+    (x, x_hat) record."""
+    return basic_scenario(30, "complete", S=2.0, G=1.0, T=T, h=0.01, seed=2,
+                          profile=DisturbanceProfile("white", sigma=0.5))
+
+
+def test_white_run_memory_is_its_record_plus_a_few_chunks():
+    # no array holds the run's draws (7.4 MB here): the peak is the
+    # record, u and a few chunks of the pass
+    config = _white_digraph(T=10.0)
+    loop = config.loop
+    width, steps = sum(loop.noise_sizes), config.steps
+    record = (steps + 1) * 2 * loop.n * 8
+    assert steps * width * 8 >= 10 * record
+    simulate_mef(config).u  # maps and caches built outside the count
+    tracemalloc.start()
+    try:
+        traj = simulate_mef(config)
+        u = traj.u
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = 2 * (record + u.nbytes) + 6 * CHUNK_ENTRIES * 8
+    assert peak < bound, (peak, bound, steps * width * 8)
+
+
+def _counting_draws(monkeypatch):
+    """Record the number of white values each ``normal`` call draws from
+    here on."""
+    drawn = []
+    streams = disturbances_module._streams
+
+    class Counted:
+        def __init__(self, rng):
+            self.rng = rng
+
+        def normal(self, loc, scale, size):
+            drawn.append(math.prod(size))
+            return self.rng.normal(loc, scale, size)
+
+    monkeypatch.setattr(disturbances_module, "_streams",
+                        lambda seed: [Counted(rng) for rng in streams(seed)])
+    return drawn
+
+
+def test_each_white_value_is_drawn_once(monkeypatch):
+    # one pass per run: the steady and dynamic runs, u included, draw
+    # steps x sum(noise_sizes) values, and a comparison that many per seed
+    drawn = _counting_draws(monkeypatch)
+    config = _white_digraph(T=2.0)
+    once = config.steps * sum(config.loop.noise_sizes)
+    for riccati in ("steady", "dynamic"):
+        traj = simulate_mef(replace(config, riccati=riccati))
+        assert np.abs(traj.u).max() > 0
+        assert sum(drawn) == once, riccati
+        drawn.clear()
+    run_comparison(config, seeds=[3, 4])
+    assert sum(drawn) == 2 * once
+
+
 def _stage_maps(A, h):
     """The RK4 stage maps (K1, K2) of zdot = A z + g(t), dense from M = h
     A: K1 = h/6 (I + M + M^2/2 + M^3/4), K2 = h/6 (4I + 2M + M^2/2)."""
@@ -524,7 +590,8 @@ def test_input_terms_match_the_three_stages(family, n, sparse_maps, profile):
     maps = _rk4_maps(loop.A, h, real.omega * h)
     assert all(sparse.issparse(M) == sparse_maps for M in maps)
     H = np.empty((steps, 2 * n))
-    _input_terms(maps[1], loop.inputs, real, h, H)
+    _pass(real, steps, (CHUNK_ENTRIES // loop.inputs.shape[1],
+                        _term(H, np.arange(steps) * h, maps[1], loop.inputs)))
     want = _three_stages(loop.A, loop.inputs, real, h, steps)
     assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
