@@ -25,8 +25,6 @@ run never reads the measurement streams.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -113,7 +111,7 @@ class DisturbanceRealization:
     ``step``, clamped to the drawn steps.  Both arguments may be arrays.
     ``omega`` is the angular frequency, 0 for white draws and zero noise,
     which hold their value over a step.  ``mapped`` reads a linear map of
-    w without building w; ``leading`` gives the delta stream alone.
+    w without building w.
 
     A white realization keeps its seed and per-step std, never its
     draws.  ``chunks`` reads the run in one pass in step order and draws
@@ -142,16 +140,6 @@ class DisturbanceRealization:
             self._c = profile.amplitudes(sizes) * (np.sin(phase) - 1j * np.cos(phase))
         else:  # reads no stream: a sinusoid of amplitude 0
             self._c = np.zeros(sum(sizes))
-
-    def leading(self, size: int) -> "DisturbanceRealization":
-        """The first ``size`` signals alone, which must end a stream: for
-        the delta stream's length N, what ``sample_disturbances`` draws for
-        sizes (N,) from the same seed, sharing this realization's state."""
-        part = copy.copy(self)
-        part.sizes = self.sizes[:list(itertools.accumulate(self.sizes)).index(size) + 1]
-        if self.profile.kind != "white":
-            part._c = self._c[:size]
-        return part
 
     def at(self, t, step) -> np.ndarray:
         """w at time ``t`` of step ``step``; arrays of m times and m steps

@@ -16,13 +16,13 @@ white noise a chunk at a time as it is read; every reader of w takes its
 chunks from that pass: the input terms, the dynamic gain's steps, u's
 white noise term, and in a comparison the baseline's input terms too.
 
-A noisy run on a dense step map steps in blocks of 8 steps, in three
-phases (``_noisy_blocks``): each block's input sum, over all blocks at
-once; a carry of the block starts, one product with P^8 - I per block;
-then the states inside the blocks, over all blocks at once.  These
-phases make 21 dense matrix-matrix products however long the run; only
-the carry grows with the step count.  Zero-noise runs advance input-free
-blocks (``_block_map``), and sparse maps one product per step.
+A dense run with enough steps (``_blocks_pay``) steps in blocks of 8
+steps, in three phases (``_blocks``): each block's input sum, over all
+blocks at once; a carry of the block starts with P^8 - I, which is the
+same recurrence again and goes in blocks by the same rule; then the
+states inside the blocks, over all blocks at once.  Zero noise is the
+input 0.  Sparse maps, and dense runs too short to pay for P^8 - I,
+take one product per step.
 
 Every run integrates only its record.  The consensus input u is read out
 of that record (``_readout``) when ``Trajectory.u`` is first read; where
@@ -357,15 +357,34 @@ def _rk4_maps(A, h: float, theta: float) -> list:
                  h / 24)]
 
 
-# Bounds the block map's size and the cost of building its powers.  It
-# keeps dense 2N = 200 maps (the complete N = 100 loop) on one map per
-# step.  It is a chosen cap, not a measured break-even.
-_BLOCK_ENTRIES = 1 << 15
-_BLOCK_STEPS = 64
-# Steps per block of a noisy run on a dense step map (``_noisy_blocks``).
-# One compare seed on complete N = 100 (2N = 200, 2 500 steps) ran as fast
-# at 8 as at 16, and faster than at 4 or 64, under one or two BLAS threads.
-_NOISY_BLOCK = 8
+# Steps per block of a dense run (``_blocks``).  One compare seed on
+# complete N = 100 (2N = 200, 2 500 steps) ran as fast at 8 as at 16, and
+# faster than at 4 or 64, under one or two BLAS threads.
+_BLOCK = 8
+# Steps per state dimension from which a dense run goes in blocks
+# (``_blocks_pay``).
+_STEPS_PER_DIM = 4
+
+
+def _blocks_pay(steps: int, dim: int) -> bool:
+    """Whether ``steps`` steps of a dense dim x dim step map go in blocks
+    (``_blocks``): at least two blocks, and at least ``_STEPS_PER_DIM``
+    steps per dimension.
+
+    Blocks trade steps matrix-vector products for 7 dense dim x dim
+    products that build P^8 - I and 14 matrix-matrix products with one
+    row per block, so they pay once the steps amortize the powers, a
+    number of steps proportional to dim.  Measured on one BLAS thread of
+    a shared 2-core host, one level of blocks against one product per
+    step (best of 2-5 runs), blocks break even near 1.5 steps per
+    dimension at dim 100 and 1 000, 2.5 at 500 and 4 at 200, whose
+    matrix-vector product stays in cache.  At 4 steps per dimension they
+    took 0.57, 0.97, 0.74 and 0.51 of the per-step time at dim 100, 200,
+    500 and 1 000; at 1 step per dimension 1.27, 2.42, 1.74 and 1.25.
+    4, the highest break-even, blocks no run that the per-step form
+    would do faster in these measurements.
+    """
+    return steps >= max(2 * _BLOCK, _STEPS_PER_DIM * dim)
 
 
 def _step_powers(step, B: int):
@@ -381,33 +400,6 @@ def _step_powers(step, B: int):
     for _ in range(B - 1):
         Dj = Dj + step + step @ Dj
         yield Dj
-
-
-def _block_map(step, steps: int):
-    """The map that advances B input-free steps of s_{k+1} = P s_k with
-    one product: ``step`` = P - I itself when B = 1.
-
-    s = z - c 1 for a constant c, since P 1 = 1.  Row block j = 1..B of
-    the map is P^j - I (``_step_powers``), which takes s_0 to s_j - s_0;
-    a partial block of b steps reads its top b row blocks.  B = 1 when
-    ``step`` is stored sparse; else B = max(1, min(64, ``steps``, 2^15 //
-    n^2)), the most steps whose map has at most 2^15 entries, cut to the
-    last power P^B that is finite (one check over the whole stack).
-    """
-    if sparse.issparse(step):
-        return step
-    n = step.shape[0]
-    B = max(1, min(_BLOCK_STEPS, steps, _BLOCK_ENTRIES // (n * n)))
-    if B == 1:
-        return step
-    stack = np.empty((B, n, n))  # row block j - 1 holds P^j - I
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, Dj in enumerate(_step_powers(step, B)):
-            stack[j] = Dj
-    finite = np.isfinite(stack).all(axis=(1, 2))
-    if not finite.all():
-        B = max(1, int(np.argmin(finite)))
-    return stack[:B].reshape(B * n, n)
 
 
 def _rows(width: int) -> int:
@@ -442,27 +434,29 @@ def _term(out: np.ndarray, ts: np.ndarray, *maps):
     return write
 
 
-def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
-    """Advance ``z_rec`` over its full blocks of B steps in place; returns
-    the steps done, 0 where P^B - I is not finite.
+def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
+    """Advance ``z_rec`` over its full blocks of B = 8 steps in place, the
+    steps of ``_scan``; returns the steps done, 0 where P^B - I is not
+    finite.
 
-    On entry z_rec[0] is the start and z_rec[k + 1] holds the input term
-    H_k of step k (``_term``); on return rows 1..bB hold the
-    states, b the number of full blocks.  Three phases, each over all
-    blocks at once except the carry:
+    Rows 1..bB of z_rec take the states, b the number of full blocks, in
+    three phases, each over all blocks at once:
 
     1. C_b = sum_i P^{B-1-i} H_{bB+i}, by Horner's rule with D = ``step``:
        B - 1 products of D with all blocks' partial sums.
-    2. The carry, in order: z_{(b+1)B} = z_{bB} + (P^B - I)(z_{bB} -
-       z_{bB}[0]) + C_b, one matrix-vector product per block.  It writes
-       over H_{bB+B-1}, which only phase 1 reads.
+    2. The carry: the block starts follow z_{(b+1)B} = z_{bB} + (P^B -
+       I)(z_{bB} - z_{bB}[0]) + C_b, the same recurrence with step P^B - I
+       and input C_b.  C_b is written over H_{bB+B-1}, which only phase 1
+       reads, so rows 0, B, 2B, ... of z_rec are that recurrence's record,
+       and ``_scan`` advances it in place, in blocks again where they pay.
     3. The fill: every state inside the blocks by the step z + D(z -
        z[0]) + H from the block starts, B - 1 products of D.
 
     With P^B - I from ``_step_powers`` that is 3(B - 1) dense
-    matrix-matrix products however many steps there are.  Every
-    temporary has one row per block.
+    matrix-matrix products per level.  Every temporary has one row per
+    block.
     """
+    B = _BLOCK
     for PB in _step_powers(step, B):  # ends at P^B - I
         pass
     if not np.isfinite(PB).all():
@@ -474,10 +468,8 @@ def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
     for i in range(1, B):
         C += (C - C[:, :1]) @ step.T
         C += R[:, i]
-    z = z_rec[0]
-    for b in range(blocks):
-        R[b, -1] = z + PB @ (z - z[0]) + C[b]
-        z = R[b, -1]
+    R[:, -1] = C
+    _scan(PB, z_rec[:blocks * B + 1:B])
     prev = z_rec[0:blocks * B:B]  # the block starts z_{bB}
     for i in range(B - 1):
         R[:, i] += prev + (prev - prev[:, :1]) @ step.T
@@ -485,42 +477,38 @@ def _noisy_blocks(step: np.ndarray, z_rec: np.ndarray, B: int) -> int:
     return blocks * B
 
 
-def _propagate(step, z_rec: np.ndarray, noisy: bool, ts: np.ndarray) -> None:
+def _scan(step, z_rec: np.ndarray) -> None:
+    """Step k of ``_propagate``, z + ``step`` (z - z[0]) + H_k, for every
+    k of the record z_rec in place: the full blocks of a dense map in
+    three phases (``_blocks``) where they pay (``_blocks_pay``), the
+    rest one product per step."""
+    steps, done = z_rec.shape[0] - 1, 0
+    if not sparse.issparse(step) and _blocks_pay(steps, step.shape[0]):
+        done = _blocks(step, z_rec)
+    z = z_rec[done]
+    for k in range(done, steps):
+        z_rec[k + 1] += z + step @ (z - z[0])
+        z = z_rec[k + 1]
+
+
+def _propagate(step, z_rec: np.ndarray, ts: np.ndarray) -> None:
     """RK4 on the grid ``ts`` for zdot = A z + inputs w(t), in place in
     the record z_rec, with ``step`` = P - I from ``_rk4_maps``.
 
-    On entry z_rec[0] is the start and, for a ``noisy`` run, z_rec[k + 1]
-    holds the input term H_k of step k (``_term``); on return row k holds
+    On entry z_rec[0] is the start and z_rec[k + 1] holds the input term
+    H_k of step k (``_term``), 0 without noise; on return row k holds
     the state at t_k.  Step k is z + (P - I)(z - z[0]) + H_k.  A
     annihilates the constant vector, so a consensus state stays exact.
-    Three step forms:
 
-    - Without noise H = 0, and small dense maps advance a block of steps
-      per product (``_block_map``).
-    - With noise, a dense step map and at least two blocks of 8 steps,
-      the full blocks take three phases over all blocks at once
-      (``_noisy_blocks``): each block's input sum, a carry of the block
-      starts with P^8 - I, then the states inside the blocks.
-    - Otherwise, and for the steps after the last full block, one
-      product per step.
-
-    Finiteness is checked once over all records after stepping; the
-    first non-finite row names the failing step.
+    Two step forms (``_scan``): one product per step, or, where a dense
+    run has enough steps, blocks of 8 steps over all blocks at once, whose
+    carry of the block starts is the same recurrence again, advanced by
+    the same rule (``_blocks``).  Finiteness is checked once over all
+    records after stepping; the first non-finite row names the failing
+    step.
     """
-    steps = z_rec.shape[0] - 1
-    block = step if noisy else _block_map(step, steps)
-    z = z_rec[0]
-    n, B = z.size, block.shape[0] // z.size
-    done = 0
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-        if noisy and not sparse.issparse(step) and steps >= 2 * _NOISY_BLOCK:
-            done = _noisy_blocks(step, z_rec, _NOISY_BLOCK)
-            z = z_rec[done]
-        for k in range(done, steps, B):
-            b = min(B, steps - k)
-            Z = z_rec[k + 1:k + b + 1]
-            Z += z + ((block if b == B else block[:b * n]) @ (z - z[0])).reshape(b, n)
-            z = Z[-1]
+        _scan(step, z_rec)
     _check_finite(z_rec[1:], ts)
 
 
@@ -637,7 +625,7 @@ def _filter_run(config: ScenarioConfig, real):
 
     def finish() -> Trajectory:
         if config.riccati == "steady":
-            _propagate(step, z_rec, kind != "zero", ts)
+            _propagate(step, z_rec, ts)
         if noise is not None:
             noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
         readout = _u_readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
@@ -696,12 +684,12 @@ def _classical_run(config: ScenarioConfig, real):
     ts = np.arange(steps + 1) * h
     step, K = _rk4_maps(Lp, h, real.omega * h)
     x_rec = _record(config.x0, steps)
-    noisy = real.profile.kind != "zero"
     delta = sparse.eye_array(n, sum(real.sizes), format="csr")
-    readers = [(_rows(n), _term(x_rec[1:], ts, K, delta))] if noisy else []
+    readers = ([(_rows(n), _term(x_rec[1:], ts, K, delta))]
+               if real.profile.kind != "zero" else [])
 
     def finish() -> Trajectory:
-        _propagate(step, x_rec, noisy, ts)
+        _propagate(step, x_rec, ts)
         return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
                           _u_readout(Lp, None, ts, x_rec, real, n))
 

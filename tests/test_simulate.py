@@ -29,7 +29,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import _block_map, _pass, _rk4_maps, _stored, _term
+from mefcon.simulate import _pass, _rk4_maps, _step_powers, _stored, _term
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -210,7 +210,7 @@ def test_baseline_on_the_filter_draws_is_byte_identical(profile):
     # the baseline under its own draw
     cfg = basic_scenario(12, profile=profile, S=2.0, G=1.0, h=0.01, T=1.03, seed=3)
     real = sample_disturbances(profile, cfg.loop.noise_sizes, cfg.steps, cfg.h, 3)
-    shared = simulate_module._simulate_classical(cfg, real.leading(12))
+    shared = simulate_module._simulate_both(cfg, real)[0]
     own = simulate_classical(cfg)
     assert shared.x.tobytes() == own.x.tobytes()
     assert shared.u.tobytes() == own.u.tobytes()
@@ -310,10 +310,16 @@ def test_steady_gain_column_recorded():
     assert np.array_equal(traj.Q, np.tile(qstar, (traj.t.size, 1)))
 
 
-def _block_steps(A, config):
-    """Steps per dense product of ``_propagate`` on zdot = A z, no noise."""
+def _block_levels(A, config, monkeypatch):
+    """The steps that each level of ``_blocks`` advanced, top level first,
+    when ``_propagate`` runs zdot = A z without noise."""
     step = _rk4_maps(A, config.h, 0.0)[0]
-    return _block_map(step, config.steps).shape[0] // A.shape[0]
+    z_rec = np.zeros((config.steps + 1, A.shape[0]))
+    z_rec[0] = np.random.default_rng(1).uniform(-1.0, 1.0, A.shape[0])
+    with monkeypatch.context() as m:
+        done = _spy_blocks(m)
+        simulate_module._propagate(step, z_rec, np.arange(config.steps + 1) * config.h)
+    return done
 
 
 def _classical_stages(config):
@@ -330,11 +336,11 @@ def _classical_stages(config):
     return np.array(xs), np.array(xs) @ Lp.T
 
 
-def test_default_xi_makes_dynamic_equal_steady():
+def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
     # Xi = 1/Q* starts the gain at its fixed point, so both modes agree:
     # the stage-by-stage dynamic run is the oracle of the steady propagator.
-    # Zero noise advances blocks of steps; T = 2 is 200 steps, no multiple
-    # of any block size here, so the partial last block is compared too.
+    # Zero noise advances blocks of steps; T = 2 is 200 steps, 25 blocks
+    # of 8, whose carry leaves steps to the per-step form.
     # The ring N = 40 runs noise through sparse (CSR) step and input maps.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
@@ -356,8 +362,8 @@ def test_default_xi_makes_dynamic_equal_steady():
         config = ScenarioConfig(top, params, x0, prior, riccati="steady", **kw)
         for A in (ClosedLoop(top, params).A, laplacian(top)):
             if prof.kind == "zero":
-                blocks = _block_steps(A, config)
-                assert blocks > 1 and config.steps % blocks, blocks
+                levels = _block_levels(A, config, monkeypatch)
+                assert levels[0] == config.steps, levels
             if top is ring:
                 theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
                 assert all(sparse.issparse(M) for M in _rk4_maps(A, config.h, theta))
@@ -649,7 +655,7 @@ def test_consensus_is_exact_on_weighted_digraph():
         assert not np.any(traj.u)
 
 
-def test_propagator_storage_follows_fill():
+def test_propagator_storage_follows_fill(monkeypatch):
     ring = make_graph("undirected_ring", 500)
     loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
     assert loop.A.nnz <= 8 * 500
@@ -659,47 +665,26 @@ def test_propagator_storage_follows_fill():
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
     assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, 0.3))
-    # zero-noise blocks of steps only where a dense block map stays small:
-    # the 4-node digraph (2N = 8) takes several steps per product, the
-    # dense 2N = 200 map and the sparse ring one step
+    # 5 000 zero-noise steps go in blocks on dense maps only: the 4-node
+    # digraph (2N = 8) in blocks of blocks, the dense 2N = 200 map in one
+    # level, and the sparse ring one step per product
     config = basic_scenario(4, h=0.01, T=50.0)
     top, params = _weighted_digraph()
-    assert _block_steps(ClosedLoop(top, params).A, config) > 1
+    assert _block_levels(ClosedLoop(top, params).A, config, monkeypatch) == [5000, 624, 72]
     complete = make_graph("complete", 100)
-    assert _block_steps(ClosedLoop(complete, uniform_params(complete)).A, config) == 1
-    assert _block_steps(loop.A, config) == 1
+    A = ClosedLoop(complete, uniform_params(complete)).A
+    assert _block_levels(A, config, monkeypatch) == [5000]
+    assert _block_levels(loop.A, config, monkeypatch) == []
 
 
-def test_block_map_stacks_the_powers_of_the_step():
-    # row block j is P^j - I, P = I + D, to rounding
+def test_step_powers_are_the_powers_of_the_step():
+    # the j-th power is P^j - I, P = I + D, to rounding
     D = 0.05 * np.random.default_rng(3).normal(size=(4, 4))
-    M = _block_map(D, 10)
-    assert M.shape == (40, 4)
-    for j in range(1, 11):
+    powers = list(_step_powers(D, 8))
+    assert len(powers) == 8
+    for j, Dj in enumerate(powers, start=1):
         want = np.linalg.matrix_power(np.eye(4) + D, j) - np.eye(4)
-        assert M[4 * (j - 1):4 * j] == pytest.approx(want, rel=0, abs=1e-14), j
-    # B = max(1, min(64, steps, 2^15 // n^2)) for 2N = 8, 22, 24, 200
-    for n, B in ((8, 64), (22, 64), (24, 56), (200, 1)):
-        step = np.full((n, n), 1e-4)
-        assert _block_map(step, 1000).shape == (B * n, n), n
-    assert _block_map(np.full((8, 8), 1e-4), 3).shape == (24, 8)
-    # a sparse step map advances one step per product
-    sparse_step = sparse.csr_array(D)
-    assert _block_map(sparse_step, 10) is sparse_step
-
-
-def test_block_map_stops_at_the_last_finite_power():
-    D = np.full((2, 2), 1e60)  # P^j has entries about 2^(j-1) 1e60^j
-    with np.errstate(over="ignore", invalid="ignore"):
-        want = [np.linalg.matrix_power(np.eye(2) + D, j) - np.eye(2)
-                for j in range(1, 65)]
-    last = next(j for j, Pj in enumerate(want) if not np.all(np.isfinite(Pj)))
-    assert last == 5
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        M = _block_map(D, 1000)
-    assert M.shape == (2 * last, 2)
-    assert M == pytest.approx(np.concatenate(want[:last]), rel=1e-12)
+        assert Dj == pytest.approx(want, rel=0, abs=1e-14), j
 
 
 def test_measurement_recording():
@@ -784,26 +769,30 @@ def _dense_noisy_cases(profile):
 
 
 def _spy_blocks(monkeypatch):
-    """Record the steps that every ``_noisy_blocks`` call advanced."""
-    done, blocks = [], simulate_module._noisy_blocks
+    """Record the steps that every ``_blocks`` call advanced, one entry
+    per level in the order the levels start: the top level first."""
+    done, blocks = [], simulate_module._blocks
 
     def spy(*args):
-        done.append(blocks(*args))
-        return done[-1]
+        done.append(None)
+        level = len(done) - 1
+        done[level] = blocks(*args)  # the carry's levels append meanwhile
+        return done[level]
 
-    monkeypatch.setattr(simulate_module, "_noisy_blocks", spy)
+    monkeypatch.setattr(simulate_module, "_blocks", spy)
     return done
 
 
 @pytest.mark.parametrize("profile", _NOISY, ids=["white", "sinusoid"])
 def test_noisy_blocks_match_the_dynamic_gain(profile, monkeypatch):
     # dense noisy runs step in blocks of 8: fewer than two blocks keep the
-    # step loop, 64 steps are whole blocks, 203 leave 3 steps for the loop
+    # step loop, 64 steps are whole blocks on 2N = 8 but under 4 steps per
+    # dimension on 2N = 24, and 203 leave 3 steps for the loop
     done = _spy_blocks(monkeypatch)
-    for config in _dense_noisy_cases(profile):
+    for config, at_64 in zip(_dense_noisy_cases(profile), ([64], [])):
         loop = config.loop
         assert isinstance(_rk4_maps(loop.A, config.h, 0.0)[0], np.ndarray)
-        for steps, blocked in ((15, []), (64, [64]), (203, [200])):
+        for steps, blocked in ((15, []), (64, at_64), (203, [200])):
             cfg = replace(config, T=steps * config.h)
             done.clear()
             steady = simulate_mef(cfg)
@@ -830,9 +819,9 @@ def test_noisy_blocks_stay_near_the_step_loop(monkeypatch):
         cfg = config.with_seed(seed)
         oracle = simulate_mef(replace(cfg, riccati="dynamic"))
         blocked = simulate_mef(cfg)
-        assert done == [2496]  # 312 blocks of 8, then 4 single steps
+        assert done == [2496]  # 312 blocks of 8, whose carry steps one by one
         with monkeypatch.context() as m:
-            m.setattr(simulate_module, "_NOISY_BLOCK", cfg.steps)  # under two blocks
+            m.setattr(simulate_module, "_STEPS_PER_DIM", cfg.steps)  # blocks never pay
             stepped = simulate_mef(cfg)
         assert done == [2496]
         assert distance(blocked, oracle) <= 5 * distance(stepped, oracle), seed
@@ -866,6 +855,67 @@ def test_noisy_blocks_rerun_byte_identical(profile):
         first, second = run(config), run(config)
         for name in ("x", "x_hat", "u"):
             assert getattr(first, name).tobytes() == getattr(second, name).tobytes()
+
+
+def test_blocks_start_at_the_steps_per_dimension(monkeypatch):
+    # a dense noisy 2N = 200 run goes in blocks from _STEPS_PER_DIM * 200
+    # steps on; its carry of about 100 blocks steps one by one
+    complete = make_graph("complete", 100)
+    x0 = np.random.default_rng(4).uniform(-1.0, 1.0, 100)
+    config = ScenarioConfig(complete, uniform_params(complete), x0,
+                            profile=DisturbanceProfile("white", sigma=0.5))
+    assert isinstance(_rk4_maps(config.loop.A, config.h, 0.0)[0], np.ndarray)
+    edge = simulate_module._STEPS_PER_DIM * 200
+    done = _spy_blocks(monkeypatch)
+    for steps, blocked in ((edge - 1, []), (edge + 1, [edge])):
+        done.clear()
+        simulate_mef(replace(config, T=steps * config.h))
+        assert done == blocked, steps
+
+
+def test_large_short_runs_step_one_product_per_step():
+    # a directed ring plus 5 random out-edges per node, N = 2000 and 200
+    # white steps: too few steps to pay for the dense powers of P - I in
+    # either the filter loop (2N = 4000) or the baseline (N = 2000)
+    n, rng = 2000, np.random.default_rng(0)
+    edges = {(i, (i + 1) % n) for i in range(n)}
+    for i in range(n):
+        others = rng.choice(np.delete(np.arange(n), i), size=5, replace=False)
+        edges.update((i, int(j)) for j in others)
+    top = NetworkTopology(n, tuple((i, j, 1.0) for i, j in sorted(edges)))
+    config = ScenarioConfig(top, uniform_params(top, S=2.0, G=1.0), np.zeros(n),
+                            profile=DisturbanceProfile("white", sigma=0.1), T=2.0)
+    assert config.steps == 200
+    assert not simulate_module._blocks_pay(config.steps, 2 * n)
+    assert not simulate_module._blocks_pay(config.steps, n)
+
+
+def test_blocks_of_blocks_stay_near_the_step_loop(monkeypatch):
+    # 5 000 steps on the weighted digraph (2N = 8) carry the block starts
+    # in blocks again, three levels deep; every level keeps within 1e-13 of
+    # one product per step, for the filter and the baseline alike
+    top, params = _weighted_digraph()
+    x0 = np.array([0.4, -0.3, 0.9, 0.1])
+    done = _spy_blocks(monkeypatch)
+    for profile in [DisturbanceProfile()] + _NOISY:
+        config = ScenarioConfig(top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3],
+                                profile, h=0.01, T=50.0, seed=5)
+        for run in (simulate_mef, simulate_classical):
+            done.clear()
+            blocked = run(config)
+            assert done == [5000, 624, 72], (profile.kind, run.__name__)
+            with monkeypatch.context() as m:
+                m.setattr(simulate_module, "_STEPS_PER_DIM", config.steps)  # never pays
+                stepped = run(config)
+            for name in ("x", "x_hat", "u"):
+                gap = np.abs(getattr(blocked, name) - getattr(stepped, name)).max()
+                assert gap <= 1e-13, (profile.kind, run.__name__, name, gap)
+    # a consensus start stays exact through every level
+    done.clear()
+    consensus = simulate_mef(ScenarioConfig(top, params, np.full(4, 3.1), h=0.01, T=50.0))
+    assert done == [5000, 624, 72]
+    assert np.array_equal(consensus.x, np.full_like(consensus.x, 3.1))
+    assert np.array_equal(consensus.x_hat, consensus.x)
 
 
 def test_scenario_validation():
