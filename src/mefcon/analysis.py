@@ -475,7 +475,7 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     Both systems consume the identical delta stream for each seed, drawn
     once: one pass over the filter's realization feeds both runs, the
     baseline's input term from the delta columns (the first N) of each
-    chunk, and the filter's from all its streams.  Per-time deviation
+    block, and the filter's from all its streams.  Per-time deviation
     series are kept for the first seed; summary statistics are collected
     across all of them.
     """
@@ -491,10 +491,9 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
 
     stats, first = [], None
     for s in seed_list:
-        cfg = config.with_seed(s)
-        real = sample_disturbances(cfg.profile, cfg.loop.noise_sizes, cfg.steps,
-                                   cfg.h, s)
-        tb, tm = _simulate_both(cfg, real)
+        real = sample_disturbances(config.profile, config.loop.noise_sizes,
+                                   config.steps, config.h, s)
+        tb, tm = _simulate_both(config, real)
         devs = [deviation_series(x) for x in (tb.x, tm.x_hat, tm.x)]
         stats.append([_second_half_mean(dev) for dev in devs])
         if first is None:

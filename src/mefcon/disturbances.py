@@ -34,9 +34,9 @@ import numpy as np
 from .errors import ConfigError
 
 _KINDS = ("zero", "sinusoid", "white")
-# Noise entries per chunk of a pass (``DisturbanceRealization.chunks``),
-# which bounds one noise temporary: a chunk of white draws, and what the
-# readers of the pass make of it (``simulate._pass``).  Smaller chunks pay
+# Noise entries per block of a pass (``DisturbanceRealization.rows``),
+# which bounds one noise temporary: a block of white draws, and what the
+# readers of the pass make of it (``simulate._pass``).  Smaller blocks pay
 # more per-call overhead, larger ones more memory.
 CHUNK_ENTRIES = 1 << 16
 
@@ -114,21 +114,25 @@ class DisturbanceRealization:
     w without building w.
 
     A white realization keeps its seed and per-step std, never its
-    draws.  ``chunks`` reads the run in one pass in step order and draws
-    each block's rows as it is read, so a pass holds about one block per
-    reader (a run's readers read at most ``CHUNK_ENTRIES`` noise entries
-    a block, or one step), however long the run.  Every pass starts from
-    fresh generators and gives the same numbers, bit for bit those of one
+    draws.  ``chunks`` reads the run in one pass in step order, in blocks
+    of ``rows`` steps (at most ``CHUNK_ENTRIES`` noise entries, or one
+    step), and draws each block's rows as it is read, so a pass holds
+    about one block however long the run.  Every pass starts from fresh
+    generators and gives the same numbers, bit for bit those of one
     ``normal`` call per stream for the whole run.  A random-access read
     (``at``, ``mapped``) replays a pass up to the last step it reads.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
                  steps: int, h: float, seed: int) -> None:
-        if len(sizes) > 3:
-            raise ConfigError(f"at most three noise streams, got sizes {tuple(sizes)}")
+        sizes = tuple(sizes)
+        if not (1 <= len(sizes) <= 3 and all(
+                isinstance(s, (int, np.integer)) and s >= 1 for s in sizes)):
+            raise ConfigError(f"noise stream sizes must be one to at most three "
+                              f"integers, each at least 1, got sizes {sizes}")
         self.profile = profile
-        self.sizes, self.steps = tuple(sizes), steps
+        self.sizes, self.steps = sizes, steps
+        self.rows = max(1, CHUNK_ENTRIES // sum(sizes))
         kind = profile.kind
         self.omega = 2 * math.pi * profile.frequency if kind == "sinusoid" else 0.0
         if kind == "white":
@@ -165,62 +169,35 @@ class DisturbanceRealization:
         return (np.multiply.outer(W.real, np.cos(wt))
                 - np.multiply.outer(W.imag, np.sin(wt)))
 
-    def chunks(self, count: int, *rows: int):
-        """One pass over steps 0..count-1 in step order, shared by readers
-        that each read blocks of their own length: reader i reads the
-        blocks of rows[i] steps that a pass of its own would give.  Yields
-        (i, ks, read) per block, in the order of the blocks' last steps
-        (ties to the lower i): ks are the block's steps and read(t, step,
-        *maps) is ``mapped`` for steps in ks; step None reads all of ks,
-        and a white block then passes its rows on without a copy.
+    def chunks(self, count: int):
+        """One pass over steps 0..count-1 in step order, in blocks of
+        ``rows`` steps.  Yields (ks, read) per block: ks are the block's
+        steps and read(t, step, *maps) is ``mapped`` for steps in ks; step
+        None reads all of ks, and a white block then passes its rows on
+        without a copy.
 
-        White draws are made here, each stream's rows when a block first
-        reads them, and kept only until every reader has read them, so a
-        pass holds about one block per reader however long the run.
-        Steps from ``steps`` on read the last drawn step.
+        White draws are made here, a block's rows when the pass reaches
+        it, and dropped with the block, so a pass holds about one block
+        however long the run.  Steps from ``steps`` on read the last drawn
+        step.
         """
-        white = self.profile.kind == "white"
-        if white:
-            draw = self._drawer()
-            tape, lo = np.empty((0, sum(self.sizes))), 0  # the draws of steps lo..
-        done = [0] * len(rows)
-        while any(d < count for d in done):
-            i = min((j for j in range(len(rows)) if done[j] < count),
-                    key=lambda j: min(done[j] + rows[j], count))
-            a, b = done[i], min(done[i] + rows[i], count)
-            if not white:
-                yield i, np.arange(a, b), self.mapped
-                done[i] = b
-                continue
-            if lo + len(tape) < b:
-                new = draw(b)
-                tape = np.concatenate([tape, new]) if len(tape) else new
-            yield i, np.arange(a, b), partial(_mapped_rows, tape[a - lo:b - lo], a)
-            done[i] = b
-            cut = min(done) - lo
-            tape, lo = tape[cut:], lo + cut
-
-    def _drawer(self):
-        """draw(b): the white draws of the steps from the last b asked for
-        (0 at first) up to b, one row per step, each stream in its own
-        columns, from fresh generators; steps from ``steps`` on repeat the
-        last drawn step."""
-        rngs, width = _streams(self._seed), sum(self.sizes)
-        end, last = 0, None
-
-        def draw(b: int) -> np.ndarray:
-            nonlocal end, last
-            W = np.empty((b - end, width))
-            drawn = max(0, min(b, self.steps) - end)
+        rows = self.rows
+        if self.profile.kind != "white":
+            for a in range(0, count, rows):
+                yield np.arange(a, min(a + rows, count)), self.mapped
+            return
+        rngs, last = _streams(self._seed), None
+        for a in range(0, count, rows):
+            b = min(a + rows, count)
+            W = np.empty((b - a, sum(self.sizes)))
+            drawn = max(0, min(b, self.steps) - a)
             start = 0
             for rng, size in zip(rngs, self.sizes):
                 W[:drawn, start:start + size] = rng.normal(0.0, self._std, (drawn, size))
                 start += size
             W[drawn:] = W[drawn - 1] if drawn else last  # the clamp past the end
-            end, last = b, W[-1]
-            return W
-
-        return draw
+            last = W[-1].copy()
+            yield np.arange(a, b), partial(_mapped_rows, W, a)
 
     def _replay(self, step) -> np.ndarray:
         """The white draws of ``step`` (clamped to the drawn steps) as rows,
@@ -228,8 +205,7 @@ class DisturbanceRealization:
         want = np.clip(step, 0, self.steps - 1)
         flat = np.ravel(want)
         out = np.empty((flat.size, sum(self.sizes)))
-        rows = max(1, CHUNK_ENTRIES // max(1, out.shape[1]))
-        for _, ks, read in self.chunks(int(flat.max()) + 1, rows):
+        for ks, read in self.chunks(int(flat.max()) + 1):
             hit = (flat >= ks[0]) & (flat <= ks[-1])
             out[hit] = read(None, flat[hit]).T
         return out.reshape(np.shape(want) + out.shape[1:])

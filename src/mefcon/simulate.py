@@ -11,10 +11,11 @@ steps through one input map K(omega h): a sinusoid is an input that
 rotates by e^{i omega h} per step, and a white draw, held over the step,
 is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.mapped``).
 
-A run reads its noise in one pass in step order (``_pass``), which draws
-white noise a chunk at a time as it is read; every reader of w takes its
-chunks from that pass: the input terms, the dynamic gain's steps, u's
-white noise term, and in a comparison the baseline's input terms too.
+A run reads its noise in one pass in step order (``_pass``), in the
+blocks of its realization, which draws white noise a block at a time as
+it is read; every reader of w takes the same blocks from that pass: the
+input terms, the dynamic gain's steps, u's white noise term, and in a
+comparison the baseline's input terms too.
 
 A dense run with enough steps (``_blocks_pay``) steps in blocks of 8
 steps, in three phases (``_blocks``): each block's input sum, over all
@@ -26,7 +27,8 @@ take one product per step.
 
 Every run integrates only its record.  The consensus input u is read out
 of that record (``_readout``) when ``Trajectory.u`` is first read; where
-u reads white edge noise, its noise term comes from the run's pass.
+u reads white edge noise, its noise term comes from the run's pass, and
+otherwise from the realization, which holds no white draws.
 
 The classical baseline ``xdot = -L_std x + delta`` integrates under the
 same delta realization as the filter run whenever the two configs share a
@@ -37,14 +39,14 @@ from __future__ import annotations
 
 import cmath
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
-from .disturbances import CHUNK_ENTRIES, DisturbanceProfile, sample_disturbances
+from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, uniform_params
 from .graphs import (NetworkTopology, is_strongly_connected, laplacian,
@@ -102,13 +104,6 @@ class ScenarioConfig:
         """The run's closed loop, built from topology and params on first use."""
         return ClosedLoop(self.topology, self.params)
 
-    def with_seed(self, seed: int) -> "ScenarioConfig":
-        """Copy with the seed replaced.  The seed changes neither topology
-        nor params, so the copy shares this config's ``loop``."""
-        copy = replace(self, seed=seed)
-        copy.__dict__["loop"] = self.loop  # where cached_property keeps it
-        return copy
-
 
 @dataclass
 class Trajectory:
@@ -120,9 +115,9 @@ class Trajectory:
 
     u is computed by ``readout`` on first read and kept, and the readout
     is then replaced by one that returns it.  Until then it holds the
-    record, the loop's maps and what u's noise term needs: for white edge
-    noise the (steps + 1) x N term the run's pass read, for sinusoids the
-    realization's complex amplitude vector; never white draws.
+    record, the loop's maps, the run's realization (for sinusoids its
+    complex amplitude vector; never white draws) and, for white edge
+    noise, the (steps + 1) x N noise term the run's pass read.
     """
 
     t: np.ndarray
@@ -402,21 +397,15 @@ def _step_powers(step, B: int):
         yield Dj
 
 
-def _rows(width: int) -> int:
-    """Steps per block of a reader of ``width`` noise entries a step: at
-    most ``CHUNK_ENTRIES`` entries, or one step."""
-    return max(1, CHUNK_ENTRIES // width)
-
-
 def _pass(real, count: int, *readers) -> None:
     """One pass over the realization ``real``, steps 0..count-1 in order,
-    shared by ``readers``: each a pair (rows, fn), fn called as fn(ks,
-    read) on its blocks of ``rows`` steps, ks the block's steps and read
-    its read (``DisturbanceRealization.chunks``).  Each reader sees the
-    blocks of a pass of its own, so a dense map rounds as it would there,
-    and every white draw is made once for all of them."""
-    for i, ks, read in real.chunks(count, *(rows for rows, _ in readers)):
-        readers[i][1](ks, read)
+    shared by ``readers``: each is called as reader(ks, read) on every
+    block of ``real.rows`` steps, ks the block's steps and read its read
+    (``DisturbanceRealization.chunks``), so every white draw is made once
+    for all of them."""
+    for ks, read in real.chunks(count):
+        for reader in readers:
+            reader(ks, read)
 
 
 def _term(out: np.ndarray, ts: np.ndarray, *maps):
@@ -520,22 +509,22 @@ def _record(z0: np.ndarray, steps: int) -> np.ndarray:
 
 
 def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
-             width: int, noise: np.ndarray | None = None) -> np.ndarray:
+             noise: np.ndarray | None = None) -> np.ndarray:
     """The consensus input u = state_map (z - z[0]) + noise_map w(t_k, k)
-    at every grid point t_k of the record z_rec.
+    at every grid point t_k of the record z_rec, under the run's
+    realization ``real``.
 
     The noise term comes as ``noise``, one row per grid point, where the
     run's own pass read it (white draws, ``_filter_run``); else one pass
     of ``real`` reads it here.  ``noise_map`` None: u sees no noise, and
-    ``real`` is not read.  The state term is read in chunks of at most
-    ``CHUNK_ENTRIES`` entries of the ``width`` noise streams (or one
-    point), the chunks of the run's pass.
+    ``real`` is not read.  The state term is read in blocks of
+    ``real.rows`` points, the blocks of the run's pass.
     """
     u_rec = np.empty((ts.size, state_map.shape[0]))
     if noise is None and noise_map is not None and real.profile.kind != "zero":
-        _pass(real, ts.size, (_rows(width), _term(u_rec, ts, noise_map)))
-        noise = u_rec  # each chunk's noise is read before its u is written
-    rows = _rows(width)
+        _pass(real, ts.size, _term(u_rec, ts, noise_map))
+        noise = u_rec  # each block's noise is read before its u is written
+    rows = real.rows
     for k in range(0, ts.size, rows):
         d = z_rec[k:k + rows] - z_rec[k:k + rows, :1]
         u = state_map @ d.T
@@ -543,16 +532,6 @@ def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
             u += noise[k:k + rows].T
         u_rec[k:k + rows] = u.T
     return u_rec
-
-
-def _u_readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
-               width: int, noise: np.ndarray | None = None) -> Callable[[], np.ndarray]:
-    """The ``Trajectory.readout`` of a record: ``_readout`` deferred to the
-    first read of u.  A u whose noise term the run read (``noise``) or
-    that reads no noise holds no realization."""
-    if noise is not None or noise_map is None:
-        real = None
-    return partial(_readout, state_map, noise_map, ts, z_rec, real, width, noise)
 
 
 def _run(real, steps: int, *runs) -> list[Trajectory]:
@@ -571,7 +550,7 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
     is linear and time-invariant, so its RK4 steps are precomputed linear
     maps (``_propagate``); the dynamic loop evaluates its stages.  Both
-    read u out of the (x, x_hat) record (``_u_readout``).
+    read u out of the (x, x_hat) record (``_readout``).
     """
     real = sample_disturbances(config.profile, config.loop.noise_sizes, config.steps,
                                config.h, config.seed)
@@ -594,16 +573,16 @@ def _filter_run(config: ScenarioConfig, real):
     loop = config.loop
     n, h, steps = loop.n, config.h, config.steps
     ts = np.arange(steps + 1) * h
-    kind, rows = real.profile.kind, _rows(sum(loop.noise_sizes))
+    kind = real.profile.kind
     readers, noise = [], None
     if loop.u_noise is not None and kind == "white":
         noise = np.empty((steps + 1, n))
-        readers.append((rows, _term(noise, ts, loop.u_noise)))
+        readers.append(_term(noise, ts, loop.u_noise))
     if config.riccati == "steady":
         step, K = _rk4_maps(loop.A, h, real.omega * h)
         z_rec = _record(np.concatenate([config.x0, config.prior]), steps)
         if kind != "zero":
-            readers.append((rows, _term(z_rec[1:], ts, K, loop.inputs)))
+            readers.append(_term(z_rec[1:], ts, K, loop.inputs))
         q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
     else:
         def f(t: float, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -620,7 +599,7 @@ def _filter_run(config: ScenarioConfig, real):
 
         z_rec = _record(np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi]),
                         steps)
-        readers.append((rows, advance))
+        readers.append(advance)
         q_rec = z_rec[:, 2 * n:]
 
     def finish() -> Trajectory:
@@ -628,8 +607,8 @@ def _filter_run(config: ScenarioConfig, real):
             _propagate(step, z_rec, ts)
         if noise is not None:
             noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
-        readout = _u_readout(loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n], real,
-                             sum(loop.noise_sizes), noise)
+        readout = partial(_readout, loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n],
+                          real, noise)
         return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
 
     return readers, finish
@@ -652,7 +631,7 @@ def measurements(config: ScenarioConfig,
         rows = slice(ks[0], ks[-1] + 1)
         y_self[rows], y_edge[rows] = loop.measure(traj.x[rows], read(traj.t[ks], None).T)
 
-    _pass(real, traj.t.size, (_rows(sum(loop.noise_sizes)), measure))
+    _pass(real, traj.t.size, measure)
     return y_self, y_edge
 
 
@@ -663,14 +642,8 @@ def simulate_classical(config: ScenarioConfig) -> Trajectory:
     trajectory reports estimates equal to states (e = 0), u equal to the
     coupling drift, and zero gains.
     """
-    n = config.topology.node_count
-    return _simulate_classical(config, sample_disturbances(
-        config.profile, (n,), config.steps, config.h, config.seed))
-
-
-def _simulate_classical(config: ScenarioConfig, real) -> Trajectory:
-    """``simulate_classical`` under the realization ``real``, whose first
-    stream is delta: its own, or a filter run's (``_classical_run``)."""
+    real = sample_disturbances(config.profile, (config.topology.node_count,),
+                               config.steps, config.h, config.seed)
     return _run(real, config.steps, _classical_run(config, real))[0]
 
 
@@ -685,13 +658,12 @@ def _classical_run(config: ScenarioConfig, real):
     step, K = _rk4_maps(Lp, h, real.omega * h)
     x_rec = _record(config.x0, steps)
     delta = sparse.eye_array(n, sum(real.sizes), format="csr")
-    readers = ([(_rows(n), _term(x_rec[1:], ts, K, delta))]
-               if real.profile.kind != "zero" else [])
+    readers = [_term(x_rec[1:], ts, K, delta)] if real.profile.kind != "zero" else []
 
     def finish() -> Trajectory:
         _propagate(step, x_rec, ts)
         return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
-                          _u_readout(Lp, None, ts, x_rec, real, n))
+                          partial(_readout, Lp, None, ts, x_rec, real))
 
     return readers, finish
 
@@ -699,7 +671,9 @@ def _classical_run(config: ScenarioConfig, real):
 def _simulate_both(config: ScenarioConfig, real) -> tuple[Trajectory, Trajectory]:
     """The baseline and the filter run under one realization ``real`` of
     the loop's noise streams, fed by one pass: the baseline reads its
-    delta columns, so each draw is made once."""
+    delta columns in the filter's blocks, so each draw is made once.  A
+    dense baseline map may round differently in those blocks than in a
+    standalone ``simulate_classical``'s, which agrees to rounding."""
     return tuple(_run(real, config.steps, _classical_run(config, real),
                       _filter_run(config, real)))
 

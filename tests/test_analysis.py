@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -396,8 +397,8 @@ def test_run_comparison_draws_each_seed_once(monkeypatch):
     res = run_comparison(cfg, seeds=[4, 5])
     assert draws == [(12, 12, 132)] * 2
     for k, seed in enumerate((4, 5)):
-        base = simulate_classical(cfg.with_seed(seed))
-        mef = simulate_mef(cfg.with_seed(seed))
+        base = simulate_classical(replace(cfg, seed=seed))
+        mef = simulate_mef(replace(cfg, seed=seed))
         assert res.baseline[k] == _second_half_mean(deviation_series(base.x))
         assert res.mef_states[k] == _second_half_mean(deviation_series(mef.x))
         if k == 0:  # the series are kept for the first seed

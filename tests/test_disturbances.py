@@ -3,6 +3,7 @@ import pytest
 from scipy import sparse
 
 from mefcon import ConfigError, DisturbanceProfile, sample_disturbances
+from mefcon import disturbances as disturbances_module
 from mefcon.disturbances import CHUNK_ENTRIES
 
 
@@ -71,11 +72,10 @@ def _one_shot(sizes, steps, h, seed, sigma=1.0):
             for kid, size in zip(kids, sizes)]
 
 
-def _pass_rows(real, count, rows, whole=False):
-    """The stacked w of steps 0..count-1, read by one pass in blocks of
-    ``rows`` steps, each block by its steps or, ``whole``, as a block."""
-    blocks = [read(None, None if whole else ks).T
-              for _, ks, read in real.chunks(count, rows)]
+def _pass_rows(real, count, whole=False):
+    """The stacked w of steps 0..count-1, read by one pass in its blocks,
+    each block by its steps or, ``whole``, as a block."""
+    blocks = [read(None, None if whole else ks).T for ks, read in real.chunks(count)]
     return np.concatenate(blocks)
 
 
@@ -84,45 +84,29 @@ def _pass_rows(real, count, rows, whole=False):
     ((4, 4), 37, 5),
     ((2, 2, CHUNK_ENTRIES + 3), 5, None),  # wider than a chunk: one step a block
 ])
-def test_streamed_white_draws_are_the_one_shot_draws(sizes, steps, rows):
+def test_streamed_white_draws_are_the_one_shot_draws(sizes, steps, rows, monkeypatch):
     # a pass draws each block's rows as it reads them, from fresh generators;
     # every stream is bit for bit one normal call over the whole run
     h, seed = 0.01, 11
-    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), sizes, steps, h, seed)
     if rows is None:
-        rows = max(1, CHUNK_ENTRIES // sum(sizes))
-        assert rows == 1
+        rows = 1
+    else:  # blocks of rows steps that do not divide the run
+        monkeypatch.setattr(disturbances_module, "CHUNK_ENTRIES", rows * sum(sizes))
+    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), sizes, steps, h, seed)
+    assert real.rows == rows
     assert steps % rows or rows == 1
-    first = _pass_rows(real, steps, rows)
+    first = _pass_rows(real, steps)
     assert first.tobytes() == np.hstack(_one_shot(sizes, steps, h, seed)).tobytes()
-    second = _pass_rows(real, steps, rows, whole=True)
+    second = _pass_rows(real, steps, whole=True)
     assert second.tobytes() == first.tobytes()
     # random access replays a pass, clamped to the drawn steps
     for k, want in ((-1, 0), (0, 0), (steps - 1, steps - 1), (steps, steps - 1),
                     (steps + 5, steps - 1)):
         assert real.at(0.0, k).tobytes() == first[want].tobytes(), k
     # a pass longer than the run repeats the last drawn step
-    longer = _pass_rows(real, steps + 2, rows)
+    longer = _pass_rows(real, steps + 2)
     assert longer[:steps].tobytes() == first.tobytes()
     assert np.array_equal(longer[steps:], first[[-1, -1]])
-
-
-def test_readers_of_one_pass_see_their_own_blocks():
-    # readers with different block lengths share one pass: each gets the
-    # blocks a pass of its own gives, with the same draws, in the order of
-    # the blocks' last steps
-    real = sample_disturbances(DisturbanceProfile("white", sigma=1.0), (3, 3, 4), 23,
-                               0.1, 5)
-    want = _pass_rows(real, 23, 23)
-    seen = {0: [], 1: []}
-    ends = []
-    for i, ks, read in real.chunks(23, 4, 7):
-        assert ks.tolist() == list(range(len(seen[i]) * (4, 7)[i], ks[-1] + 1))
-        seen[i].append(read(None, ks).T)
-        ends.append(ks[-1])
-    assert ends == sorted(ends)
-    for i in (0, 1):
-        assert np.concatenate(seen[i]).tobytes() == want.tobytes()
 
 
 def test_white_realization_keeps_no_draws():
@@ -173,7 +157,7 @@ def test_mapped_read_is_the_map_of_the_read(kind):
 def test_white_std_scaling():
     h = 0.004
     prof = DisturbanceProfile(kind="white", sigma=2.0)
-    real = sample_disturbances(prof, (1000, 1000, 0), 200, h, 0)
+    real = sample_disturbances(prof, (1000, 1000), 200, h, 0)
     k = np.arange(200)
     draws = real.at(k * h, k)[:, :1000]  # the delta stream of every step
     assert draws.std() == pytest.approx(2.0 / np.sqrt(h), rel=0.02)
@@ -201,8 +185,8 @@ def test_streams_differ_from_each_other():
 
 def test_run_seed_changes_the_draws():
     prof = DisturbanceProfile(kind="white", sigma=1.0)
-    c = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=100)
-    d = sample_disturbances(prof, (2, 2, 0), 10, 0.1, seed=200)
+    c = sample_disturbances(prof, (2, 2), 10, 0.1, seed=100)
+    d = sample_disturbances(prof, (2, 2), 10, 0.1, seed=200)
     assert not np.array_equal(_streams(c, 0, 0, 2)[0], _streams(d, 0, 0, 2)[0])
 
 
@@ -236,3 +220,14 @@ def test_sampler_validation():
         sample_disturbances(DisturbanceProfile(), (2, 2, 2), 10, 0.0)
     with pytest.raises(ConfigError, match="at most three"):
         sample_disturbances(DisturbanceProfile(), (2, 2, 2, 2), 10, 0.1)
+
+
+@pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
+@pytest.mark.parametrize("sizes", [(), (3, -1), (2, 0), (2, 2.5), (2, 2, 2, 2)],
+                         ids=["none", "negative", "empty-stream", "fraction", "four"])
+def test_malformed_stream_sizes_are_refused(kind, sizes):
+    # one to three streams of at least one signal each; a width-0 w would
+    # leave no block length to read it in
+    with pytest.raises(ConfigError, match="sizes"):
+        sample_disturbances(DisturbanceProfile(kind=kind, delta_max=0.1, eps_max=0.1),
+                            sizes, 10, 0.1)
