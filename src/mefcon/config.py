@@ -10,7 +10,8 @@ a run can be reproduced from its manifest alone.
 reader that checks its value (README.md describes each key); the
 disturbance section accepts only the fields its kind reads.  An unknown
 key, a missing required one, or a value its reader refuses is a
-``ConfigError`` that names the field.  The scenario seed is the one root
+``ConfigError`` that names the field, and so is a key that one mapping
+of the file names twice.  The scenario seed is the one root
 of a run's draws: the random x0 and every disturbance stream.
 """
 
@@ -22,6 +23,10 @@ from pathlib import Path
 
 import numpy as np
 import yaml
+from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
+                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
+                         StreamEndEvent)
+from yaml.nodes import ScalarNode, SequenceNode
 
 from .disturbances import DisturbanceProfile
 from .errors import ConfigError
@@ -29,9 +34,154 @@ from .filtering import uniform_params
 from .graphs import make_graph
 from .simulate import ScenarioConfig
 
-# libyaml's parser where PyYAML was built with it: same documents, about
-# 8x faster on a 100 KB edge list
+# libyaml's parser where PyYAML was built with it.  ``load_config`` builds
+# the document from its events: on the 99 KB edge list of the benchmark's
+# pipeline-digraph100 scenario the events take 11-19 ms, the document
+# built from them 21-34 ms, and yaml.load, with its node tree and
+# constructor, 46-77 ms (best of 21, three rounds, shared 2-core Xeon VM).
 _LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+_TAG = "tag:yaml.org,2002:"
+_STR, _MERGE, _VALUE = _TAG + "str", _TAG + "merge", _TAG + "value"
+# the tags whose plain decimal scalars are built directly, each with the
+# decimal form's pattern and the builder that gives the constructor's value
+_DECIMAL = {_TAG + "int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z").match, int),
+            _TAG + "float": (re.compile(r"[-+]?[0-9]*\.[0-9]*(?:[eE][-+][0-9]+)?\Z").match,
+                             float)}
+_COLLECTIONS = {SequenceStartEvent: list, MappingStartEvent: dict}
+_ITEM, _KEY = object(), object()  # a list's frame; a mapping's frame waits for a key
+
+
+class _Refer(Exception):
+    """The document needs what only ``yaml.load`` builds: an anchor, an
+    alias, a tag, a merge key, a collection as a key, or a second document."""
+
+
+def _repeated(key, mark) -> ConfigError:
+    return ConfigError(f"config key {key!r} is repeated at line {mark.line + 1}: "
+                       "a key may appear once in each mapping")
+
+
+def _scalar(loader, tag: str, event):
+    """The value of a plain scalar that resolves to ``tag``, as the
+    loader's constructor makes it."""
+    if tag == _STR:
+        return event.value
+    decimal = _DECIMAL.get(tag)
+    if decimal is not None and decimal[0](event.value):
+        return decimal[1](event.value)
+    return loader.construct_object(ScalarNode(tag, event.value, event.start_mark,
+                                              event.end_mark))
+
+
+def _document(loader):
+    """The one document of ``loader``'s event stream, as yaml.load builds
+    it from the same stream, with a repeated key refused.
+
+    Each plain scalar is resolved by the loader and built by
+    ``_scalar``; its text alone decides its value, so each text is
+    resolved once per document.  Quoted scalars are strings.  Raises
+    ``_Refer`` for what only yaml.load builds.
+    """
+    get, resolve = loader.get_event, loader.resolve
+    get()  # the stream start
+    if type(get()) is StreamEndEvent:  # no document
+        return None
+    plain = {}  # text -> value of the plain scalars read so far
+    root = [[], _ITEM]
+    stack = [root]  # open collections: [list, _ITEM] or [dict, key or _KEY]
+    while True:
+        event = get()
+        kind = type(event)
+        if kind is ScalarEvent or kind in _COLLECTIONS:
+            if event.anchor is not None or event.tag is not None:
+                raise _Refer
+        elif kind is SequenceEndEvent or kind is MappingEndEvent:
+            stack.pop()
+            continue
+        elif kind is DocumentEndEvent:
+            break
+        else:  # an alias
+            raise _Refer
+        frame = stack[-1]
+        if kind is not ScalarEvent:
+            value = _COLLECTIONS[kind]()
+            if frame[1] is _KEY:  # a collection as a key: unhashable
+                raise _Refer
+        elif not event.implicit[0]:  # quoted
+            value = event.value
+        elif event.value in plain:
+            value = plain[event.value]
+        else:
+            tag = resolve(ScalarNode, event.value, (True, False))
+            if tag in (_MERGE, _VALUE) and frame[1] is _KEY:
+                if tag == _MERGE:
+                    raise _Refer
+                value = event.value  # yaml.load's mappings read "=" as a string key
+            else:
+                value = plain[event.value] = _scalar(loader, tag, event)
+        into = frame[0]
+        if frame[1] is _ITEM:
+            into.append(value)
+        elif frame[1] is _KEY:
+            if value in into:
+                raise _repeated(value, event.start_mark)
+            frame[1] = value
+        else:
+            into[frame[1]] = value
+            frame[1] = _KEY
+        if kind is not ScalarEvent:
+            stack.append([value, _ITEM if kind is SequenceStartEvent else _KEY])
+    if type(get()) is not StreamEndEvent:  # a second document
+        raise _Refer
+    return root[0][0]
+
+
+def _refuse_repeats(loader, root) -> None:
+    """Raise for a key that one mapping of the node graph ``root`` names
+    twice, keys compared as the constructor makes them.  A merge key
+    ``<<`` is not a key of its mapping, so a key that overrides a merged
+    one is no repeat."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ScalarNode) or id(node) in seen:
+            continue
+        seen.add(id(node))
+        if isinstance(node, SequenceNode):
+            todo.extend(node.value)
+            continue
+        keys = set()
+        for key_node, value_node in node.value:
+            todo.append(value_node)
+            if isinstance(key_node, ScalarNode) and key_node.tag != _MERGE:
+                key = key_node.value if key_node.tag == _VALUE \
+                    else loader.construct_object(key_node)
+                if key in keys:
+                    raise _repeated(key, key_node.start_mark)
+                keys.add(key)
+
+
+def _load(text: str):
+    """The config document of ``text``: ``yaml.load(text, Loader=_LOADER)``
+    with repeated keys refused, built from the parser's events where the
+    document needs no more (``_document``)."""
+    loader = _LOADER(text)
+    try:
+        return _document(loader)
+    except _Refer:
+        pass
+    finally:
+        loader.dispose()
+    loader = _LOADER(text)  # yaml.load's own steps, with the check between
+    try:
+        node = loader.get_single_node()
+        if node is None:
+            return None
+        _refuse_repeats(loader, node)
+        return loader.construct_document(node)
+    finally:
+        loader.dispose()
 
 
 def _number(value, field: str) -> float:
@@ -130,7 +280,7 @@ def load_config(path: str | Path) -> dict:
         raise ConfigError(f"--config {p}: cannot read the config file: "
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
     try:
-        raw = yaml.load(text, Loader=_LOADER)
+        raw = _load(text)
     except yaml.YAMLError as exc:
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(raw, dict):

@@ -17,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import ConfigError, SolverError
 
@@ -111,13 +109,32 @@ def standard_laplacian(topology: NetworkTopology) -> np.ndarray:
     return -laplacian(topology)
 
 
+def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
+    """True iff node 0 reaches every node along the edges tails[k] ->
+    heads[k]: an iterative depth-first search, O(N + E) Python steps."""
+    order = np.argsort(tails, kind="stable")
+    out = heads[order].tolist()
+    start = np.concatenate([[0], np.cumsum(np.bincount(tails, minlength=n))]).tolist()
+    seen = bytearray(n)
+    seen[0] = 1
+    todo, found = [0], 1
+    while todo:
+        i = todo.pop()
+        for j in out[start[i]:start[i + 1]]:
+            if not seen[j]:
+                seen[j] = 1
+                found += 1
+                todo.append(j)
+    return found == n
+
+
 def is_strongly_connected(topology: NetworkTopology) -> bool:
-    """True iff every node reaches every other along directed edges."""
+    """True iff every node reaches every other along directed edges: node
+    0 reaches every node, and every node reaches node 0 (node 0 reaches
+    every node along the reversed edges)."""
     n = topology.node_count
-    src, dst, w = topology.edge_arrays()
-    m = sp.csr_matrix((w, (src, dst)), shape=(n, n))
-    ncomp, _ = connected_components(m, directed=True, connection="strong")
-    return ncomp == 1
+    src, dst, _ = topology.edge_arrays()
+    return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
 
 
 def is_balanced(topology: NetworkTopology) -> bool:

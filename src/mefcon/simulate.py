@@ -117,7 +117,8 @@ class Trajectory:
     is then replaced by one that returns it.  Until then it holds the
     record, the loop's maps, the run's realization (for sinusoids its
     complex amplitude vector; never white draws) and, for white edge
-    noise, the (steps + 1) x N noise term the run's pass read.
+    noise, the (steps + 1) x N noise term the run's pass read, unless the
+    run was made for a comparison, which reads no u.
     """
 
     t: np.ndarray
@@ -557,15 +558,16 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     return _run(real, config.steps, _filter_run(config, real))[0]
 
 
-def _filter_run(config: ScenarioConfig, real):
+def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
     """The filter run under the realization ``real`` of the loop's noise
     streams, as (readers, finish): the readers take their reads from a
     pass over ``real`` (``_run``), and finish returns the trajectory.
 
     The readers are the steady run's input terms, or the dynamic run's
-    steps, one chunk at a time; and, where u reads white draws (G < S),
-    u's noise term u_noise w_k, whose last grid point repeats the last
-    step's draws.
+    steps, one chunk at a time; and, where u reads white draws (G < S)
+    and the caller ``reads_u``, u's noise term u_noise w_k, whose last
+    grid point repeats the last step's draws.  Without it a later read
+    of u replays the draws (``_readout``).
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -575,7 +577,7 @@ def _filter_run(config: ScenarioConfig, real):
     ts = np.arange(steps + 1) * h
     kind = real.profile.kind
     readers, noise = [], None
-    if loop.u_noise is not None and kind == "white":
+    if reads_u and loop.u_noise is not None and kind == "white":
         noise = np.empty((steps + 1, n))
         readers.append(_term(noise, ts, loop.u_noise))
     if config.riccati == "steady":
@@ -673,9 +675,11 @@ def _simulate_both(config: ScenarioConfig, real) -> tuple[Trajectory, Trajectory
     the loop's noise streams, fed by one pass: the baseline reads its
     delta columns in the filter's blocks, so each draw is made once.  A
     dense baseline map may round differently in those blocks than in a
-    standalone ``simulate_classical``'s, which agrees to rounding."""
+    standalone ``simulate_classical``'s, which agrees to rounding.  The
+    comparison reads no u, so the pass reads no noise term of u; a
+    later read of the filter's u replays its draws."""
     return tuple(_run(real, config.steps, _classical_run(config, real),
-                      _filter_run(config, real)))
+                      _filter_run(config, real, reads_u=False)))
 
 
 def basic_scenario(n: int = 2, family: str = "complete", *, B=1.0, R=1.0,

@@ -752,3 +752,17 @@ seed: 11
     mb = json.loads((b / "manifest.json").read_text())
     assert ma["config"]["initial"]["x0"] == mb["config"]["initial"]["x0"]
     assert all(-1.0 <= v <= 1.0 for v in ma["config"]["initial"]["x0"])
+
+
+def test_import_leaves_out_the_scipy_solvers():
+    # the package and its CLI load no scipy module that start-up does not
+    # use; scipy.linalg is imported by the one fallback that reads it
+    src = str(Path(mefcon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    code = ("import sys, mefcon, mefcon.cli; print(sorted(m for m in sys.modules if m in "
+            "('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

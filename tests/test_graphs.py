@@ -221,3 +221,33 @@ def test_degree_helpers():
     top = NetworkTopology(3, ((0, 1, 2.0), (0, 2, 1.0), (1, 0, 1.0)))
     assert np.array_equal(top.in_degrees(), [3.0, 1.0, 0.0])
     assert np.array_equal(degree_matrix(top), np.diag([3.0, 1.0, 0.0]))
+
+
+def _csgraph_strongly_connected(top: NetworkTopology) -> bool:
+    """The oracle: one strong component by scipy's csgraph."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = top.node_count
+    src, dst, w = top.edge_arrays()
+    m = csr_matrix((w, (src, dst)), shape=(n, n))
+    return connected_components(m, directed=True, connection="strong")[0] == 1
+
+
+def test_strong_connectivity_matches_csgraph():
+    rng = np.random.default_rng(20261020)
+    tops = [make_graph("directed_cycle", 3), make_graph("path", 3), NetworkTopology(1),
+            NetworkTopology(3), make_graph("directed_cycle", 10_000),
+            make_graph("path", 10_000), make_graph("complete", 60),
+            NetworkTopology(4, ((0, 1, 1.0), (1, 0, 1.0), (2, 3, 1.0), (3, 2, 1.0)))]
+    for _ in range(1500):
+        n = int(rng.integers(1, 13))
+        mask = (rng.random((n, n)) < rng.uniform(0.0, 0.5)) & ~np.eye(n, dtype=bool)
+        src, dst = np.nonzero(mask)
+        perm = rng.permutation(len(src))  # edges in no particular order
+        tops.append(NetworkTopology(n, np.column_stack(
+            [src[perm], dst[perm], rng.uniform(0.5, 2.0, len(src))])))
+    verdicts = [is_strongly_connected(top) for top in tops]
+    assert verdicts == [_csgraph_strongly_connected(top) for top in tops]
+    assert verdicts[:6] == [True, False, True, False, True, False]
+    assert 100 < sum(verdicts) < len(verdicts) - 100  # both answers are tested

@@ -952,3 +952,34 @@ def test_trajectory_h_property():
     traj = simulate_mef(basic_scenario(2, T=0.1, h=0.02))
     assert traj.h == pytest.approx(0.02)
     assert isinstance(traj, Trajectory)
+
+
+@pytest.mark.parametrize("rows", [6, 7, None], ids=["blocks_of_6", "blocks_of_7", "one_block"])
+def test_comparison_reads_no_u_noise_term(monkeypatch, rows):
+    # compare reads no u, so its pass makes no u_noise w_k product; the
+    # filter's u, read later, replays the draws and equals simulate_mef's,
+    # in blocks that end at the last step (6) or do not (7)
+    top, params = _weighted_digraph()
+    if rows is not None:
+        monkeypatch.setattr(disturbances_module, "CHUNK_ENTRIES", 14 * rows)
+    white = DisturbanceProfile("white", sigma=0.5)
+    config = ScenarioConfig(top, params, np.array([0.3, -0.2, 0.9, -1.0]),
+                            profile=white, h=0.01, T=0.6, seed=5)
+    assert config.loop.u_noise is not None and sum(config.loop.noise_sizes) == 14
+    products = []
+
+    def term(out, ts, *maps):
+        products.append(maps)
+        return _term(out, ts, *maps)
+
+    monkeypatch.setattr(simulate_module, "_term", term)
+    run_comparison(config, seeds=[5, 6])
+    assert products and not [m for m in products if m[0] is config.loop.u_noise]
+    real = sample_disturbances(white, config.loop.noise_sizes, config.steps, config.h, 5)
+    shared = simulate_module._simulate_both(config, real)[1]
+    products.clear()
+    own = simulate_mef(config)
+    assert [m for m in products if m[0] is config.loop.u_noise]  # simulate reads u
+    assert shared.x.tobytes() == own.x.tobytes()
+    assert shared.u.tobytes() == own.u.tobytes()
+    assert np.abs(own.u).max() > 0
