@@ -23,6 +23,7 @@ SCALARS = [
     "1.5", "-0.0", "+1.5", ".5", "1.", "1.5e+3", "0.1e-5", "1e5", "1.5E-07",
     "1_0.5", ".inf", "-.inf", "+.Inf", ".nan", ".NaN",
     "true", "True", "FALSE", "yes", "No", "on", "OFF", "y", "~", "null", "Null", "",
+    "=", "<<",
     "2001-12-14", "2001-12-14t21:59:43.10-05:00", "2001-12-14 21:59:43.10",
     "'1'", '"1.5"', "'true'", "x", "é", "|\n  x\n", ">\n  y\n", "[1, 2.5, x]",
     "{b: {c: [1, [2, [3]]]}}",
@@ -34,6 +35,7 @@ REFERRED = [
     "a: &x [1, {c: 2}]\nb: *x\n",
     "base: &b {x: 1, y: 2}\nd:\n  <<: *b\n  y: 3\n",
     "p: &p {x: 1}\nq: &q {x: 2, z: 3}\nd: {<<: [*p, *q], w: 4}\n",
+    "d: {<<: {x: 1, y: 2}, y: 3}\n",
     "a: !!str 1\nb: !!float 2\nc: ! 3\n",
     "a: !!set {x, y}\n",
     "? !!str 1\n: a\n",
@@ -161,7 +163,7 @@ def test_merge_key_overrides_are_no_repeats(tmp_path):
                     "params:\n  <<: *d\n  S: 3.0\n")
     assert load_config(path)["params"] == {"R": 1.0, "S": 3.0}
     path.write_text("graph: {family: complete, n: 3}\n"
-                    "integration: &i {h: 0.01, T: 0.05}\n"
+                    "integration: {h: 0.01, T: 0.05}\n"
                     "params: {<<: [{R: 2.0}, {R: 3.0, S: 2.0}], R: 4.0}\n")
     raw = load_config(path)
     assert raw["params"] == {"R": 4.0, "S": 2.0}
