@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
@@ -245,20 +244,21 @@ def phi_projected(loop: ClosedLoop, amplitudes: np.ndarray) -> float:
     consensus value c = nu . z.  Pi commutes with A (A 1 = 0, nu A = 0),
     so z_s' = F z_s + T Pi inputs w, and |w_j| <= amp_j bounds that input
     by this sum.  Column j of T Pi inputs is (p_j - g_j 1, q_j - p_j),
-    with p, q the x and x_hat rows of ``inputs`` and g = nu^T inputs; the
-    sum is taken over the sparse columns, never densified.
+    with p, q the x and x_hat rows of ``inputs`` and g = nu^T inputs.
+    Every sum runs over the input map's slots (``ClosedLoop.input_slots``)
+    by ``np.bincount``; no map is built.
     """
     n, nu = loop.n, loop.nu
-    inputs = sparse.csc_array(loop.inputs)
-    g = inputs.T @ nu
-    p = inputs[:n]
-    stored = np.diff(p.indptr)
-    cols = np.repeat(np.arange(g.size), stored)
-    # ||p_j - g_j 1||^2: (p - g)^2 over the stored entries, g^2 for each other row
-    sq = (np.bincount(cols, (p.data - g[cols]) ** 2, minlength=g.size)
+    nodes, cols, p, q = loop.input_slots()
+    width = sum(loop.noise_sizes)
+    g = np.bincount(np.concatenate([cols, cols]),
+                    np.concatenate([p * nu[nodes], q * nu[n + nodes]]), minlength=width)
+    # ||p_j - g_j 1||^2: (p - g)^2 over the nonzero p, g^2 for each other row
+    nz = p != 0
+    stored = np.bincount(cols[nz], minlength=width)
+    sq = (np.bincount(cols[nz], (p[nz] - g[cols[nz]]) ** 2, minlength=width)
           + (n - stored) * g ** 2)
-    e = inputs[n:] - p
-    sq += np.asarray(e.multiply(e).sum(axis=0)).ravel()
+    sq += np.bincount(cols, (q - p) ** 2, minlength=width)
     return float(amplitudes @ np.sqrt(sq))
 
 

@@ -161,10 +161,14 @@ class DisturbanceRealization:
         is built, and a map may be complex (``simulate._rk4_maps``), since
         the real part is taken last.  White draws are mapped as read, here
         from a replayed pass (``chunks`` reads a run without replaying).
+        A slice among the maps takes those rows.
         """
         if self.profile.kind == "white":
             return _apply(maps, self._replay(step).T)
-        W = _apply(maps, self._c)
+        return self._rotate(_apply(maps, self._c), t)
+
+    def _rotate(self, W: np.ndarray, t) -> np.ndarray:
+        """Re(W e^{i omega t}) for a mapped amplitude vector W."""
         wt = self.omega * np.asarray(t)
         return (np.multiply.outer(W.real, np.cos(wt))
                 - np.multiply.outer(W.imag, np.sin(wt)))
@@ -179,12 +183,21 @@ class DisturbanceRealization:
         White draws are made here, a block's rows when the pass reaches
         it, and dropped with the block, so a pass holds about one block
         however long the run.  Steps from ``steps`` on read the last drawn
-        step.
+        step.  A sinusoid maps its amplitude vector once per pass for each
+        tuple of maps read, M c being the same for every block.
         """
         rows = self.rows
         if self.profile.kind != "white":
+            mapped = {}  # id(maps) -> (maps, M c); holding maps keeps their ids unique
+
+            def read(t, step, *maps):
+                key = tuple(map(id, maps))
+                if key not in mapped:
+                    mapped[key] = maps, _apply(maps, self._c)
+                return self._rotate(mapped[key][1], t)
+
             for a in range(0, count, rows):
-                yield np.arange(a, min(a + rows, count)), self.mapped
+                yield np.arange(a, min(a + rows, count)), read
             return
         rngs, last = _streams(self._seed), None
         for a in range(0, count, rows):
@@ -218,9 +231,10 @@ def _streams(seed: int) -> list[np.random.Generator]:
 
 
 def _apply(maps, W):
-    """M W, M the product of ``maps``, applied right to left."""
+    """M W, M the product of ``maps``, applied right to left; a slice
+    takes those rows (a view)."""
     for M in reversed(maps):
-        W = M @ W
+        W = W[M] if isinstance(M, slice) else M @ W
     return W
 
 

@@ -15,6 +15,7 @@ with weight ``w > 0``.  Node indices are 0-based internally.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -84,6 +85,14 @@ class NetworkTopology:
         src, _, w = self.edge_arrays()
         return np.bincount(src, weights=w, minlength=self.node_count)
 
+    @cached_property
+    def _strongly_connected(self) -> bool:
+        """``is_strongly_connected``'s answer, searched on first read; the
+        edges never change, so it is kept."""
+        src, dst, _ = self._arrays
+        n = self.node_count
+        return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
+
 
 def adjacency(topology: NetworkTopology) -> np.ndarray:
     """Weight matrix A with A[i, j] = a_ij for each edge (i, j)."""
@@ -131,10 +140,8 @@ def _reaches_all(n: int, tails: np.ndarray, heads: np.ndarray) -> bool:
 def is_strongly_connected(topology: NetworkTopology) -> bool:
     """True iff every node reaches every other along directed edges: node
     0 reaches every node, and every node reaches node 0 (node 0 reaches
-    every node along the reversed edges)."""
-    n = topology.node_count
-    src, dst, _ = topology.edge_arrays()
-    return _reaches_all(n, src, dst) and _reaches_all(n, dst, src)
+    every node along the reversed edges).  Searched once per topology."""
+    return topology._strongly_connected
 
 
 def is_balanced(topology: NetworkTopology) -> bool:

@@ -1,11 +1,13 @@
 """Fixed-step integration of the filter network and the classical baseline.
 
 The closed loop advances the true states x and the estimates x_hat jointly
-on one RK4 grid.  ``ClosedLoop`` holds its coefficients as one sparse map
-over flat edge arrays.  Under the steady gain the loop is linear and
-time-invariant, so ``simulate_mef`` and ``simulate_classical`` advance it
-with precomputed RK4 maps (``_propagate``), each kept sparse or dense by
-its fill; only the dynamic gain evaluates the RK4 stages one by one
+on one RK4 grid.  ``ClosedLoop`` holds its coefficients as one set of
+triplets over flat edge arrays, and builds each map from them on first
+read.  Under the steady gain the loop is linear and time-invariant, so
+``simulate_mef`` and ``simulate_classical`` advance it with precomputed
+RK4 maps (``_propagate``).  Every map is dense when small or more than a
+quarter full, else CSR (``_stored``), and only CSR maps load
+scipy.sparse.  Only the dynamic gain evaluates the RK4 stages one by one
 (``rk4_step``).  The propagator reads each disturbance once per chunk of
 steps through one input map K(omega h): a sinusoid is an input that
 rotates by e^{i omega h} per step, and a white draw, held over the step,
@@ -15,7 +17,8 @@ A run reads its noise in one pass in step order (``_pass``), in the
 blocks of its realization, which draws white noise a block at a time as
 it is read; every reader of w takes the same blocks from that pass: the
 input terms, the dynamic gain's steps, u's white noise term, and in a
-comparison the baseline's input terms too.
+comparison the baseline's input terms too, from the first N rows of each
+block.
 
 A dense run with enough steps (``_blocks_pay``) steps in blocks of 8
 steps, in three phases (``_blocks``): each block's input sum, over all
@@ -44,7 +47,6 @@ from functools import cached_property, partial
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
@@ -164,12 +166,65 @@ def _check_finite(Z: np.ndarray, ts) -> None:
         raise SimulationError(f"non-finite state after the step from t={ts[r]:.6g}")
 
 
-def _csr_cut(rows, cols, vals, height: int, lo: int, hi: int):
-    """The nonzero triplets in columns lo..hi-1 as a (height, hi - lo) CSR
-    map; the triplets must not repeat a (row, column) pair."""
-    keep = (cols >= lo) & (cols < hi) & (vals != 0)
-    return sparse.csr_array((vals[keep], (rows[keep], cols[keep] - lo)),
-                            shape=(height, hi - lo))
+# A map is stored dense if it has at most this many entries, or if more
+# than this share of its entries are nonzero; otherwise CSR (``_stored``).
+_DENSE_ENTRIES = 1 << 12
+_DENSE_FILL = 0.25
+
+
+def _is_dense(shape, nnz: int) -> bool:
+    """Whether a map of ``shape`` with ``nnz`` nonzeros is stored dense."""
+    entries = shape[0] * shape[1]
+    return entries <= _DENSE_ENTRIES or nnz > _DENSE_FILL * entries
+
+
+def _csr(M, shape=None):
+    """M, an array or (values, (rows, columns)) triplets that repeat no
+    pair, as CSR with no stored zero.  The one place that loads
+    scipy.sparse: a run whose maps are all dense never imports it."""
+    from scipy import sparse
+
+    M = sparse.csr_array(M, shape=shape, copy=True)
+    M.eliminate_zeros()
+    return M
+
+
+def _stored(M):
+    """M dense if it has at most 2^12 entries or more than a quarter of
+    them are nonzero, else CSR.
+
+    Measured against scipy's CSR on one BLAS thread, in microseconds per
+    product with a vector and with 20 columns:
+
+    ==================  =====  ============  ==========  ==========  ========
+    map                 fill   dense matvec  CSR matvec  dense x 20  CSR x 20
+    ==================  =====  ============  ==========  ==========  ========
+    64 x 64 (4 096)     2-25%  3.1-3.3       7.7-8.7     11.0-11.1   13.6-25.5
+    90 x 90 (8 100)     2%     4.2           8.0         18.9        15.0
+    256 x 256 (65 536)  2%     13.7          10.1        133         38
+    ==================  =====  ============  ==========  ==========  ========
+
+    Up to 2^12 entries dense was never slower; a larger bound would lose
+    on mid-size sparse maps such as rings.
+    """
+    if isinstance(M, np.ndarray):
+        return M if _is_dense(M.shape, np.count_nonzero(M)) else _csr(M)
+    M = _csr(M)
+    return M.toarray() if _is_dense(M.shape, M.nnz) else M
+
+
+def _cut(rows, cols, vals, height: int, lo: int, hi: int, dense: bool = False):
+    """The nonzero triplets in rows 0..height-1 and columns lo..hi-1 as a
+    (height, hi - lo) map, stored by ``_stored``'s rule, or a new dense
+    array where ``dense``; the triplets must not repeat a (row, column)
+    pair."""
+    keep = (rows < height) & (cols >= lo) & (cols < hi) & (vals != 0)
+    rows, cols, vals, shape = rows[keep], cols[keep] - lo, vals[keep], (height, hi - lo)
+    if dense or _is_dense(shape, vals.size):
+        M = np.zeros(shape)
+        M[rows, cols] = vals
+        return M
+    return _csr((vals, (rows, cols)), shape)
 
 
 class ClosedLoop:
@@ -179,7 +234,7 @@ class ClosedLoop:
     measures y_ij = x_j + D_ij eps_ij and feeds node i the residual
     r = y_ij - x_hat_i.  The noise w stacks (delta, eps_self, eps_edge),
     of lengths ``noise_sizes``, without eps_edge when no edge measurement
-    is noisy.  One sparse map acts on the stacked point (z, w), z = (x,
+    is noisy.  One linear map acts on the stacked point (z, w), z = (x,
     x_hat): rows 0..N-1 sum each node's residuals with weights w G/S (the
     consensus input u), rows N..2N-1 add w/S-weighted residuals to
     (y_self - x_hat)/R (the innovation).  Under the steady gain Q* the
@@ -190,16 +245,17 @@ class ClosedLoop:
     so A annihilates the constant vector: a consensus state with x_hat =
     x is an exact fixed point.
 
-    Every map is cut by column range from one set of (row, column) slots,
-    none repeated: per edge its x_dst and eps_edge columns, per node its
-    x, x_hat, delta and eps_self columns, with the x_hat diagonals summed
-    by ``np.bincount``.  Each map is canonical CSR (sorted indices, no
-    explicit zeros); ``coupling_map`` is built on first read.
+    Every map is cut by row and column range from one set of (row,
+    column) slots, none repeated: per edge its x_dst and eps_edge
+    columns, per node its x, x_hat, delta and eps_self columns, with the
+    x_hat diagonals summed by ``np.bincount``.  Each map is built on
+    first read and stored by ``_stored``'s rule: dense, or canonical CSR
+    (sorted indices, no explicit zeros).
 
     The certificate of the loop reads the same operator: ``F`` is A in
     (x, e) coordinates and ``nu`` the consensus weights.  Both are dense,
-    read-only and computed on first use, so a run that only integrates
-    never pays for them.
+    read-only, computed on first use and built from the slots, as is
+    ``input_slots``, so the certificate builds no CSR map.
     """
 
     def __init__(self, topology: NetworkTopology, params: FilterParams) -> None:
@@ -235,25 +291,56 @@ class ClosedLoop:
         u_val, innov_val = np.concatenate(u_val), np.concatenate(innov_val)
         self._slots = rows, cols, u_val, innov_val
         self._width = 2 * n + sum(self.noise_sizes)  # (z, w)
-
         x_rows = u_val.copy()
         x_rows[m + 2 * n:m + 3 * n] = params.B  # the delta slots, where u is 0
-        xh_rows = u_val + self.q_star[rows] * innov_val
-        steady = (np.concatenate([rows, n + rows]), np.tile(cols, 2),
-                  np.concatenate([x_rows, xh_rows]))
-        self.A = _csr_cut(*steady, 2 * n, 0, 2 * n)
-        self.inputs = _csr_cut(*steady, 2 * n, 2 * n, self._width)
-        self.u_state = _csr_cut(rows, cols, u_val, n, 0, 2 * n)
-        self.u_noise = (_csr_cut(rows, cols, u_val, n, 2 * n, self._width)
-                        if len(self.noise_sizes) == 3 else None)
+        self._steady = x_rows, u_val + self.q_star[rows] * innov_val
+
+    def _triplets(self, steady: bool):
+        """(rows, columns, values) of the map (z, w) -> zdot under Q*
+        (``steady``), else of ``coupling_map``: each slot once in the first
+        N rows and once in the last N."""
+        rows, cols, u_val, innov_val = self._slots
+        top, bottom = self._steady if steady else (u_val, innov_val)
+        return (np.concatenate([rows, self.n + rows]), np.tile(cols, 2),
+                np.concatenate([top, bottom]))
+
+    @cached_property
+    def A(self):
+        """The steady loop zdot = A z + inputs w on z = (x, x_hat)."""
+        return _cut(*self._triplets(True), 2 * self.n, 0, 2 * self.n)
+
+    @cached_property
+    def inputs(self):
+        """The steady loop's input map, from the noise w."""
+        return _cut(*self._triplets(True), 2 * self.n, 2 * self.n, self._width)
+
+    @cached_property
+    def u_state(self):
+        """u's map from the state z."""
+        return _cut(*self._triplets(False), self.n, 0, 2 * self.n)
+
+    @cached_property
+    def u_noise(self):
+        """u's map from the noise w; None when no edge measurement is noisy."""
+        if len(self.noise_sizes) < 3:
+            return None
+        return _cut(*self._triplets(False), self.n, 2 * self.n, self._width)
 
     @cached_property
     def coupling_map(self):
-        """The map (z, w) -> (u, innovation), CSR: rows 0..N-1 give u,
-        rows N..2N-1 the innovation."""
-        rows, cols, u_val, innov_val = self._slots
-        return _csr_cut(np.concatenate([rows, self.n + rows]), np.tile(cols, 2),
-                        np.concatenate([u_val, innov_val]), 2 * self.n, 0, self._width)
+        """The map (z, w) -> (u, innovation): rows 0..N-1 give u, rows
+        N..2N-1 the innovation."""
+        return _cut(*self._triplets(False), 2 * self.n, 0, self._width)
+
+    def input_slots(self) -> tuple[np.ndarray, ...]:
+        """The slots of ``inputs`` as (nodes, columns, x, x_hat): slot k
+        puts x[k] in row nodes[k] and x_hat[k] in row N + nodes[k] of
+        column columns[k], and no two slots share a (node, column) pair.
+        Zero values are kept."""
+        rows, cols, *_ = self._slots
+        top, bottom = self._steady
+        noise = cols >= 2 * self.n
+        return rows[noise], cols[noise] - 2 * self.n, top[noise], bottom[noise]
 
     @cached_property
     def F(self) -> np.ndarray:
@@ -266,7 +353,7 @@ class ClosedLoop:
         adds the x_hat columns onto the x columns.
         """
         n = self.n
-        F = self.coupling_map[:, :2 * n].toarray()
+        F = _cut(*self._triplets(False), 2 * n, 0, 2 * n, dense=True)
         F[:, :n] += F[:, n:]
         F[n:] *= self.q_star[:, None]
         F.flags.writeable = False  # cached: every reader shares this array
@@ -283,7 +370,8 @@ class ClosedLoop:
             raise SolverError("consensus weights need a positive steady gain Q* at "
                               "every node (nonzero B); a node with Q* = 0 keeps "
                               "its error")
-        nu = left_null_vector(self.A.toarray())
+        n = self.n
+        nu = left_null_vector(_cut(*self._triplets(True), 2 * n, 0, 2 * n, dense=True))
         nu.flags.writeable = False
         return nu
 
@@ -305,22 +393,6 @@ class ClosedLoop:
         return s[:self.n], s[self.n:]
 
 
-_DENSE_FILL = 0.25  # a map with more nonzeros than this share is stored dense
-
-
-def _stored(M):
-    """M as CSR while at most a quarter of its entries are nonzero, dense after."""
-    if sparse.issparse(M):
-        M = sparse.csr_array(M, copy=True)
-        M.eliminate_zeros()
-        nnz = M.nnz
-    else:
-        nnz = np.count_nonzero(M)
-    if nnz <= _DENSE_FILL * M.shape[0] * M.shape[1]:
-        return sparse.csr_array(M)
-    return M.toarray() if sparse.issparse(M) else M
-
-
 def _rk4_maps(A, h: float, theta: float) -> list:
     """The RK4 step of zdot = A z + Re(g e^{i omega t}) as the linear maps
     [P - I, K], M = h A, theta = omega h.
@@ -336,7 +408,8 @@ def _rk4_maps(A, h: float, theta: float) -> list:
     never mix with a sparse identity.
     """
     n, M = A.shape[0], _stored(h * A)
-    powers = [sparse.eye_array(n, format="csr") if sparse.issparse(M) else np.eye(n), M]
+    eye = (np.ones(n), (np.arange(n), np.arange(n)))
+    powers = [np.eye(n) if isinstance(M, np.ndarray) else _csr(eye, (n, n)), M]
     for _ in range(3):
         powers.append(_stored(powers[1] @ powers[-1]))
 
@@ -424,6 +497,31 @@ def _term(out: np.ndarray, ts: np.ndarray, *maps):
     return write
 
 
+def _input_maps(K, loop: ClosedLoop) -> tuple:
+    """The maps of a white run's input terms K inputs w_k: the one dense
+    map K inputs where that costs no more multiply-adds per block of
+    draws, dim width <= dim^2 + nnz(inputs) (K dense, dim x dim), else K
+    and ``inputs``.
+
+    K inputs is built from the slots through a dense ``inputs`` that is
+    dropped after the product, so a run that composes builds no CSR
+    input map.  On the compare config (complete N = 100) that is 200 x
+    200 against 40 000 + 200, so it composes; the benchmark pipeline's
+    edge noise, 200 x 3 251 against 40 000 + 6 302, does not.  A sinusoid
+    maps its amplitude once per pass (``DisturbanceRealization.chunks``),
+    where composing would only add the product.
+    """
+    nodes, cols, x, x_hat = loop.input_slots()
+    dim, width = K.shape[0], sum(loop.noise_sizes)
+    nnz = np.count_nonzero(x) + np.count_nonzero(x_hat)
+    if not isinstance(K, np.ndarray) or dim * width > dim * dim + nnz:
+        return K, loop.inputs
+    inputs = np.zeros((dim, width))
+    inputs[nodes, cols] = x
+    inputs[loop.n + nodes, cols] = x_hat
+    return (K @ inputs,)
+
+
 def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
     """Advance ``z_rec`` over its full blocks of B = 8 steps in place, the
     steps of ``_scan``; returns the steps done, 0 where P^B - I is not
@@ -473,7 +571,7 @@ def _scan(step, z_rec: np.ndarray) -> None:
     three phases (``_blocks``) where they pay (``_blocks_pay``), the
     rest one product per step."""
     steps, done = z_rec.shape[0] - 1, 0
-    if not sparse.issparse(step) and _blocks_pay(steps, step.shape[0]):
+    if isinstance(step, np.ndarray) and _blocks_pay(steps, step.shape[0]):
         done = _blocks(step, z_rec)
     z = z_rec[done]
     for k in range(done, steps):
@@ -535,6 +633,12 @@ def _readout(state_map, noise_map, ts: np.ndarray, z_rec: np.ndarray, real,
     return u_rec
 
 
+def _loop_readout(loop: ClosedLoop, *args) -> np.ndarray:
+    """``_readout`` through the loop's u maps, which are built only here,
+    when u is first read."""
+    return _readout(loop.u_state, loop.u_noise, *args)
+
+
 def _run(real, steps: int, *runs) -> list[Trajectory]:
     """The trajectories of ``runs``, each a (readers, finish) pair of
     ``_filter_run`` or ``_classical_run`` under ``real``, after one pass
@@ -577,14 +681,15 @@ def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
     ts = np.arange(steps + 1) * h
     kind = real.profile.kind
     readers, noise = [], None
-    if reads_u and loop.u_noise is not None and kind == "white":
+    if reads_u and kind == "white" and len(loop.noise_sizes) == 3:  # u_noise exists
         noise = np.empty((steps + 1, n))
         readers.append(_term(noise, ts, loop.u_noise))
     if config.riccati == "steady":
         step, K = _rk4_maps(loop.A, h, real.omega * h)
         z_rec = _record(np.concatenate([config.x0, config.prior]), steps)
         if kind != "zero":
-            readers.append(_term(z_rec[1:], ts, K, loop.inputs))
+            maps = _input_maps(K, loop) if kind == "white" else (K, loop.inputs)
+            readers.append(_term(z_rec[1:], ts, *maps))
         q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
     else:
         def f(t: float, w: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -609,8 +714,7 @@ def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
             _propagate(step, z_rec, ts)
         if noise is not None:
             noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
-        readout = partial(_readout, loop.u_state, loop.u_noise, ts, z_rec[:, :2 * n],
-                          real, noise)
+        readout = partial(_loop_readout, loop, ts, z_rec[:, :2 * n], real, noise)
         return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
 
     return readers, finish
@@ -659,8 +763,7 @@ def _classical_run(config: ScenarioConfig, real):
     ts = np.arange(steps + 1) * h
     step, K = _rk4_maps(Lp, h, real.omega * h)
     x_rec = _record(config.x0, steps)
-    delta = sparse.eye_array(n, sum(real.sizes), format="csr")
-    readers = [_term(x_rec[1:], ts, K, delta)] if real.profile.kind != "zero" else []
+    readers = [_term(x_rec[1:], ts, K, slice(n))] if real.profile.kind != "zero" else []
 
     def finish() -> Trajectory:
         _propagate(step, x_rec, ts)

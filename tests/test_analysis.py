@@ -15,6 +15,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     phi_max, predict_equilibrium, run_comparison,
                     simulate_classical, simulate_mef, spectral_report,
                     standard_laplacian, steady_gains, uniform_params)
+from mefcon import graphs as graphs_module
 from mefcon.analysis import _grid_overshoot, _second_half_mean
 
 from conftest import weighted_digraph
@@ -417,6 +418,24 @@ def test_run_comparison_builds_one_closed_loop(monkeypatch):
     cfg = basic_scenario(4, profile=DisturbanceProfile(kind="white"), T=0.2)
     run_comparison(cfg, seeds=range(3))
     assert len(built) == 1  # the seed changes neither topology nor params
+
+
+def test_run_comparison_searches_connectivity_once(monkeypatch):
+    # the topology is immutable, so its strong connectivity is searched
+    # once (node 0 reaches all, along the edges and reversed) and kept
+    calls = []
+    reaches_all = graphs_module._reaches_all
+
+    def counting(*args):
+        calls.append(1)
+        return reaches_all(*args)
+
+    monkeypatch.setattr(graphs_module, "_reaches_all", counting)
+    cfg = basic_scenario(5, profile=DisturbanceProfile(kind="white"), T=0.2)
+    run_comparison(cfg, seeds=range(10))
+    assert len(calls) == 2
+    certify(replace(cfg, profile=DisturbanceProfile()), spectral_report(cfg.loop))
+    assert len(calls) == 2
 
 
 def test_left_null_vector_of_accepts_both():

@@ -754,22 +754,41 @@ seed: 11
     assert all(-1.0 <= v <= 1.0 for v in ma["config"]["initial"]["x0"])
 
 
-def test_import_leaves_out_the_scipy_solvers():
-    # the package and its CLI load no scipy module that start-up does not
-    # use; scipy.linalg is imported by the one fallback that reads it.
-    # scipy releases without lazy submodules load csgraph with
-    # scipy.sparse itself, so the budget is what scipy.sparse loads alone
-    # (nothing, on releases with them)
+_ROOT = Path(__file__).resolve().parents[1]
+# Runs whose maps are all dense: each, in a fresh interpreter, must leave
+# no scipy module loaded.  The benchmark's workload module builds the
+# pipeline's sinusoid digraph (N = 100, E about 3 000) and the sweep.
+_DENSE_RUNS = {
+    "import": "",
+    "compare": "run('compare', CONFIGS / 'complete100_compare.yaml')",
+    **{f"analyze-{path.stem}": f"run('analyze', CONFIGS / {path.name!r})"
+       for path in sorted((_ROOT / "configs").glob("*.yaml"))},
+    "analyze-pipeline": "work.make_pipeline(1, OUT)\n"
+                        "run('analyze', OUT / 'pipeline_sinusoid.yaml')",
+    "sweep-case": "work.sweep_case(work.sweep_cases(1, 1)[0][0])",
+}
+
+
+@pytest.mark.parametrize("run", list(_DENSE_RUNS), ids=list(_DENSE_RUNS))
+def test_runs_without_a_sparse_map_load_no_scipy(run, tmp_path):
+    # scipy.sparse is imported only where a map is stored CSR; scipy.linalg
+    # only by the overshoot's Schur/expm fallback, which these never reach
     src = str(Path(mefcon.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
-
-    def loaded(imports):
-        code = (f"import json, sys, {imports}; print(json.dumps([m for m in sys.modules if m "
-                "in ('scipy.sparse.csgraph', 'scipy.sparse.linalg', 'scipy.linalg')]))")
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              text=True, env=env)
-        assert proc.returncode == 0, proc.stderr
-        return set(json.loads(proc.stdout))
-
-    assert loaded("mefcon, mefcon.cli") <= loaded("scipy.sparse")
+    code = "\n".join([
+        "import json, sys",
+        "from pathlib import Path",
+        "import mefcon, mefcon.cli",
+        f"sys.path.insert(0, {str(_ROOT / 'perfbench')!r})",
+        "import workloads as work" if "work." in _DENSE_RUNS[run] else "",
+        f"CONFIGS, OUT = Path({str(_ROOT / 'configs')!r}), Path({str(tmp_path)!r})",
+        "def run(verb, path):",
+        "    assert mefcon.cli.main([verb, '--config', str(path), '--out',",
+        "                            str(OUT / verb)]) == 0",
+        _DENSE_RUNS[run],
+        "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))"])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []

@@ -27,7 +27,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import _pass, _rk4_maps, _step_powers, _stored, _term
+from mefcon.simulate import (_input_maps, _pass, _rk4_maps, _step_powers, _stored,
+                             _term)
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -145,6 +146,13 @@ def _is_canonical_csr(M) -> bool:
         np.all(M.data != 0))
 
 
+def _in_the_form_the_rule_picks(M) -> bool:
+    """A dense array where the storage rule keeps M dense, else canonical CSR."""
+    if isinstance(M, np.ndarray):
+        return simulate_module._is_dense(M.shape, np.count_nonzero(M))
+    return not simulate_module._is_dense(M.shape, M.nnz) and _is_canonical_csr(M)
+
+
 @given(_noisy_loops())
 def test_steady_column_blocks_match_coupling(case):
     top, params, x, xh, _, eps_self, eps_edge = case
@@ -161,7 +169,7 @@ def test_steady_column_blocks_match_coupling(case):
         u_maps = u_maps + loop.u_noise @ w
     assert u_maps == pytest.approx(u, rel=1e-12, abs=1e-12)
     for M in (loop.A, loop.inputs, loop.u_state, loop.u_noise, loop.coupling_map):
-        assert M is None or _is_canonical_csr(M)
+        assert M is None or _in_the_form_the_rule_picks(M)
 
 
 def _white_config(n=3, T=0.5, h=0.01, seed=4, **kw):
@@ -355,7 +363,8 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
     # the stage-by-stage dynamic run is the oracle of the steady propagator.
     # Zero noise advances blocks of steps; T = 2 is 200 steps, 25 blocks
     # of 8, whose carry leaves steps to the per-step form.
-    # The ring N = 40 runs noise through sparse (CSR) step and input maps.
+    # The ring N = 40 runs noise through sparse (CSR) step and input maps;
+    # its 40 x 40 Laplacian, at most 2^12 entries, through dense ones.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
@@ -380,7 +389,9 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
                 assert levels[0] == config.steps, levels
             if top is ring:
                 theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
-                assert all(sparse.issparse(M) for M in _rk4_maps(A, config.h, theta))
+                sparse_maps = A.shape[0] * A.shape[1] > 2 ** 12  # the loop's A is 80 x 80
+                assert all(sparse.issparse(M) == sparse_maps
+                           for M in _rk4_maps(A, config.h, theta))
         steady = simulate_mef(config)
         dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
                                               riccati="dynamic", **kw))
@@ -640,9 +651,9 @@ def test_u_reads_noise_only_through_edge_measurements():
     # G < S: eps_edge is a stream, and u reads it
     top, params = _weighted_digraph()
     loop = ClosedLoop(top, params)
-    assert loop.noise_sizes == (4, 4, 6) and loop.u_noise is not None
-    assert loop.u_noise[:, :8].count_nonzero() == 0  # never delta or eps_self
-    assert loop.u_noise.count_nonzero() > 0
+    assert loop.noise_sizes == (4, 4, 6) and isinstance(loop.u_noise, np.ndarray)
+    assert np.count_nonzero(loop.u_noise[:, :8]) == 0  # never delta or eps_self
+    assert np.count_nonzero(loop.u_noise) > 0
 
 
 def test_consensus_is_exact_on_weighted_digraph():
@@ -676,6 +687,134 @@ def test_propagator_storage_follows_fill(monkeypatch):
     A = ClosedLoop(complete, uniform_params(complete)).A
     assert _block_levels(A, config, monkeypatch) == [5000]
     assert _block_levels(loop.A, config, monkeypatch) == []
+
+
+def test_storage_rule_at_its_bounds():
+    # dense up to 2^12 entries at any fill; above, CSR up to a quarter nonzero
+    for shape in ((64, 64), (64, 65)):
+        M = np.zeros(shape)
+        M[0, 0] = 1.0
+        assert isinstance(_stored(M), np.ndarray) == (M.size <= 2 ** 12), shape
+        assert isinstance(_stored(sparse.csr_array(M)), np.ndarray) == (M.size <= 2 ** 12)
+    M = np.zeros((80, 80))
+    M.flat[:1600] = 1.0  # a quarter of 6 400
+    assert sparse.issparse(_stored(M)) and sparse.issparse(_stored(sparse.csr_array(M)))
+    M.flat[1600] = 1.0
+    assert isinstance(_stored(M), np.ndarray)
+    assert isinstance(_stored(sparse.csr_array(M)), np.ndarray)
+    # the loop's maps take the same rule: A is 64 x 64 at N = 32, 66 x 66 at 33
+    for n, dense in ((32, True), (33, False)):
+        ring = make_graph("undirected_ring", n)
+        loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
+        assert isinstance(loop.A, np.ndarray) == dense, n
+        for M in (loop.A, loop.inputs, loop.u_state, loop.u_noise, loop.coupling_map):
+            assert _in_the_form_the_rule_picks(M), n
+
+
+def _white_term(maps, real, steps, h):
+    """The input terms of ``steps`` white steps through ``maps``."""
+    H = np.empty((steps, maps[0].shape[0]))
+    _pass(real, steps, _term(H, np.arange(steps) * h, *maps))
+    return H
+
+
+def test_white_input_map_composes_where_it_is_cheaper():
+    # K inputs is one dense map where dim width <= dim^2 + nnz(inputs):
+    # the compare shape, 200 x 200 against 40 000 + 200, composes, from a
+    # dense inputs that is not kept; the benchmark pipeline's edge noise,
+    # 200 x (200 + E) against 40 000 + nnz, does not
+    white = DisturbanceProfile("white", sigma=1.0)
+    complete = make_graph("complete", 100)
+    config = ScenarioConfig(complete, uniform_params(complete), np.zeros(100),
+                            profile=white, h=0.002, T=0.4)
+    loop = config.loop
+    K = _rk4_maps(loop.A, config.h, 0.0)[1]
+    composed = _input_maps(K, loop)
+    assert len(composed) == 1 and composed[0].shape == (200, 200)
+    assert "inputs" not in vars(loop)  # no CSR input map was built
+    assert sparse.issparse(loop.inputs) and loop.inputs.nnz == 200
+    real = sample_disturbances(white, loop.noise_sizes, config.steps, config.h, 3)
+    want = _white_term((K, loop.inputs), real, config.steps, config.h)
+    got = _white_term(composed, real, config.steps, config.h)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    rng = np.random.default_rng(1)
+    edges = {(i, (i + 1) % 100) for i in range(100)}
+    edges |= {(i, j) for i in range(100) for j in range(100)
+              if i != j and rng.random() < 0.3}
+    top = NetworkTopology(100, [(i, j, rng.uniform(0.5, 2.0)) for i, j in sorted(edges)])
+    loop = ClosedLoop(top, uniform_params(top, S=2.0, G=1.0))
+    K = _rk4_maps(loop.A, 0.01, 0.0)[1]
+    assert isinstance(K, np.ndarray) and loop.noise_sizes == (100, 100, len(edges))
+    assert _input_maps(K, loop) == (K, loop.inputs)
+    assert sparse.issparse(loop.inputs)
+
+
+def _sparse_weighted_digraph():
+    """A directed ring of 12 nodes with 4 chords, random weights and
+    non-uniform B, R, S and G < S: its 24 x 24 A is about 12% nonzero."""
+    rng = np.random.default_rng(5)
+    pairs = [(i, (i + 1) % 12) for i in range(12)] + [(0, 6), (3, 9), (7, 2), (10, 4)]
+    top = NetworkTopology(12, [(i, j, rng.uniform(0.5, 2.0)) for i, j in pairs])
+    B, R = rng.uniform(0.5, 2.0, 12), rng.uniform(0.3, 1.5, 12)
+    S = rng.uniform(1.0, 3.0, 16)
+    G = S * rng.uniform(0.3, 1.0, 16)
+    return top, FilterParams(B, R, S, G, 1.0 / steady_gains(top, B, R, S))
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile(), DisturbanceProfile("white", sigma=0.5),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
+    ids=["zero", "white", "sinusoid"])
+def test_dense_and_sparse_maps_give_the_same_runs(profile, monkeypatch):
+    # every map dense (bound 2^30) against every map by its fill (bound 0):
+    # filter and baseline runs agree to rounding
+    top, params = _sparse_weighted_digraph()
+    x0 = np.random.default_rng(2).uniform(-1.0, 1.0, 12)
+    config = ScenarioConfig(top, params, x0, -x0, profile, h=0.01, T=3.0, seed=4)
+    runs = {}
+    for bound in (0, 2 ** 30):
+        monkeypatch.setattr(simulate_module, "_DENSE_ENTRIES", bound)
+        cfg = replace(config)  # a new config builds its own loop
+        assert sparse.issparse(cfg.loop.A) == (bound == 0)
+        assert sparse.issparse(cfg.loop.u_noise) == (bound == 0)
+        runs[bound] = simulate_mef(cfg), simulate_classical(cfg)
+    for sparse_run, dense_run in zip(runs[0], runs[2 ** 30]):
+        for name in ("x", "x_hat", "u"):
+            got, want = getattr(sparse_run, name), getattr(dense_run, name)
+            assert np.abs(got - want).max() <= 1e-13, (profile.kind, name)
+    assert np.abs(runs[0][0].u).max() > 0.1
+
+
+def test_sinusoid_amplitude_is_mapped_once_per_reader(monkeypatch):
+    # a sinusoid's M c is the same for every block of a pass, so each
+    # reader maps the amplitude vector once; blocks read it bit for bit
+    # as one random-access read of all steps does
+    ring = make_graph("undirected_ring", 40)
+    profile = DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)
+    config = ScenarioConfig(ring, uniform_params(ring, R=0.7, S=2.0, G=1.0),
+                            np.random.default_rng(9).uniform(-1.0, 1.0, 40),
+                            profile=profile, h=0.01, T=10.0, seed=6)
+    loop = config.loop
+    assert config.steps > 2 * (CHUNK_ENTRIES // sum(loop.noise_sizes))  # 3 blocks
+    products = []
+    apply = disturbances_module._apply
+
+    def counted(maps, W):
+        products.append(len(maps))
+        return apply(maps, W)
+
+    monkeypatch.setattr(disturbances_module, "_apply", counted)
+    traj = simulate_mef(config)
+    assert products == [2]  # K inputs c, for the input terms of every block
+    assert np.abs(traj.u).max() > 0
+    assert products == [2, 1]  # u_noise c, for u's readout
+    real = sample_disturbances(profile, loop.noise_sizes, config.steps, config.h, 6)
+    K = _rk4_maps(loop.A, config.h, real.omega * config.h)[1]
+    ts = np.arange(config.steps) * config.h
+    H = np.empty((config.steps, 80))
+    _pass(real, config.steps, _term(H, ts, K, loop.inputs))
+    assert np.array_equal(H, real.mapped(ts, None, K, loop.inputs).T)
 
 
 def test_step_powers_are_the_powers_of_the_step():
