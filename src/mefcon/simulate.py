@@ -117,8 +117,9 @@ class Trajectory:
 
     u is computed by ``readout`` on first read and kept, and the readout
     is then replaced by one that returns it.  Until then it holds the
-    record, the loop's maps, the run's realization (for sinusoids its
-    complex amplitude vector; never white draws) and, for white edge
+    record, the loop (whose u maps are built by that first read), the
+    run's realization (for sinusoids its complex amplitude vector; never
+    white draws) and, for white edge
     noise, the (steps + 1) x N noise term the run's pass read, unless the
     run was made for a comparison, which reads no u.
     """
