@@ -203,21 +203,10 @@ def cmd_envelope(args) -> int:
     return 0
 
 
-def _seed(text: str) -> int:
-    """--seed's value: an integer, at least 0, as numpy's seeding takes it."""
-    try:
-        seed = int(text)
-    except ValueError:
-        seed = -1
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text!r}")
-    return seed
-
-
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--config", required=True, help="scenario config file (YAML or JSON)")
     sub.add_argument("--out", default=".", help="output directory (default: .)")
-    sub.add_argument("--seed", type=_seed, default=None,
+    sub.add_argument("--seed", type=int, default=None,
                      help="override the scenario seed (a nonnegative integer)")
     sub.add_argument("--riccati", choices=("steady", "dynamic"), default=None,
                      help="override the gain mode")

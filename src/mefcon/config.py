@@ -314,11 +314,11 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     try:
         topology = make_graph(family, n, g["weight"], edges)
     except ConfigError as exc:  # quote a refused edge as the file wrote it, 1-based
-        at = re.match(r"edge #(\d+) [^:]*: (.*)", str(exc))
-        if at is None:
+        k = getattr(exc, "edge", None)
+        if k is None:
             raise
-        k = int(at[1])
-        raise ConfigError(f"field 'graph.edges' entry {k + 1}, {g['edges'][k]}: {at[2]}") from exc
+        raise ConfigError(f"field 'graph.edges' entry {k + 1}, {g['edges'][k]}: "
+                          f"{exc.reason}") from exc
 
     for key in ("B", "Xi"):
         if p[key] is not None and p[key].size not in (1, n):
@@ -327,7 +327,7 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     params = uniform_params(topology, B=p["B"], R=p["R"], S=p["S"], G=p["G"],
                             Xi=p["Xi"])
 
-    seed = top["seed"] if seed_override is None else _seed(seed_override, "seed")
+    seed = top["seed"] if seed_override is None else _seed(seed_override, "--seed")
     profile = DisturbanceProfile(**d)
 
     x0_spec = ini["x0"]
@@ -342,8 +342,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         x0 = rng.uniform(ru["low"], ru["high"], n)
     else:
         x0 = _numbers(x0_spec, "initial.x0")
-        if x0.shape != (n,):
-            raise ConfigError(f"field 'initial.x0' must list {n} values")
     prior_spec = ini["prior"]
     if isinstance(prior_spec, str):
         if prior_spec != "same":
@@ -351,8 +349,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
         prior = None
     else:
         prior = _numbers(prior_spec, "initial.prior")
-        if prior.shape != (n,):
-            raise ConfigError(f"field 'initial.prior' must list {n} values")
 
     riccati = str(top["riccati"]) if riccati_override is None \
         else str(riccati_override)

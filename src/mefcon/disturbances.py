@@ -110,8 +110,7 @@ class DisturbanceRealization:
     signals there are; zero noise is c = 0.  White draws depend only on
     ``step``, clamped to the drawn steps.  Both arguments may be arrays.
     ``omega`` is the angular frequency, 0 for white draws and zero noise,
-    which hold their value over a step.  ``mapped`` reads a linear map of
-    w without building w.
+    which hold their value over a step.
 
     A white realization keeps its seed and per-step std, never its
     draws.  ``chunks`` reads the run in one pass in step order, in blocks
@@ -120,7 +119,7 @@ class DisturbanceRealization:
     about one block however long the run.  Every pass starts from fresh
     generators and gives the same numbers, bit for bit those of one
     ``normal`` call per stream for the whole run.  A random-access read
-    (``at``, ``mapped``) replays a pass up to the last step it reads.
+    (``at``) replays a pass up to the last step it reads.
     """
 
     def __init__(self, profile: DisturbanceProfile, sizes: tuple[int, ...],
@@ -148,24 +147,13 @@ class DisturbanceRealization:
     def at(self, t, step) -> np.ndarray:
         """w at time ``t`` of step ``step``; arrays of m times and m steps
         give the m vectors as rows of an (m, width) array."""
-        return self.mapped(t, step).T
-
-    def mapped(self, t, step, *maps) -> np.ndarray:
-        """M w(t_k) for arrays of m times and m steps, M the product of
-        ``maps`` (the identity when there are none), as an (M rows, m)
-        array: ``M @ at(t, step).T`` up to rounding, with the maps applied
-        right to left.  A scalar time and step give one vector.
-
-        A sinusoid (zero noise: c = 0) is M w(t) = Re((M c) e^{i omega
-        t}): the maps act on the amplitude vector c only, no (m, width) w
-        is built, and a map may be complex (``simulate._rk4_maps``), since
-        the real part is taken last.  White draws are mapped as read, here
-        from a replayed pass (``chunks`` reads a run without replaying).
-        A slice among the maps takes those rows.
-        """
-        if self.profile.kind == "white":
-            return _apply(maps, self._replay(step).T)
-        return self._rotate(_apply(maps, self._c), t)
+        t, step = np.broadcast_arrays(t, np.clip(step, 0, self.steps - 1))
+        flat, ts = step.ravel(), t.ravel()
+        out = np.empty((flat.size, sum(self.sizes)))
+        for ks, read in self.chunks(int(flat.max()) + 1):
+            hit = (flat >= ks[0]) & (flat <= ks[-1])
+            out[hit] = read(ts[hit], flat[hit]).T
+        return out.reshape(step.shape + out.shape[1:])
 
     def _rotate(self, W: np.ndarray, t) -> np.ndarray:
         """Re(W e^{i omega t}) for a mapped amplitude vector W."""
@@ -176,9 +164,12 @@ class DisturbanceRealization:
     def chunks(self, count: int):
         """One pass over steps 0..count-1 in step order, in blocks of
         ``rows`` steps.  Yields (ks, read) per block: ks are the block's
-        steps and read(t, step, *maps) is ``mapped`` for steps in ks; step
-        None reads all of ks, and a white block then passes its rows on
-        without a copy.
+        steps and read(t, step, *maps) is M w(t, step) as an (M rows, m)
+        array for m times and m steps in ks, M the product of ``maps``
+        applied right to left (a slice takes those rows); step None reads
+        all of ks, and a white block then passes its rows on without a
+        copy.  A sinusoid maps its amplitudes c only, M w(t) = Re((M c)
+        e^{i omega t}), so a map may be complex (``simulate._rk4_maps``).
 
         White draws are made here, a block's rows when the pass reaches
         it, and dropped with the block, so a pass holds about one block
@@ -212,17 +203,6 @@ class DisturbanceRealization:
             last = W[-1].copy()
             yield np.arange(a, b), partial(_mapped_rows, W, a)
 
-    def _replay(self, step) -> np.ndarray:
-        """The white draws of ``step`` (clamped to the drawn steps) as rows,
-        from a pass up to the last step read."""
-        want = np.clip(step, 0, self.steps - 1)
-        flat = np.ravel(want)
-        out = np.empty((flat.size, sum(self.sizes)))
-        for ks, read in self.chunks(int(flat.max()) + 1):
-            hit = (flat >= ks[0]) & (flat <= ks[-1])
-            out[hit] = read(None, flat[hit]).T
-        return out.reshape(np.shape(want) + out.shape[1:])
-
 
 def _streams(seed: int) -> list[np.random.Generator]:
     """The three generators of a run, fresh from its seed: delta, eps_self,
@@ -239,8 +219,8 @@ def _apply(maps, W):
 
 
 def _mapped_rows(W: np.ndarray, first: int, t, step, *maps) -> np.ndarray:
-    """``DisturbanceRealization.mapped`` on one block W of a white pass,
-    whose row j holds step first + j; step None reads every row."""
+    """``DisturbanceRealization.chunks``' read of one block W of a white
+    pass, whose row j holds step first + j; step None reads every row."""
     rows = W if step is None else W.take(np.asarray(step) - first, axis=0)
     return _apply(maps, rows.T)
 

@@ -31,11 +31,14 @@ def _positive_int(value, name: str) -> int:
 
 
 def _refuse(edges: np.ndarray, bad: np.ndarray, reason: str) -> None:
-    """Raise for the first edge flagged in ``bad``, named by its position."""
+    """Raise for the first edge flagged in ``bad``, named by its position;
+    the error carries that position as ``edge`` and ``reason``."""
     if np.count_nonzero(bad):
         k = int(bad.argmax())
         i, j, w = edges[k].tolist()
-        raise ConfigError(f"edge #{k} ({i:g}, {j:g}, {w}): {reason}")
+        exc = ConfigError(f"edge #{k} ({i:g}, {j:g}, {w}): {reason}")
+        exc.edge, exc.reason = k, reason
+        raise exc
 
 
 @dataclass(frozen=True, init=False, eq=False)

@@ -11,7 +11,7 @@ scipy.sparse.  Only the dynamic gain evaluates the RK4 stages one by one
 (``rk4_step``).  The propagator reads each disturbance once per chunk of
 steps through one input map K(omega h): a sinusoid is an input that
 rotates by e^{i omega h} per step, and a white draw, held over the step,
-is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.mapped``).
+is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.chunks``).
 
 A run reads its noise in one pass in step order (``_pass``), in the
 blocks of its realization, which draws white noise a block at a time as
@@ -41,6 +41,7 @@ seed, which is what makes head-to-head noise comparisons meaningful.
 from __future__ import annotations
 
 import cmath
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -51,8 +52,8 @@ import numpy as np
 from .disturbances import DisturbanceProfile, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, uniform_params
-from .graphs import (NetworkTopology, is_strongly_connected, laplacian,
-                     left_null_vector, make_graph)
+from .graphs import (NetworkTopology, is_strongly_connected, left_null_vector,
+                     make_graph)
 
 _RICCATI_MODES = ("steady", "dynamic")
 
@@ -75,19 +76,20 @@ class ScenarioConfig:
         n = self.topology.node_count
         if self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
-        if self.h <= 0:
-            raise ConfigError("integration.h must be positive")
-        if self.steps < 1 or abs(self.T / self.h - self.steps) > 1e-9 * self.steps:
+        if not 0 < self.h < math.inf:
+            raise ConfigError(f"integration.h must be finite and positive, got {self.h}")
+        if not math.isfinite(self.T / self.h) or self.steps < 1 \
+                or abs(self.T / self.h - self.steps) > 1e-9 * self.steps:
             raise ConfigError(f"integration.T = {self.T} must be a whole number "
                               f"(at least one) of steps h = {self.h}")
         x0 = np.asarray(self.x0, dtype=float)
         if x0.shape != (n,):
-            raise ConfigError(f"x0 must have length {n}, got shape {x0.shape}")
+            raise ConfigError(f"initial.x0 must have length {n}, got shape {x0.shape}")
         object.__setattr__(self, "x0", x0)
         prior = self.prior
         prior = x0.copy() if prior is None else np.asarray(prior, dtype=float)
         if prior.shape != (n,):
-            raise ConfigError(f"prior must have length {n}, got shape {prior.shape}")
+            raise ConfigError(f"initial.prior must have length {n}, got shape {prior.shape}")
         object.__setattr__(self, "prior", prior)
         if self.riccati not in _RICCATI_MODES:
             raise ConfigError(f"field 'riccati' must be one of {list(_RICCATI_MODES)}, "
@@ -457,21 +459,6 @@ def _blocks_pay(steps: int, dim: int) -> bool:
     return steps >= max(2 * _BLOCK, _STEPS_PER_DIM * dim)
 
 
-def _step_powers(step, B: int):
-    """Yield P^j - I for j = 1..B, P = I + ``step`` dense.
-
-    P^{j+1} - I = D + D_j + D D_j (D = ``step``, D_j = P^j - I) never
-    subtracts I, so the powers keep the accuracy of the step map; along
-    the consensus direction, where the state never decays, a leak in
-    P^j - I would add up over a run.
-    """
-    Dj = step
-    yield Dj
-    for _ in range(B - 1):
-        Dj = Dj + step + step @ Dj
-        yield Dj
-
-
 def _pass(real, count: int, *readers) -> None:
     """One pass over the realization ``real``, steps 0..count-1 in order,
     shared by ``readers``: each is called as reader(ks, read) on every
@@ -512,15 +499,12 @@ def _input_maps(K, loop: ClosedLoop) -> tuple:
     maps its amplitude once per pass (``DisturbanceRealization.chunks``),
     where composing would only add the product.
     """
-    nodes, cols, x, x_hat = loop.input_slots()
+    *_, x, x_hat = loop.input_slots()
     dim, width = K.shape[0], sum(loop.noise_sizes)
     nnz = np.count_nonzero(x) + np.count_nonzero(x_hat)
     if not isinstance(K, np.ndarray) or dim * width > dim * dim + nnz:
         return K, loop.inputs
-    inputs = np.zeros((dim, width))
-    inputs[nodes, cols] = x
-    inputs[loop.n + nodes, cols] = x_hat
-    return (K @ inputs,)
+    return (K @ _cut(*loop._triplets(True), dim, dim, dim + width, dense=True),)
 
 
 def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
@@ -541,13 +525,16 @@ def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
     3. The fill: every state inside the blocks by the step z + D(z -
        z[0]) + H from the block starts, B - 1 products of D.
 
-    With P^B - I from ``_step_powers`` that is 3(B - 1) dense
-    matrix-matrix products per level.  Every temporary has one row per
-    block.
+    With P^B - I that is 3(B - 1) dense matrix-matrix products per level.
+    Every temporary has one row per block.
     """
     B = _BLOCK
-    for PB in _step_powers(step, B):  # ends at P^B - I
-        pass
+    # P^{j+1} - I = D + (P^j - I) + D (P^j - I) never subtracts I, so P^B -
+    # I keeps the accuracy of the step map D; along the consensus direction,
+    # where the state never decays, a leak in P^B - I would add up over a run
+    PB = step
+    for _ in range(B - 1):
+        PB = PB + step + step @ PB
     if not np.isfinite(PB).all():
         return 0
     n = step.shape[0]
@@ -759,8 +746,11 @@ def _classical_run(config: ScenarioConfig, real):
     It reads the delta columns of ``real``'s w, the first N, so a filter
     run's pass can feed it (``_simulate_both``)."""
     top = config.topology
-    Lp = _stored(laplacian(top))  # -L_std
     n, h, steps = top.node_count, config.h, config.steps
+    src, dst, w = top.edge_arrays()
+    nodes = np.arange(n)
+    Lp = _cut(np.concatenate([src, nodes]), np.concatenate([dst, nodes]),  # -L_std
+              np.concatenate([w, -top.in_degrees()]), n, 0, n)
     ts = np.arange(steps + 1) * h
     step, K = _rk4_maps(Lp, h, real.omega * h)
     x_rec = _record(config.x0, steps)

@@ -142,14 +142,15 @@ def test_array_read_stacks_the_scalar_reads(kind):
 
 @pytest.mark.parametrize("kind", ["zero", "sinusoid", "white"])
 def test_mapped_read_is_the_map_of_the_read(kind):
-    # M1 M2 w(t_k) without building w: the sinusoid maps its complex
-    # amplitude vector, white draws are mapped as read
+    # a block's read of M1 M2 w(t_k) builds no w: the sinusoid maps its
+    # complex amplitude vector, white draws are mapped as read
     prof = DisturbanceProfile(kind=kind, delta_max=0.2, eps_max=0.1)
     real = sample_disturbances(prof, (3, 3, 5), 8, 0.1, 6)
-    t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([-1, 0, 3, 8])
+    t, k = np.array([0.0, 0.05, 0.35, 0.8]), np.array([0, 0, 3, 7])
     rng = np.random.default_rng(1)
     M1, M2 = rng.normal(size=(2, 6)), sparse.csr_array(rng.normal(size=(6, 11)))
-    got = real.mapped(t, k, M1, M2)
+    [(_, read)] = real.chunks(8)  # one block
+    got = read(t, k, M1, M2)
     assert got.shape == (2, 4)
     assert got == pytest.approx(M1 @ (M2 @ real.at(t, k).T), rel=1e-14, abs=1e-15)
 

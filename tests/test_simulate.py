@@ -27,8 +27,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import (_input_maps, _pass, _rk4_maps, _step_powers, _stored,
-                             _term)
+from mefcon.simulate import _input_maps, _pass, _rk4_maps, _stored, _term
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -537,6 +536,22 @@ def test_white_run_memory_is_its_record_plus_a_few_chunks():
     assert peak < bound, (peak, bound, steps * width * 8)
 
 
+def test_baseline_builds_no_dense_laplacian():
+    # the baseline cuts -L from the edge arrays, so a directed cycle of
+    # 3 000 nodes steps with sparse maps and no dense N x N array (72 MB)
+    n = 3000
+    config = basic_scenario(n, "directed_cycle", h=0.01, T=0.1)
+    simulate_classical(config).u  # scipy.sparse loaded outside the count
+    tracemalloc.start()
+    try:
+        traj = simulate_classical(config)
+        u = traj.u
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n, (peak, u.nbytes)  # an eighth of one dense N x N array
+
+
 def _counting_draws(monkeypatch):
     """Record the number of white values each ``normal`` call draws from
     here on."""
@@ -789,7 +804,7 @@ def test_dense_and_sparse_maps_give_the_same_runs(profile, monkeypatch):
 def test_sinusoid_amplitude_is_mapped_once_per_reader(monkeypatch):
     # a sinusoid's M c is the same for every block of a pass, so each
     # reader maps the amplitude vector once; blocks read it bit for bit
-    # as one random-access read of all steps does
+    # as Re((K inputs c) e^{i omega t}) over all steps at once
     ring = make_graph("undirected_ring", 40)
     profile = DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)
     config = ScenarioConfig(ring, uniform_params(ring, R=0.7, S=2.0, G=1.0),
@@ -814,17 +829,10 @@ def test_sinusoid_amplitude_is_mapped_once_per_reader(monkeypatch):
     ts = np.arange(config.steps) * config.h
     H = np.empty((config.steps, 80))
     _pass(real, config.steps, _term(H, ts, K, loop.inputs))
-    assert np.array_equal(H, real.mapped(ts, None, K, loop.inputs).T)
-
-
-def test_step_powers_are_the_powers_of_the_step():
-    # the j-th power is P^j - I, P = I + D, to rounding
-    D = 0.05 * np.random.default_rng(3).normal(size=(4, 4))
-    powers = list(_step_powers(D, 8))
-    assert len(powers) == 8
-    for j, Dj in enumerate(powers, start=1):
-        want = np.linalg.matrix_power(np.eye(4) + D, j) - np.eye(4)
-        assert Dj == pytest.approx(want, rel=0, abs=1e-14), j
+    Kc = K @ (loop.inputs @ real._c)
+    wt = real.omega * ts
+    assert np.array_equal(H, (np.multiply.outer(Kc.real, np.cos(wt))
+                              - np.multiply.outer(Kc.imag, np.sin(wt))).T)
 
 
 def test_measurement_recording():
@@ -1061,12 +1069,15 @@ def test_blocks_of_blocks_stay_near_the_step_loop(monkeypatch):
 def test_scenario_validation():
     top = make_graph("complete", 3)
     params = uniform_params(top)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="initial.x0"):
         ScenarioConfig(top, params, np.zeros(2))  # wrong x0 length
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="initial.prior"):
         ScenarioConfig(top, params, np.zeros(3), np.zeros(4))
-    with pytest.raises(ConfigError):
-        ScenarioConfig(top, params, np.zeros(3), h=-0.01)
+    for h, T, field in ((-0.01, 50.0, "integration.h"), (math.nan, 50.0, "integration.h"),
+                        (math.inf, 50.0, "integration.h"), (0.01, math.inf, "integration.T"),
+                        (0.01, math.nan, "integration.T")):
+        with pytest.raises(ConfigError, match=field):
+            ScenarioConfig(top, params, np.zeros(3), h=h, T=T)
     with pytest.raises(ConfigError):
         ScenarioConfig(top, params, np.zeros(3), T=0.001, h=0.01)
     with pytest.raises(ConfigError):
