@@ -15,8 +15,11 @@ byte-identical CSV files.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
 import sys
 import time
 from pathlib import Path
@@ -121,16 +124,17 @@ def cmd_analyze(args) -> int:
         cert = certify(config, report)
         payload["equilibrium"] = {"x_star": cert.x_star, "weights": cert.nu.tolist()}
         payload["iss"] = {k: getattr(cert, k) for k in _ISS + ("Q_max",)}
-        print(f"analyze: q={report.q}, stable={report.stable_count}, "
-              f"x*={cert.x_star:.12g}, a={cert.a:.6g}, b={cert.b:.6g}, "
-              f"phi={_shown(cert.phi)} (phi_max={_shown(cert.phi_max)})")
+        line = (f"analyze: q={report.q}, stable={report.stable_count}, "
+                f"x*={cert.x_star:.12g}, a={cert.a:.6g}, b={cert.b:.6g}, "
+                f"phi={_shown(cert.phi)} (phi_max={_shown(cert.phi_max)})")
     else:
         payload["warnings"].append(
             "graph is not strongly connected: consensus value and ISS "
             "constants are undefined, spectral counts reported only")
-        print(f"analyze: q={report.q}, stable={report.stable_count} "
-              "(not strongly connected; no equilibrium or envelope)")
+        line = (f"analyze: q={report.q}, stable={report.stable_count} "
+                "(not strongly connected; no equilibrium or envelope)")
     _write_json(out / "report.json", payload)
+    print(line)
     print(f"wrote {out / 'report.json'}")
     return 0
 
@@ -237,14 +241,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    shown, error = io.StringIO(), None  # the verb's stdout, written once it ends
     try:
-        return args.fn(args)
+        with contextlib.redirect_stdout(shown):
+            code = args.fn(args)
     except MefconError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+        error, code = f"error: {exc}", exc.exit_code
     except Exception as exc:  # pragma: no cover - last resort
-        print(f"unexpected error: {exc}", file=sys.stderr)
-        return 1
+        error, code = f"unexpected error: {exc}", 1
+    try:
+        print(shown.getvalue(), end="", flush=True)
+    except BrokenPipeError:  # a reader that stopped (| head -0): the Python docs'
+        # SIGPIPE recipe, so that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    if error:
+        print(error, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,11 +7,11 @@ read.  Under the steady gain the loop is linear and time-invariant, so
 ``simulate_mef`` and ``simulate_classical`` advance it with precomputed
 RK4 maps (``_propagate``).  Every map is dense when small or more than a
 quarter full, else CSR (``_stored``), and only CSR maps load
-scipy.sparse.  Only the dynamic gain evaluates the RK4 stages one by one
-(``rk4_step``).  The propagator reads each disturbance once per chunk of
-steps through one input map K(omega h): a sinusoid is an input that
-rotates by e^{i omega h} per step, and a white draw, held over the step,
-is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.chunks``).
+scipy.sparse.  A dynamic gain steps stage by stage (``rk4_step``) only
+until it settles at Q*.  The propagator reads each disturbance once per
+chunk of steps through one input map K(omega h): a sinusoid is an input
+that rotates by e^{i omega h} per step, and a white draw, held over the
+step, is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.chunks``).
 
 A run reads its noise in one pass in step order (``_pass``), in the
 blocks of its realization, which draws white noise a block at a time as
@@ -78,6 +78,9 @@ class ScenarioConfig:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
         if not 0 < self.h < math.inf:
             raise ConfigError(f"integration.h must be finite and positive, got {self.h}")
+        if math.isfinite(self.T) and not math.isfinite(self.T / self.h):
+            raise ConfigError(f"integration.h = {self.h} is too small: the step count "
+                              f"T / h = {self.T} / {self.h} overflows")
         if not math.isfinite(self.T / self.h) or self.steps < 1 \
                 or abs(self.T / self.h - self.steps) > 1e-9 * self.steps:
             raise ConfigError(f"integration.T = {self.T} must be a whole number "
@@ -395,6 +398,15 @@ class ClosedLoop:
         s = self.coupling_map @ np.concatenate([z, w])
         return s[:self.n], s[self.n:]
 
+    @np.errstate(divide="ignore", invalid="ignore")  # the tanh form is 0/0 where B = 0
+    def gain(self, Q0: np.ndarray, t) -> np.ndarray:
+        """Q(t) from Q(0) = Q0 under Qdot = B^2 - c Q^2, c = ``ricc_coeff``:
+        Q* (Q0 + Q* tanh kt) / (Q* + Q0 tanh kt), k = sqrt(c) |B|, the ratio
+        first so that Q0 = Q* gives Q*, and Q0 / (1 + c Q0 t) where B = 0."""
+        c, q = self.ricc_coeff, self.q_star
+        th = np.tanh(np.sqrt(c) * np.abs(self.B) * t)
+        return np.where(q > 0, q * ((Q0 + q * th) / (q + Q0 * th)), Q0 / (1 + c * Q0 * t))
+
 
 def _rk4_maps(A, h: float, theta: float) -> list:
     """The RK4 step of zdot = A z + Re(g e^{i omega t}) as the linear maps
@@ -639,10 +651,10 @@ def simulate_mef(config: ScenarioConfig) -> Trajectory:
     """Integrate the filter network (states and estimates jointly).
 
     Estimates start at the configured priors.  Gains stay frozen at the
-    steady value Q* unless ``riccati='dynamic'``, which integrates the
-    gain equation from Q(0) = 1/Xi alongside the states.  The steady loop
-    is linear and time-invariant, so its RK4 steps are precomputed linear
-    maps (``_propagate``); the dynamic loop evaluates its stages.  Both
+    steady value Q* unless ``riccati='dynamic'``: then the gain is
+    ``ClosedLoop.gain`` from Q(0) = 1/Xi, stepped stage by stage until it
+    settles at Q* (``_filter_run``).  From there on, and in a steady run
+    throughout, precomputed RK4 maps step the loop (``_propagate``).  Both
     read u out of the (x, x_hat) record (``_readout``).
     """
     real = sample_disturbances(config.profile, config.loop.noise_sizes, config.steps,
@@ -655,11 +667,16 @@ def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
     streams, as (readers, finish): the readers take their reads from a
     pass over ``real`` (``_run``), and finish returns the trajectory.
 
-    The readers are the steady run's input terms, or the dynamic run's
-    steps, one chunk at a time; and, where u reads white draws (G < S)
+    The readers, in turn on each chunk: where u reads white draws (G < S)
     and the caller ``reads_u``, u's noise term u_noise w_k, whose last
-    grid point repeats the last step's draws.  Without it a later read
-    of u replays the draws (``_readout``).
+    grid point repeats the last step's draws (else a later read of u
+    replays them, ``_readout``); the input terms; and a dynamic run's
+    steps before row ``first``, stage by stage, over those rows' terms.
+    finish propagates from row ``first``: 0, or where a dynamic gain has
+    settled.  On one BLAS thread that took the dynamic run of
+    ``complete100_compare`` (Xi = 1/Q*, settled at row 0) from 0.24 to
+    0.04 s, and of ``two_ring_envelope`` at Xi = 0.2 and 5 (settled at t
+    = 12.25 and 12.15 of 30) from 0.16 and 0.17 s to 0.11 s.
     """
     if not is_strongly_connected(config.topology):
         warnings.warn("topology is not strongly connected; consensus is not "
@@ -668,42 +685,42 @@ def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
     n, h, steps = loop.n, config.h, config.steps
     ts = np.arange(steps + 1) * h
     kind = real.profile.kind
+    step, K = _rk4_maps(loop.A, h, real.omega * h)
+    z_rec = _record(np.concatenate([config.x0, config.prior]), steps)
     readers, noise = [], None
     if reads_u and kind == "white" and len(loop.noise_sizes) == 3:  # u_noise exists
         noise = np.empty((steps + 1, n))
         readers.append(_term(noise, ts, loop.u_noise))
-    if config.riccati == "steady":
-        step, K = _rk4_maps(loop.A, h, real.omega * h)
-        z_rec = _record(np.concatenate([config.x0, config.prior]), steps)
-        if kind != "zero":
-            maps = _input_maps(K, loop) if kind == "white" else (K, loop.inputs)
-            readers.append(_term(z_rec[1:], ts, *maps))
-        q_rec = np.broadcast_to(loop.q_star, (ts.size, n))
-    else:
+    if kind != "zero":
+        maps = _input_maps(K, loop) if kind == "white" else (K, loop.inputs)
+        readers.append(_term(z_rec[1:], ts, *maps))
+    q_rec, first = np.broadcast_to(loop.q_star, (ts.size, n)), 0
+    if config.riccati == "dynamic":
+        gain = partial(loop.gain, 1.0 / config.params.Xi)
+        q_rec = gain(ts[:, None])
+        # settled: within 8 ulp of Q*, so the default Q0 = 1/(1/Q*) (2
+        # roundings, and 6 in the closed form) settles at row 0; where B = 0
+        # the gain never settles, and the run steps stage by stage to the end
+        settled = np.all(np.abs(q_rec - loop.q_star) <= 8 * np.spacing(loop.q_star), axis=1)
+        first = 0 if settled.all() else min(steps, ts.size - int(np.argmin(settled[::-1])))
+
         def f(t: float, w: np.ndarray, z: np.ndarray) -> np.ndarray:
-            q = z[2 * n:]
-            u, innov = loop.coupling(z[:2 * n], w)
-            # Qdot = B^2 - Q^2 (1/R + sum_j w_j / S_j)
-            return np.concatenate([u + loop.B * w[:n], u + q * innov,
-                                   loop.B ** 2 - q ** 2 * loop.ricc_coeff])
+            u, innov = loop.coupling(z, w)
+            return np.concatenate([u + loop.B * w[:n], u + gain(t) * innov])
 
         def advance(ks, read):
-            for k in ks:
+            for k in ks[ks < first]:
                 z_rec[k + 1] = rk4_step(lambda t, z: f(t, read(t, k), z), z_rec[k],
                                         ts[k], h)
 
-        z_rec = _record(np.concatenate([config.x0, config.prior, 1.0 / config.params.Xi]),
-                        steps)
         readers.append(advance)
-        q_rec = z_rec[:, 2 * n:]
 
     def finish() -> Trajectory:
-        if config.riccati == "steady":
-            _propagate(step, z_rec, ts)
+        _propagate(step, z_rec[first:], ts[first:])
         if noise is not None:
             noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
-        readout = partial(_loop_readout, loop, ts, z_rec[:, :2 * n], real, noise)
-        return Trajectory(ts, z_rec[:, :n], z_rec[:, n:2 * n], q_rec, readout)
+        readout = partial(_loop_readout, loop, ts, z_rec, real, noise)
+        return Trajectory(ts, z_rec[:, :n], z_rec[:, n:], q_rec, readout)
 
     return readers, finish
 

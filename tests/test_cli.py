@@ -727,6 +727,47 @@ def test_console_entry_point(tmp_path):
     assert (tmp_path / "sub" / "trajectory.csv").exists()
 
 
+# the verb, its artifact, and its exit code; the envelope's bound is forced
+# below the run's norms, so it ends in a violation
+_CLOSED_STDOUT = {
+    "simulate": ("trajectory.csv", 0, ""),
+    "analyze": ("report.json", 0, ""),
+    "envelope": ("envelope.json", 5, "error: disagreement norm"),
+}
+
+
+@pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("verb", list(_CLOSED_STDOUT))
+def test_closed_stdout_is_not_a_failure(tmp_path, verb, buffered):
+    # a reader that stops at once (| head -0): the artifact is written and
+    # the exit code is the verb's own, whether stdout is block-buffered (a
+    # pipe) or not (PYTHONUNBUFFERED)
+    artifact, code, err = _CLOSED_STDOUT[verb]
+    cfg = _write(tmp_path, RING_SINUSOID.replace("T: 30.0", "T: 1.0"))
+    src = str(Path(mefcon.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    argv = [verb, "--config", cfg, "--out", str(tmp_path / "o")]
+    program = "\n".join([
+        "import sys, numpy as np",
+        "import mefcon.analysis, mefcon.cli",
+        "mefcon.analysis.iss_envelope = lambda a, b, z0, phi, t: np.full(np.shape(t), 1e-12)",
+        f"sys.exit(mefcon.cli.main({argv!r}))"])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-c", program], stdout=write,
+                              stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith(err) and (err or not proc.stderr), proc.stderr
+    assert (tmp_path / "o" / artifact).exists()
+
+
 def test_shipped_configs_build():
     config_dir = Path(__file__).resolve().parents[1] / "configs"
     paths = sorted(config_dir.glob("*.yaml"))

@@ -20,7 +20,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     laplacian, left_null_vector_of, load_config, make_graph,
                     measurements,
                     neighbor_estimate, observer_rhs, predict_equilibrium,
-                    rk4_step, run_comparison, sample_disturbances,
+                    integrate_riccati, rk4_step, run_comparison,
+                    sample_disturbances,
                     simulate_classical,
                     simulate_mef, spectral_report, steady_gains,
                     uniform_params)
@@ -357,11 +358,47 @@ def _classical_stages(config):
     return np.array(xs), np.array(xs) @ Lp.T
 
 
+def _closed_form_gain(loop, Q0, t):
+    """Q(t) of Qdot = B^2 - c Q^2 from Q0, in the exponential form Q* [(Q0
+    + Q*) + (Q0 - Q*) e^{-2kt}] / [(Q0 + Q*) - (Q0 - Q*) e^{-2kt}], k = c
+    Q*, and Q0 / (1 + c Q0 t) where B = 0."""
+    c, q = loop.ricc_coeff, loop.q_star
+    decay = np.exp(-2 * c * q * t)
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0/0 where B = 0
+        exponential = q * ((Q0 + q) + (Q0 - q) * decay) / ((Q0 + q) - (Q0 - q) * decay)
+    return np.where(q > 0, exponential, Q0 / (1 + c * Q0 * t))
+
+
+def _filter_stages(config):
+    """The filter run stage by stage: one ``rk4_step`` of (x, x_hat) per
+    grid step through ``loop.coupling``, noise read at every stage and the
+    gain at every stage time from its closed form; returns the x, x_hat
+    and u records."""
+    loop, n, h = config.loop, config.topology.node_count, config.h
+    real = sample_disturbances(config.profile, loop.noise_sizes, config.steps, h,
+                               config.seed)
+    Q0 = 1.0 / config.params.Xi
+
+    def f(t, z, w):
+        u, innov = loop.coupling(z, w)
+        q = _closed_form_gain(loop, Q0, t)
+        return np.concatenate([u + loop.B * w[:n], u + q * innov])
+
+    zs, us = [np.concatenate([config.x0, config.prior])], []
+    for ks, read in real.chunks(config.steps + 1):  # the last point reads the last step
+        for k in ks:
+            us.append(loop.coupling(zs[-1], read(k * h, k))[0])
+            if k < config.steps:
+                zs.append(rk4_step(lambda t, z: f(t, z, read(t, k)), zs[-1], k * h, h))
+    zs = np.array(zs)
+    return zs[:, :n], zs[:, n:], np.array(us)
+
+
 def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
-    # Xi = 1/Q* starts the gain at its fixed point, so both modes agree:
-    # the stage-by-stage dynamic run is the oracle of the steady propagator.
-    # Zero noise advances blocks of steps; T = 2 is 200 steps, 25 blocks
-    # of 8, whose carry leaves steps to the per-step form.
+    # Xi = 1/Q* starts the gain at its fixed point, so the dynamic run is
+    # the steady run, byte for byte, and both match the stage-by-stage
+    # oracle.  Zero noise advances blocks of steps; T = 2 is 200 steps, 25
+    # blocks of 8, whose carry leaves steps to the per-step form.
     # The ring N = 40 runs noise through sparse (CSR) step and input maps;
     # its 40 x 40 Laplacian, at most 2^12 entries, through dense ones.
     top3 = make_graph("complete", 3)
@@ -392,15 +429,92 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
                 assert all(sparse.issparse(M) == sparse_maps
                            for M in _rk4_maps(A, config.h, theta))
         steady = simulate_mef(config)
-        dynamic = simulate_mef(ScenarioConfig(top, params, x0, prior,
-                                              riccati="dynamic", **kw))
-        for name in ("x", "x_hat", "u", "Q"):
-            assert getattr(dynamic, name) == pytest.approx(
-                getattr(steady, name), rel=0, abs=1e-12), (prof.kind, name)
+        dynamic = simulate_mef(replace(config, riccati="dynamic"))
+        for name in ("x", "x_hat", "u"):
+            assert getattr(dynamic, name).tobytes() == getattr(steady, name).tobytes()
+        assert dynamic.Q == pytest.approx(steady.Q, rel=0, abs=1e-12)
+        for name, want in zip(("x", "x_hat", "u"), _filter_stages(config)):
+            assert getattr(steady, name) == pytest.approx(
+                want, rel=0, abs=1e-12), (prof.kind, name)
         base = simulate_classical(config)
         for got, want in zip((base.x, base.u), _classical_stages(config)):
             assert got == pytest.approx(want, rel=0, abs=1e-12), prof.kind
     assert np.abs(steady.u).max() > 1.0  # the noise reaches u
+
+
+def _gain_cases(Xi):
+    """two_ring_envelope and the weighted digraph under white noise, both
+    with the dynamic gain from Q(0) = 1/Xi at every node."""
+    ring, _ = build_scenario(load_config(CONFIGS / "two_ring_envelope.yaml"))
+    top, params = _weighted_digraph()
+    digraph = ScenarioConfig(top, params, np.array([0.4, -0.3, 0.9, 0.1]),
+                             np.array([0.6, -0.4, 0.95, 0.4]),
+                             DisturbanceProfile("white", sigma=0.5), T=40.0, seed=5)
+    return [replace(cfg, params=replace(cfg.params, Xi=np.full(cfg.loop.n, Xi)),
+                    riccati="dynamic") for cfg in (ring, digraph)]
+
+
+@pytest.mark.parametrize("Xi", [0.2, 5.0])
+def test_closed_form_gain_matches_the_integrated_gain(Xi):
+    # each node's scalar gain equation by RK4 at step 1e-3; c = 1/R + sum
+    # w/S, so the scalar form takes S/w per out-edge
+    for config in _gain_cases(Xi):
+        loop, params = config.loop, config.params
+        src, _, w = config.topology.edge_arrays()
+        for t in (0.5, 3.0):
+            want = [integrate_riccati(1 / Xi, params.B[i], params.R_self[i],
+                                      params.S_edge[src == i] / w[src == i], t, 1e-3)
+                    for i in range(loop.n)]
+            assert loop.gain(1 / Xi, t) == pytest.approx(want, rel=0, abs=1e-9), t
+        for t in (0.0, 0.5, 30.0):  # the ratio comes first, so Q* stays Q*
+            assert np.array_equal(loop.gain(loop.q_star, t), loop.q_star)
+
+
+def _spy_propagate(monkeypatch):
+    """Record the first grid time of every ``_propagate`` call."""
+    starts, propagate = [], simulate_module._propagate
+
+    def spy(step, z_rec, ts):
+        starts.append(float(ts[0]))
+        return propagate(step, z_rec, ts)
+
+    monkeypatch.setattr(simulate_module, "_propagate", spy)
+    return starts
+
+
+@pytest.mark.parametrize("Xi", [0.2, 5.0])
+def test_dynamic_run_hands_over_once_the_gain_settles(Xi, monkeypatch):
+    # the steps before the gain settles go stage by stage, the rest by the
+    # propagator: the run matches the stage-by-stage oracle throughout,
+    # and its gain column is the closed form
+    starts = _spy_propagate(monkeypatch)
+    for config in _gain_cases(Xi):
+        traj = simulate_mef(config)
+        assert 5.0 < starts[-1] < config.T - 5.0, starts
+        for name, want in zip(("x", "x_hat", "u"), _filter_stages(config)):
+            assert getattr(traj, name) == pytest.approx(want, rel=0, abs=1e-12), name
+        closed = _closed_form_gain(config.loop, 1 / Xi, traj.t[:, None])
+        assert traj.Q == pytest.approx(closed, rel=1e-14, abs=0)
+        assert not np.allclose(traj.Q[0], config.loop.q_star)
+        assert np.abs(traj.u).max() > 0.1
+
+
+def test_gain_that_never_settles_steps_to_the_end(monkeypatch):
+    # B = 0 at node 1: its gain decays as Q0 / (1 + c Q0 t) and never
+    # reaches Q* = 0, so every step goes stage by stage
+    starts = _spy_propagate(monkeypatch)
+    config = _gain_cases(0.5)[1]
+    config = replace(config, T=5.0, params=replace(
+        config.params, B=np.array([1.0, 0.0, 1.7, 1.2])))
+    loop = config.loop
+    assert loop.q_star[1] == 0.0
+    traj = simulate_mef(config)
+    assert starts == [config.T]
+    for name, want in zip(("x", "x_hat", "u"), _filter_stages(config)):
+        assert getattr(traj, name) == pytest.approx(want, rel=0, abs=1e-12), name
+    c = loop.ricc_coeff[1]
+    assert traj.Q[:, 1] == pytest.approx(2.0 / (1 + 2.0 * c * traj.t), rel=1e-14, abs=0)
+    assert traj.Q[-1, 1] > 0.1
 
 
 @pytest.mark.parametrize("profile", [
@@ -945,27 +1059,26 @@ def test_noisy_blocks_match_the_dynamic_gain(profile, monkeypatch):
             done.clear()
             steady = simulate_mef(cfg)
             assert done == blocked, steps
-            dynamic = simulate_mef(replace(cfg, riccati="dynamic"))
-            for name in ("x", "x_hat", "u"):
+            for name, want in zip(("x", "x_hat", "u"), _filter_stages(cfg)):
                 assert getattr(steady, name) == pytest.approx(
-                    getattr(dynamic, name), rel=0, abs=1e-12), (steps, name)
+                    want, rel=0, abs=1e-12), (steps, name)
             base = simulate_classical(cfg)
             for got, want in zip((base.x, base.u), _classical_stages(cfg)):
                 assert got == pytest.approx(want, rel=0, abs=1e-12), steps
 
 
 def test_noisy_blocks_stay_near_the_step_loop(monkeypatch):
-    # on the compare config the blocked run may drift from the dynamic-gain
+    # on the compare config the blocked run may drift from the stage-by-stage
     # oracle at most 5 times as far as the one-product-per-step loop does
     config, _ = build_scenario(load_config(CONFIGS / "complete100_compare.yaml"))
 
     def distance(run, oracle):
-        return max(np.abs(run.x - oracle.x).max(), np.abs(run.x_hat - oracle.x_hat).max())
+        return max(np.abs(run.x - oracle[0]).max(), np.abs(run.x_hat - oracle[1]).max())
 
     done = _spy_blocks(monkeypatch)
     for seed in (0, 9):
         cfg = replace(config, seed=seed)
-        oracle = simulate_mef(replace(cfg, riccati="dynamic"))
+        oracle = _filter_stages(cfg)
         blocked = simulate_mef(cfg)
         assert done == [2496]  # 312 blocks of 8, whose carry steps one by one
         with monkeypatch.context() as m:
@@ -1075,7 +1188,8 @@ def test_scenario_validation():
         ScenarioConfig(top, params, np.zeros(3), np.zeros(4))
     for h, T, field in ((-0.01, 50.0, "integration.h"), (math.nan, 50.0, "integration.h"),
                         (math.inf, 50.0, "integration.h"), (0.01, math.inf, "integration.T"),
-                        (0.01, math.nan, "integration.T")):
+                        (0.01, math.nan, "integration.T"),
+                        (1e-310, 1.0, r"integration.h = 1e-310 .* 1.0 / 1e-310 overflows")):
         with pytest.raises(ConfigError, match=field):
             ScenarioConfig(top, params, np.zeros(3), h=h, T=T)
     with pytest.raises(ConfigError):
