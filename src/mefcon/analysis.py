@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .disturbances import DisturbanceProfile, sample_disturbances
+from .disturbances import DisturbanceProfile, _seed, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, steady_gains
 from .graphs import (NetworkTopology, degree_matrix,
@@ -481,7 +481,7 @@ def run_comparison(config: ScenarioConfig, seeds=None) -> ComparisonResult:
     """
     if config.profile.kind not in ("white", "zero"):
         raise ConfigError("comparison runs need a white (or zero) profile")
-    seed_list = tuple(int(s) for s in (seeds if seeds is not None else [config.seed]))
+    seed_list = tuple(_seed(s, "seeds") for s in ([config.seed] if seeds is None else seeds))
     if not seed_list:
         raise ConfigError("need at least one seed to compare")
     try:

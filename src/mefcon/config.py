@@ -11,24 +11,28 @@ reader that checks its value (README.md describes each key); the
 disturbance section accepts only the fields its kind reads.  An unknown
 key, a missing required one, or a value its reader refuses is a
 ``ConfigError`` that names the field, and so is a key that one mapping
-of the file names twice.  The scenario seed is the one root
-of a run's draws: the random x0 and every disturbance stream.
+of the file names twice: one pass over the parser's events
+(``_document``) checks the keys of every mapping and builds the
+document, and yaml.load builds only a document that the pass does not.
+The scenario seed is the one root of a run's draws: the random x0 and
+every disturbance stream.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Hashable
 from pathlib import Path
 
 import numpy as np
 import yaml
-from yaml.events import (DocumentEndEvent, MappingEndEvent, MappingStartEvent,
-                         ScalarEvent, SequenceEndEvent, SequenceStartEvent,
-                         StreamEndEvent)
-from yaml.nodes import ScalarNode, SequenceNode
+from yaml.events import (AliasEvent, DocumentEndEvent, MappingEndEvent,
+                         MappingStartEvent, ScalarEvent, SequenceEndEvent,
+                         SequenceStartEvent, StreamEndEvent)
+from yaml.nodes import ScalarNode
 
-from .disturbances import DisturbanceProfile
+from .disturbances import DisturbanceProfile, _seed
 from .errors import ConfigError
 from .filtering import uniform_params
 from .graphs import make_graph
@@ -50,11 +54,7 @@ _DECIMAL = {_TAG + "int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)\Z").match, int),
                              float)}
 _COLLECTIONS = {SequenceStartEvent: list, MappingStartEvent: dict}
 _ITEM, _KEY = object(), object()  # a list's frame; a mapping's frame waits for a key
-
-
-class _Refer(Exception):
-    """The document needs what only ``yaml.load`` builds: an anchor, an
-    alias, a tag, a merge key, a collection as a key, or a second document."""
+_REFER, _MERGED = object(), object()  # a document left to yaml.load; a merge key
 
 
 def _repeated(key, mark) -> ConfigError:
@@ -62,9 +62,16 @@ def _repeated(key, mark) -> ConfigError:
                        "a key may appear once in each mapping")
 
 
-def _scalar(loader, tag: str, event):
-    """The value of a plain scalar that resolves to ``tag``, as the
-    loader's constructor makes it."""
+def _scalar(loader, event, key: bool):
+    """The value the loader's constructor makes of the scalar ``event``,
+    its tag resolved as the loader's composer resolves it; ``key`` says
+    it is a mapping's key, where a merge key gives ``_MERGED`` and ``=``
+    is the string yaml.load's mappings read."""
+    tag = event.tag
+    if tag is None or tag == "!":
+        tag = loader.resolve(ScalarNode, event.value, event.implicit)
+    if key and tag in (_MERGE, _VALUE):
+        return _MERGED if tag == _MERGE else event.value
     if tag == _STR:
         return event.value
     decimal = _DECIMAL.get(tag)
@@ -76,112 +83,89 @@ def _scalar(loader, tag: str, event):
 
 def _document(loader):
     """The one document of ``loader``'s event stream, as yaml.load builds
-    it from the same stream, with a repeated key refused.
+    it from the same stream, or ``_REFER`` where only yaml.load builds it;
+    either way a key that one mapping names twice is refused.
 
-    Each plain scalar is resolved by the loader and built by
-    ``_scalar``; its text alone decides its value, so each text is
-    resolved once per document.  Quoted scalars are strings.  Raises
-    ``_Refer`` for what only yaml.load builds.
+    One pass reads the document's events to its end.  Each key is compared
+    as the constructor makes it: plain, quoted and tagged scalars, and an
+    alias of an anchored scalar.  A merge key ``<<`` is not a key of its
+    mapping, so a key that overrides a merged one is no repeat; an
+    unhashable key is left to yaml.load, which refuses it.  Each untagged
+    plain value is built by ``_scalar`` once per text, since its text
+    alone decides its value, and quoted ones are strings.  An anchor, an
+    alias, a tag, a merge key, an unhashable key or a second document
+    gives ``_REFER``.
     """
-    get, resolve = loader.get_event, loader.resolve
+    get = loader.get_event
     get()  # the stream start
     if type(get()) is StreamEndEvent:  # no document
         return None
-    plain = {}  # text -> value of the plain scalars read so far
+    plain = {}  # text -> value of the untagged plain scalars read as values
+    anchors = {}  # anchor -> its scalar's event; an anchored collection is no key
+    built = True
     root = [[], _ITEM]
     stack = [root]  # open collections: [list, _ITEM] or [dict, key or _KEY]
     while True:
         event = get()
         kind = type(event)
-        if kind is ScalarEvent or kind in _COLLECTIONS:
+        if kind is ScalarEvent:
+            frame = stack[-1]
             if event.anchor is not None or event.tag is not None:
-                raise _Refer
+                built = False
+                if event.anchor is not None:
+                    anchors[event.anchor] = event
+                value = _scalar(loader, event, frame[1] is _KEY)
+            elif not event.implicit[0]:  # quoted
+                value = event.value
+            elif event.value in plain:
+                value = plain[event.value]
+            elif frame[1] is _KEY:
+                value = _scalar(loader, event, True)
+            else:
+                value = plain[event.value] = _scalar(loader, event, False)
         elif kind is SequenceEndEvent or kind is MappingEndEvent:
             stack.pop()
             continue
+        elif kind in _COLLECTIONS:
+            frame = stack[-1]
+            if event.anchor is not None or event.tag is not None:
+                built = False
+            value = _COLLECTIONS[kind]()
+            stack.append([value, _ITEM if kind is SequenceStartEvent else _KEY])
         elif kind is DocumentEndEvent:
             break
-        else:  # an alias
-            raise _Refer
-        frame = stack[-1]
-        if kind is not ScalarEvent:
-            value = _COLLECTIONS[kind]()
-            if frame[1] is _KEY:  # a collection as a key: unhashable
-                raise _Refer
-        elif not event.implicit[0]:  # quoted
-            value = event.value
-        elif event.value in plain:
-            value = plain[event.value]
-        else:
-            tag = resolve(ScalarNode, event.value, (True, False))
-            if tag in (_MERGE, _VALUE) and frame[1] is _KEY:
-                if tag == _MERGE:
-                    raise _Refer
-                value = event.value  # yaml.load's mappings read "=" as a string key
-            else:
-                value = plain[event.value] = _scalar(loader, tag, event)
+        else:  # an alias; yaml.load refuses an undefined one
+            frame, target = stack[-1], anchors.get(event.anchor)
+            built = False
+            value = _scalar(loader, target, True) \
+                if frame[1] is _KEY and target is not None else object()
         into = frame[0]
         if frame[1] is _ITEM:
             into.append(value)
-        elif frame[1] is _KEY:
-            if value in into:
-                raise _repeated(value, event.start_mark)
-            frame[1] = value
-        else:
+        elif frame[1] is not _KEY:
             into[frame[1]] = value
             frame[1] = _KEY
-        if kind is not ScalarEvent:
-            stack.append([value, _ITEM if kind is SequenceStartEvent else _KEY])
-    if type(get()) is not StreamEndEvent:  # a second document
-        raise _Refer
+        elif value is _MERGED or not isinstance(value, Hashable):
+            built, frame[1] = False, object()  # a key that no other key repeats
+        elif value in into:
+            raise _repeated(value, event.start_mark)
+        else:
+            frame[1] = value
+    if not built or type(get()) is not StreamEndEvent:  # or a second document
+        return _REFER
     return root[0][0]
-
-
-def _refuse_repeats(loader, root) -> None:
-    """Raise for a key that one mapping of the node graph ``root`` names
-    twice, keys compared as the constructor makes them.  A merge key
-    ``<<`` is not a key of its mapping, so a key that overrides a merged
-    one is no repeat."""
-    seen, todo = set(), [root]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ScalarNode) or id(node) in seen:
-            continue
-        seen.add(id(node))
-        if isinstance(node, SequenceNode):
-            todo.extend(node.value)
-            continue
-        keys = set()
-        for key_node, value_node in node.value:
-            todo.append(value_node)
-            if isinstance(key_node, ScalarNode) and key_node.tag != _MERGE:
-                key = key_node.value if key_node.tag == _VALUE \
-                    else loader.construct_object(key_node)
-                if key in keys:
-                    raise _repeated(key, key_node.start_mark)
-                keys.add(key)
 
 
 def _load(text: str):
     """The config document of ``text``: ``yaml.load(text, Loader=_LOADER)``
-    with repeated keys refused, built from the parser's events where the
-    document needs no more (``_document``)."""
+    with repeated keys refused (``_document``), which yaml.load builds
+    only where the parser's events do not."""
     loader = _LOADER(text)
     try:
-        return _document(loader)
-    except _Refer:
-        pass
+        document = _document(loader)
     finally:
         loader.dispose()
-    loader = _LOADER(text)  # yaml.load's own steps, with the check between
-    try:
-        node = loader.get_single_node()
-        if node is None:
-            return None
-        _refuse_repeats(loader, node)
-        return loader.construct_document(node)
-    finally:
-        loader.dispose()
+    return yaml.load(text, Loader=_LOADER) if document is _REFER else document
 
 
 def _number(value, field: str) -> float:
@@ -200,14 +184,6 @@ def _integer(value, field: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"field '{field}' must be an integer, got {value!r}")
     return value
-
-
-def _seed(value, field: str) -> int:
-    """A seed: an integer, at least 0, as numpy's seeding takes it."""
-    v = _integer(value, field)
-    if v < 0:
-        raise ConfigError(f"field '{field}' must be a nonnegative integer, got {value!r}")
-    return v
 
 
 def _numbers(value, field: str) -> np.ndarray:

@@ -26,6 +26,7 @@ run never reads the measurement streams.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,12 +34,24 @@ import numpy as np
 
 from .errors import ConfigError
 
-_KINDS = ("zero", "sinusoid", "white")
+# each kind and the fields it reads
+_KINDS = {"zero": (), "sinusoid": ("delta_max", "eps_max", "frequency"),
+          "white": ("sigma",)}
 # Noise entries per block of a pass (``DisturbanceRealization.rows``),
 # which bounds one noise temporary: a block of white draws, and what the
 # readers of the pass make of it (``simulate._pass``).  Smaller blocks pay
 # more per-call overhead, larger ones more memory.
 CHUNK_ENTRIES = 1 << 16
+
+
+def _seed(value, field: str) -> int:
+    """A seed as numpy's seeding takes it: an integer, at least 0.  A numpy
+    integer and a float with an integer value are integers; a bool is not."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"field '{field}' must be a nonnegative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -66,8 +79,12 @@ class DisturbanceProfile:
     frequency: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _KINDS:
-            raise ConfigError(f"disturbance kind {self.kind!r} not in {_KINDS}")
+        if not isinstance(self.kind, str) or self.kind not in _KINDS:
+            raise ConfigError(f"disturbance kind {self.kind!r} not in {tuple(_KINDS)}")
+        for name in _KINDS[self.kind]:
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"field 'disturbance.{name}' must be a finite number, "
+                                  f"got {getattr(self, name)}")
         for name in ("delta_max", "eps_max"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"field 'disturbance.{name}' must be nonnegative, "
@@ -233,4 +250,4 @@ def sample_disturbances(profile: DisturbanceProfile, sizes: tuple[int, ...],
         raise ConfigError("need at least one integration step")
     if h <= 0:
         raise ConfigError("step size h must be positive")
-    return DisturbanceRealization(profile, sizes, steps, h, seed)
+    return DisturbanceRealization(profile, sizes, steps, h, _seed(seed, "seed"))

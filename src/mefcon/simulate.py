@@ -49,7 +49,7 @@ from typing import Callable
 
 import numpy as np
 
-from .disturbances import DisturbanceProfile, sample_disturbances
+from .disturbances import DisturbanceProfile, _seed, sample_disturbances
 from .errors import ConfigError, SimulationError, SolverError
 from .filtering import FilterParams, uniform_params
 from .graphs import (NetworkTopology, is_strongly_connected, left_null_vector,
@@ -74,8 +74,7 @@ class ScenarioConfig:
 
     def __post_init__(self) -> None:
         n = self.topology.node_count
-        if self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed}")
+        object.__setattr__(self, "seed", _seed(self.seed, "seed"))
         if not 0 < self.h < math.inf:
             raise ConfigError(f"integration.h must be finite and positive, got {self.h}")
         if math.isfinite(self.T) and not math.isfinite(self.T / self.h):

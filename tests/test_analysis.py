@@ -12,7 +12,7 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
                     disagreement_state, empirical_deviation,
                     exp_bound_constants, iss_envelope, laplacian,
                     left_null_vector, left_null_vector_of, make_graph,
-                    phi_max, predict_equilibrium, run_comparison,
+                    phi_max, predict_equilibrium, run_comparison, sample_disturbances,
                     simulate_classical, simulate_mef, spectral_report,
                     standard_laplacian, steady_gains, uniform_params)
 from mefcon import graphs as graphs_module
@@ -380,6 +380,26 @@ def test_run_comparison_statistics_shape():
     assert np.all(res.baseline > 0)
     with pytest.raises(ConfigError, match="at least one seed"):
         run_comparison(cfg, seeds=[])
+
+
+@pytest.mark.parametrize("seed", [2.7, True, -1, np.int64(-3), math.nan, "1", None])
+@pytest.mark.parametrize("kind", ["white", "zero"])
+def test_library_seeds_are_refused_by_name(seed, kind):
+    # one rule for every seed of the library: an integer, at least 0
+    cfg = basic_scenario(3, profile=DisturbanceProfile(kind=kind), T=0.05)
+    with pytest.raises(ConfigError, match="field 'seeds' must be a nonnegative integer"):
+        run_comparison(cfg, [seed])
+    with pytest.raises(ConfigError, match="field 'seed' must be a nonnegative integer"):
+        ScenarioConfig(cfg.topology, cfg.params, cfg.x0, profile=cfg.profile, seed=seed)
+    with pytest.raises(ConfigError, match="field 'seed' must be a nonnegative integer"):
+        sample_disturbances(cfg.profile, (3,), 5, 0.01, seed)
+
+
+def test_library_seeds_take_numpy_integers():
+    cfg = basic_scenario(3, profile=DisturbanceProfile(kind="white"), T=0.05)
+    assert run_comparison(cfg, [np.int64(2), 3.0]).seeds == (2, 3)
+    seed = ScenarioConfig(cfg.topology, cfg.params, cfg.x0, seed=np.uint8(5)).seed
+    assert seed == 5 and type(seed) is int
 
 
 def test_run_comparison_draws_each_seed_once(monkeypatch):

@@ -1,5 +1,6 @@
-"""``load_config`` against ``yaml.load``: the event builder gives the same
-document, and repeated keys are refused on both of its paths."""
+"""``load_config`` against ``yaml.load``: the one pass over the parser's
+events refuses repeated keys and builds the same document, and yaml.load
+builds only what the pass does not."""
 
 import importlib.util
 import json
@@ -14,6 +15,7 @@ from mefcon import config as config_module
 from mefcon.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
+YAML_LOAD = yaml.load  # the oracle, which the ``loads`` fixture does not count
 
 # every scalar form whose value the constructor makes, and the plain
 # decimal forms built directly, each with its neighbours in the resolver
@@ -39,6 +41,8 @@ REFERRED = [
     "a: !!str 1\nb: !!float 2\nc: ! 3\n",
     "a: !!set {x, y}\n",
     "? !!str 1\n: a\n",
+    "d: {<<: {x: 1}, <<: {y: 2}}\n",  # two merge keys: no key is repeated
+    "&k a: 1\nb: {*k : 2}\n",  # an alias of an anchored scalar as a key
 ]
 
 
@@ -46,7 +50,7 @@ def _same_as_yaml_load(path: Path):
     """load_config gives yaml.load's mapping, or refuses what it refuses.
     Returns the mapping, or None."""
     try:
-        want = yaml.load(path.read_text(), Loader=config_module._LOADER)
+        want = YAML_LOAD(path.read_text(), Loader=config_module._LOADER)
     except yaml.YAMLError:
         with pytest.raises(ConfigError, match="config parse error"):
             load_config(path)
@@ -83,22 +87,28 @@ def workload_yamls(tmp_path_factory):
                          {"cases": work.sweep_cases(seed, work.SWEEP["cases"])[0]})
         for path in sorted(d.glob("*.yaml")):
             spelled = path.with_suffix(".json")
-            raw = yaml.load(path.read_text(), Loader=config_module._LOADER)
+            raw = YAML_LOAD(path.read_text(), Loader=config_module._LOADER)
             spelled.write_text(json.dumps(raw))
             paths += [path, spelled]
     return paths
 
 
-def test_shipped_and_workload_configs_equal_yaml_load(workload_yamls, monkeypatch):
-    referred = []
-    monkeypatch.setattr(config_module, "_refuse_repeats",
-                        lambda loader, node: referred.append(node))
+@pytest.fixture
+def loads(monkeypatch):
+    """The texts that ``load_config`` hands to yaml.load."""
+    texts = []
+    monkeypatch.setattr(yaml, "load", lambda text, Loader: texts.append(text)
+                        or YAML_LOAD(text, Loader=Loader))
+    return texts
+
+
+def test_shipped_and_workload_configs_equal_yaml_load(workload_yamls, loads):
     shipped = sorted((ROOT / "configs").glob("*.yaml"))
     assert len(shipped) == 3 and len(workload_yamls) == 24
     loaded = {path: _same_as_yaml_load(path) for path in shipped + workload_yamls}
     for path in workload_yamls[1::2]:  # each JSON spelling, after its YAML
         assert repr(loaded[path]) == repr(loaded[path.with_suffix(".yaml")]), path
-    assert not referred  # every one of them was built from the events
+    assert not loads  # every one of them was built from the events
 
 
 @pytest.mark.parametrize("form", SCALARS)
@@ -113,20 +123,17 @@ def test_scalar_forms_equal_yaml_load(tmp_path, form):
 
 
 @pytest.mark.parametrize("text", REFERRED)
-def test_referred_documents_equal_yaml_load(tmp_path, text, monkeypatch):
+def test_referred_documents_equal_yaml_load(tmp_path, text, loads):
     path = tmp_path / "c.yaml"
     path.write_text(text)
-    referred = []
-    check = config_module._refuse_repeats
-    monkeypatch.setattr(config_module, "_refuse_repeats",
-                        lambda loader, node: referred.append(check(loader, node)))
     _same_as_yaml_load(path)
-    assert referred == [None]
+    assert loads == [text]
 
 
 @pytest.mark.parametrize("text", [
     "", "# only a comment\n", "a: 1\n---\nb: 2\n", "{:::", "a: [1, 2\n",
-    "? [1]\n: 2\n", "? {a: 1}\n: 2\n", "a: =\n", "a: <<\n", "- 1\n- 2\n", "x\n"])
+    "? [1]\n: 2\n", "? {a: 1}\n: 2\n", "a: =\n", "a: <<\n", "- 1\n- 2\n", "x\n",
+    "!!seq x: 1\n", "? *a\n: 1\nb: &a [1]\n"])
 def test_refused_documents(tmp_path, text):
     path = tmp_path / "c.yaml"
     path.write_text(text)
@@ -147,6 +154,9 @@ def test_refused_documents(tmp_path, text):
      "params", 3),
     ("base: &b {R: 1.0}\nparams:\n  <<: *b\n  S: 2.0\n  S: 3.0\n", "S", 5),
     ("graph: {family: complete, n: 3}\nseed: !!int 1\nseed: 1\n", "seed", 3),
+    # an alias names the key of its anchored scalar; the line is the alias's
+    ("graph: {family: complete, n: 3}\n&k seed: 1\n*k : 2\n", "seed", 3),
+    ("graph: {family: complete, n: 3}\nparams: !!map {R: 1.0, R: 2.0}\n", "R", 2),
 ])
 def test_repeated_keys_are_refused(tmp_path, capsys, text, key, line):
     path = tmp_path / "c.yaml"
@@ -168,6 +178,15 @@ def test_merge_key_overrides_are_no_repeats(tmp_path):
     raw = load_config(path)
     assert raw["params"] == {"R": 4.0, "S": 2.0}
     assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 0
+
+
+def test_undefined_alias_is_a_parse_error(tmp_path, capsys):
+    path = tmp_path / "c.yaml"
+    path.write_text("graph: {family: complete, n: 3}\nseed: *s\n")
+    with pytest.raises(ConfigError, match="config parse error.*undefined alias"):
+        load_config(path)
+    assert main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "undefined alias" in capsys.readouterr().err
 
 
 def test_pure_python_loader_gives_the_same_documents(tmp_path, monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -212,6 +214,15 @@ def test_profile_validation():
         DisturbanceProfile(kind="sinusoid", frequency=0.0)
     with pytest.raises(ConfigError):
         DisturbanceProfile(kind="white", sigma=-1.0)
+
+
+@pytest.mark.parametrize("kind, name, value", [
+    ("sinusoid", "delta_max", math.nan), ("sinusoid", "eps_max", math.inf),
+    ("sinusoid", "frequency", math.inf), ("white", "sigma", math.inf),
+    ("white", "sigma", math.nan)])
+def test_profile_refuses_non_finite_fields_by_name(kind, name, value):
+    with pytest.raises(ConfigError, match=f"field 'disturbance.{name}' must be a finite"):
+        DisturbanceProfile(kind=kind, **{name: value})
 
 
 def test_sampler_validation():
