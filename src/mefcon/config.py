@@ -257,7 +257,8 @@ def load_config(path: str | Path) -> dict:
                           f"{getattr(exc, 'strerror', None) or exc}") from exc
     try:
         raw = _load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, KeyError, AttributeError) as exc:
+        # the constructor's own errors, on a tagged scalar such as !!int x
         raise ConfigError(f"config parse error in {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config root must be a mapping, got {type(raw).__name__}")

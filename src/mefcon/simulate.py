@@ -24,9 +24,10 @@ A dense run with enough steps (``_blocks_pay``) steps in blocks of 8
 steps, in three phases (``_blocks``): each block's input sum, over all
 blocks at once; a carry of the block starts with P^8 - I, which is the
 same recurrence again and goes in blocks by the same rule; then the
-states inside the blocks, over all blocks at once.  Zero noise is the
-input 0.  Sparse maps, and dense runs too short to pay for P^8 - I,
-take one product per step.
+states inside the blocks, over all blocks at once.  A zero-noise run
+has no input terms, and its record is the orbit of one map, which
+doubles in log2(steps) levels (``_doubling``).  Sparse maps, and dense
+runs too short to pay for the powers of P, take one product per step.
 
 Every run integrates only its record.  The consensus input u is read out
 of that record (``_readout``) when ``Trajectory.u`` is first read; where
@@ -564,21 +565,40 @@ def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
     return blocks * B
 
 
-def _scan(step, z_rec: np.ndarray) -> None:
+def _doubling(step: np.ndarray, z_rec: np.ndarray) -> int:
+    """Fill z_rec, a record without input terms, in place by doubling, the
+    steps of ``_scan``; returns the steps done.  With D = P^m - I, level m
+    sets rows m..2m-1 to rows 0..m-1 plus D (rows - rows[:, :1]), then D
+    to P^2m - I = D + D + D D, never subtracting I (see ``_blocks``).  It
+    stops where D is not finite.  Each level goes in slabs of one row per
+    block of B steps, so no temporary is larger than ``_blocks``'."""
+    rows, D, m = z_rec.shape[0], step, 1
+    slab = (rows - 1) // _BLOCK  # at least 2: _blocks_pay admits 16 steps or more
+    while m < rows and np.isfinite(D).all():
+        for j in range(0, min(m, rows - m), slab):
+            z = z_rec[j:min(j + slab, m, rows - m)]
+            z_rec[m + j:m + j + z.shape[0]] = z + (z - z[:, :1]) @ D.T
+        m *= 2
+        if m < rows:
+            D = D + D + D @ D
+    return min(m, rows) - 1
+
+
+def _scan(step, z_rec: np.ndarray, noisy: bool = True) -> None:
     """Step k of ``_propagate``, z + ``step`` (z - z[0]) + H_k, for every
-    k of the record z_rec in place: the full blocks of a dense map in
-    three phases (``_blocks``) where they pay (``_blocks_pay``), the
-    rest one product per step."""
+    k of the record z_rec in place: where a dense map's steps pay
+    (``_blocks_pay``), a ``noisy`` record in blocks (``_blocks``) and one
+    without noise by doubling (``_doubling``); the rest one product per step."""
     steps, done = z_rec.shape[0] - 1, 0
     if isinstance(step, np.ndarray) and _blocks_pay(steps, step.shape[0]):
-        done = _blocks(step, z_rec)
+        done = (_blocks if noisy else _doubling)(step, z_rec)
     z = z_rec[done]
     for k in range(done, steps):
         z_rec[k + 1] += z + step @ (z - z[0])
         z = z_rec[k + 1]
 
 
-def _propagate(step, z_rec: np.ndarray, ts: np.ndarray) -> None:
+def _propagate(step, z_rec: np.ndarray, ts: np.ndarray, noisy: bool) -> None:
     """RK4 on the grid ``ts`` for zdot = A z + inputs w(t), in place in
     the record z_rec, with ``step`` = P - I from ``_rk4_maps``.
 
@@ -587,15 +607,15 @@ def _propagate(step, z_rec: np.ndarray, ts: np.ndarray) -> None:
     the state at t_k.  Step k is z + (P - I)(z - z[0]) + H_k.  A
     annihilates the constant vector, so a consensus state stays exact.
 
-    Two step forms (``_scan``): one product per step, or, where a dense
-    run has enough steps, blocks of 8 steps over all blocks at once, whose
-    carry of the block starts is the same recurrence again, advanced by
-    the same rule (``_blocks``).  Finiteness is checked once over all
-    records after stepping; the first non-finite row names the failing
-    step.
+    Three step forms (``_scan``): one product per step; where a dense run
+    has enough steps, blocks of 8 steps over all blocks at once, whose
+    carry of the block starts is the same recurrence again (``_blocks``);
+    or, for a run without noise (not ``noisy``), doubling
+    (``_doubling``).  Finiteness is checked once over all records after
+    stepping; the first non-finite row names the failing step.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
-        _scan(step, z_rec)
+        _scan(step, z_rec, noisy)
     _check_finite(z_rec[1:], ts)
 
 
@@ -715,7 +735,7 @@ def _filter_run(config: ScenarioConfig, real, reads_u: bool = True):
         readers.append(advance)
 
     def finish() -> Trajectory:
-        _propagate(step, z_rec[first:], ts[first:])
+        _propagate(step, z_rec[first:], ts[first:], kind != "zero")
         if noise is not None:
             noise[-1] = noise[-2]  # the grid point t_steps reads step steps - 1
         readout = partial(_loop_readout, loop, ts, z_rec, real, noise)
@@ -770,10 +790,11 @@ def _classical_run(config: ScenarioConfig, real):
     ts = np.arange(steps + 1) * h
     step, K = _rk4_maps(Lp, h, real.omega * h)
     x_rec = _record(config.x0, steps)
-    readers = [_term(x_rec[1:], ts, K, slice(n))] if real.profile.kind != "zero" else []
+    noisy = real.profile.kind != "zero"
+    readers = [_term(x_rec[1:], ts, K, slice(n))] if noisy else []
 
     def finish() -> Trajectory:
-        _propagate(step, x_rec, ts)
+        _propagate(step, x_rec, ts, noisy)
         return Trajectory(ts, x_rec, x_rec, np.broadcast_to(0.0, x_rec.shape),
                           partial(_readout, Lp, None, ts, x_rec, real))
 
@@ -800,7 +821,7 @@ def basic_scenario(n: int = 2, family: str = "complete", *, B=1.0, R=1.0,
     top = make_graph(family, n)
     params = uniform_params(top, B=B, R=R, S=S, G=G)
     if x0 is None:
-        x0 = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        x0 = np.random.default_rng(_seed(seed, "seed")).uniform(-1.0, 1.0, n)
     prof = profile if profile is not None else DisturbanceProfile()
     return ScenarioConfig(top, params, np.asarray(x0, float),
                           None if prior is None else np.asarray(prior, float),

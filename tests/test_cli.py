@@ -630,7 +630,12 @@ def test_config_error_paths(tmp_path, capsys):
             ("seeds_negative_entry", "graph: {family: complete, n: 3}\n"
                                      "compare_seeds: [-2]\n", "compare_seeds"),
             ("seed_flag_negative", "graph: {family: complete, n: 3}\n", "--seed",
-             "--seed", "-3")):
+             "--seed", "-3"),
+            # tagged scalars that PyYAML's constructor cannot build
+            *((f"tag_{tag}", f"graph: {{family: complete, n: 3}}\nseed: !!{tag} {text}\n",
+               "config parse error in")
+              for tag, text in (("int", "x"), ("float", "."), ("bool", "x"),
+                                ("timestamp", "x")))):
         bad = _write(tmp_path, text, name + ".yaml")
         assert _exit_code(["simulate", "--config", bad, "--out", str(tmp_path),
                            *flags]) == 2, name

@@ -332,15 +332,16 @@ def test_steady_gain_column_recorded():
     assert np.array_equal(traj.Q, np.tile(qstar, (traj.t.size, 1)))
 
 
-def _block_levels(A, config, monkeypatch):
-    """The steps that each level of ``_blocks`` advanced, top level first,
-    when ``_propagate`` runs zdot = A z without noise."""
+def _doubled(A, config, monkeypatch):
+    """The steps that every ``_doubling`` call filled when ``_propagate``
+    runs zdot = A z without noise."""
     step = _rk4_maps(A, config.h, 0.0)[0]
     z_rec = np.zeros((config.steps + 1, A.shape[0]))
     z_rec[0] = np.random.default_rng(1).uniform(-1.0, 1.0, A.shape[0])
     with monkeypatch.context() as m:
-        done = _spy_blocks(m)
-        simulate_module._propagate(step, z_rec, np.arange(config.steps + 1) * config.h)
+        done = _spy_blocks(m, "_doubling")
+        simulate_module._propagate(step, z_rec, np.arange(config.steps + 1) * config.h,
+                                   False)
     return done
 
 
@@ -397,8 +398,7 @@ def _filter_stages(config):
 def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
     # Xi = 1/Q* starts the gain at its fixed point, so the dynamic run is
     # the steady run, byte for byte, and both match the stage-by-stage
-    # oracle.  Zero noise advances blocks of steps; T = 2 is 200 steps, 25
-    # blocks of 8, whose carry leaves steps to the per-step form.
+    # oracle.  Zero noise fills all of its 200 steps (T = 2) by doubling.
     # The ring N = 40 runs noise through sparse (CSR) step and input maps;
     # its 40 x 40 Laplacian, at most 2^12 entries, through dense ones.
     top3 = make_graph("complete", 3)
@@ -421,8 +421,7 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
         config = ScenarioConfig(top, params, x0, prior, riccati="steady", **kw)
         for A in (ClosedLoop(top, params).A, laplacian(top)):
             if prof.kind == "zero":
-                levels = _block_levels(A, config, monkeypatch)
-                assert levels[0] == config.steps, levels
+                assert _doubled(A, config, monkeypatch) == [config.steps]
             if top is ring:
                 theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
                 sparse_maps = A.shape[0] * A.shape[1] > 2 ** 12  # the loop's A is 80 x 80
@@ -474,9 +473,9 @@ def _spy_propagate(monkeypatch):
     """Record the first grid time of every ``_propagate`` call."""
     starts, propagate = [], simulate_module._propagate
 
-    def spy(step, z_rec, ts):
+    def spy(step, z_rec, ts, noisy):
         starts.append(float(ts[0]))
-        return propagate(step, z_rec, ts)
+        return propagate(step, z_rec, ts, noisy)
 
     monkeypatch.setattr(simulate_module, "_propagate", spy)
     return starts
@@ -806,16 +805,16 @@ def test_propagator_storage_follows_fill(monkeypatch):
     complete = make_graph("complete", 20)
     A = ClosedLoop(complete, uniform_params(complete)).A
     assert all(isinstance(M, np.ndarray) for M in _rk4_maps(A, 0.01, 0.3))
-    # 5 000 zero-noise steps go in blocks on dense maps only: the 4-node
-    # digraph (2N = 8) in blocks of blocks, the dense 2N = 200 map in one
-    # level, and the sparse ring one step per product
+    # 5 000 zero-noise steps are filled by doubling on dense maps only:
+    # the 4-node digraph (2N = 8) and the dense 2N = 200 map, but not the
+    # sparse ring, which goes one product per step
     config = basic_scenario(4, h=0.01, T=50.0)
     top, params = _weighted_digraph()
-    assert _block_levels(ClosedLoop(top, params).A, config, monkeypatch) == [5000, 624, 72]
+    assert _doubled(ClosedLoop(top, params).A, config, monkeypatch) == [5000]
     complete = make_graph("complete", 100)
     A = ClosedLoop(complete, uniform_params(complete)).A
-    assert _block_levels(A, config, monkeypatch) == [5000]
-    assert _block_levels(loop.A, config, monkeypatch) == []
+    assert _doubled(A, config, monkeypatch) == [5000]
+    assert _doubled(loop.A, config, monkeypatch) == []
 
 
 def test_storage_rule_at_its_bounds():
@@ -1030,10 +1029,11 @@ def _dense_noisy_cases(profile):
                            x0, -x0, profile, h=0.01)]
 
 
-def _spy_blocks(monkeypatch):
-    """Record the steps that every ``_blocks`` call advanced, one entry
-    per level in the order the levels start: the top level first."""
-    done, blocks = [], simulate_module._blocks
+def _spy_blocks(monkeypatch, form="_blocks"):
+    """Record the steps that every ``_blocks`` call (or ``_doubling``
+    call, by ``form``) advanced, one entry per level in the order the
+    levels start: the top level first."""
+    done, blocks = [], getattr(simulate_module, form)
 
     def spy(*args):
         done.append(None)
@@ -1041,7 +1041,7 @@ def _spy_blocks(monkeypatch):
         done[level] = blocks(*args)  # the carry's levels append meanwhile
         return done[level]
 
-    monkeypatch.setattr(simulate_module, "_blocks", spy)
+    monkeypatch.setattr(simulate_module, form, spy)
     return done
 
 
@@ -1152,31 +1152,112 @@ def test_large_short_runs_step_one_product_per_step():
 
 
 def test_blocks_of_blocks_stay_near_the_step_loop(monkeypatch):
-    # 5 000 steps on the weighted digraph (2N = 8) carry the block starts
-    # in blocks again, three levels deep; every level keeps within 1e-13 of
-    # one product per step, for the filter and the baseline alike
+    # 5 000 noisy steps on the weighted digraph (2N = 8) carry the block
+    # starts in blocks again, three levels deep, and 5 000 zero-noise steps
+    # are filled by doubling; each form keeps within 1e-13 of one product
+    # per step, for the filter and the baseline alike
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
-    done = _spy_blocks(monkeypatch)
+    done, doubled = _spy_blocks(monkeypatch), _spy_blocks(monkeypatch, "_doubling")
     for profile in [DisturbanceProfile()] + _NOISY:
         config = ScenarioConfig(top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3],
                                 profile, h=0.01, T=50.0, seed=5)
+        zero = profile.kind == "zero"
         for run in (simulate_mef, simulate_classical):
             done.clear()
-            blocked = run(config)
-            assert done == [5000, 624, 72], (profile.kind, run.__name__)
+            doubled.clear()
+            fast = run(config)
+            assert done == ([] if zero else [5000, 624, 72]), (profile.kind, run.__name__)
+            assert doubled == ([5000] if zero else []), (profile.kind, run.__name__)
             with monkeypatch.context() as m:
                 m.setattr(simulate_module, "_STEPS_PER_DIM", config.steps)  # never pays
                 stepped = run(config)
             for name in ("x", "x_hat", "u"):
-                gap = np.abs(getattr(blocked, name) - getattr(stepped, name)).max()
+                gap = np.abs(getattr(fast, name) - getattr(stepped, name)).max()
                 assert gap <= 1e-13, (profile.kind, run.__name__, name, gap)
     # a consensus start stays exact through every level
-    done.clear()
+    doubled.clear()
     consensus = simulate_mef(ScenarioConfig(top, params, np.full(4, 3.1), h=0.01, T=50.0))
-    assert done == [5000, 624, 72]
+    assert doubled == [5000]
     assert np.array_equal(consensus.x, np.full_like(consensus.x, 3.1))
     assert np.array_equal(consensus.x_hat, consensus.x)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_doubling_names_the_failing_step_of_the_step_loop(monkeypatch):
+    # an unstable h fails at the step that one product per step names:
+    # on the weighted digraph the doubled rows overflow while P^m - I
+    # stays finite; on complete N = 12 and the ring with R = 1e-20, P^m - I
+    # overflows first and the remaining steps go one product at a time
+    doubled = _spy_blocks(monkeypatch, "_doubling")
+    ring = make_graph("undirected_ring", 2)
+    configs = [replace(cfg, h=5.0, T=500.0)
+               for cfg in _dense_noisy_cases(DisturbanceProfile())]
+    configs.append(ScenarioConfig(ring, uniform_params(ring, R=1e-20), np.array([0.0, 1.0]),
+                                  h=10.0, T=500.0))
+    for config, filled in zip(configs, (100, 63, 7)):
+        doubled.clear()
+        with pytest.raises(SimulationError, match="non-finite") as fast:
+            simulate_mef(config)
+        assert doubled == [filled]
+        with monkeypatch.context() as m:
+            m.setattr(simulate_module, "_STEPS_PER_DIM", config.steps)  # never pays
+            with pytest.raises(SimulationError) as stepped:
+                simulate_mef(config)
+        assert doubled == [filled]
+        assert str(fast.value) == str(stepped.value)
+
+
+def test_doubling_allocates_no_more_than_blocks():
+    # a dense zero-noise record of 2N = 400 and 4 000 steps: doubling
+    # writes each level in slabs of one row per 8 steps, so it allocates
+    # no more than the blocks of the same record, and less than half the
+    # record, which the temporaries of its last level would take unslabbed
+    config = basic_scenario(200, T=40.0, seed=1)
+    step = _rk4_maps(config.loop.A, config.h, 0.0)[0]
+    assert isinstance(step, np.ndarray) and step.shape == (400, 400)
+    peaks = []
+    for noisy in (True, False):
+        z_rec = simulate_module._record(np.concatenate([config.x0, config.prior]),
+                                        config.steps)
+        tracemalloc.start()
+        try:
+            simulate_module._scan(step, z_rec, noisy)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    blocks, doubling = peaks
+    assert doubling <= blocks < z_rec.nbytes / 2, peaks
+
+
+def test_zero_noise_runs_follow_the_exact_solution(monkeypatch):
+    # zdot = A z and xdot = -L_std x have the solutions expm(A t) z0 and
+    # expm(-L_std t) x0; RK4 keeps within h^4 of them at every grid point,
+    # by doubling and by one product per step alike, and halving h divides
+    # the error by about 2^4
+    from scipy.linalg import expm
+
+    top, params = _weighted_digraph()
+    x0 = np.array([0.4, -0.3, 0.9, 0.1])
+    config = ScenarioConfig(top, params, x0, x0 + [0.2, -0.1, 0.05, 0.3], T=20.0)
+    A, Lp = config.loop.A, laplacian(top)
+    fine = np.arange(2001) * 0.01
+    exact = [np.array([expm(M * t) @ z0 for t in fine])
+             for M, z0 in ((A, np.concatenate([x0, config.prior])), (Lp, x0))]
+    for steps_per_dim in (simulate_module._STEPS_PER_DIM, math.inf):  # doubling, stepped
+        errors = []
+        for h, every in ((0.04, 4), (0.02, 2), (0.01, 1)):
+            cfg = replace(config, h=h)
+            with monkeypatch.context() as m:
+                m.setattr(simulate_module, "_STEPS_PER_DIM", steps_per_dim)
+                doubled = _spy_blocks(m, "_doubling")
+                mef, base = simulate_mef(cfg), simulate_classical(cfg)
+            assert doubled == ([cfg.steps] * 2 if steps_per_dim < math.inf else [])
+            errors.append([np.abs(np.hstack([mef.x, mef.x_hat]) - exact[0][::every]).max(),
+                           np.abs(base.x - exact[1][::every]).max()])
+            assert max(errors[-1]) <= h ** 4, (steps_per_dim, h, errors[-1])
+        ratios = np.array(errors[:-1]) / np.array(errors[1:])
+        assert np.all((14 < ratios) & (ratios < 19)), (steps_per_dim, ratios)
 
 
 def test_scenario_validation():
@@ -1210,6 +1291,9 @@ def test_steps_and_seed():
         basic_scenario(2, h=0.01, T=0.015)
     with pytest.raises(ConfigError, match="seed"):
         basic_scenario(2, x0=[0.0, 1.0], seed=-1)
+    for seed in (2.7, -1):  # refused before the random x0 is drawn
+        with pytest.raises(ConfigError, match="field 'seed'"):
+            basic_scenario(2, seed=seed)
 
 
 def test_trajectory_h_property():
