@@ -329,6 +329,10 @@ def build_scenario(raw: dict, seed_override: int | None = None,
 
     riccati = str(top["riccati"]) if riccati_override is None \
         else str(riccati_override)
+    if riccati == "steady" and p["Xi"] is not None:
+        raise ConfigError("field 'params.Xi' is read only by riccati: dynamic, whose "
+                          "gain starts at Q(0) = 1/Xi; a steady run holds Q* from "
+                          "t = 0, so leave Xi null")
     algorithm = str(top["algorithm"])
     if algorithm not in ("filter", "baseline"):
         raise ConfigError("field 'algorithm' must be 'filter' or 'baseline'")
@@ -355,7 +359,8 @@ def build_scenario(raw: dict, seed_override: int | None = None,
     else:  # custom, whose edges carry the weights
         del g["weight"]
         g["edges"] = [[i + 1, j + 1, w] for i, j, w in edges]
-    p.update(B=params.B.tolist(), Xi=params.Xi.tolist())
+    p.update(B=params.B.tolist(),  # Xi only where the run reads it
+             Xi=params.Xi.tolist() if riccati == "dynamic" else None)
     ini.update(x0=config.x0.tolist(), prior=config.prior.tolist())
     it["steps"] = config.steps
     resolved = {**top, **sections, "seed": seed, "riccati": riccati,

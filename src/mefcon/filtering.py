@@ -15,7 +15,7 @@ approximation weight G satisfies 0 < G <= S.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,15 +82,19 @@ def uniform_params(topology: NetworkTopology, B: float | np.ndarray = 1.0,
     """
     n, m = topology.node_count, topology.edge_count
     Bv = np.broadcast_to(np.asarray(B, dtype=float), (n,)).copy()
-    Xiv = np.broadcast_to(np.asarray(1.0 if Xi is None else Xi, dtype=float), (n,))
-    params = FilterParams(Bv, np.full(n, float(R)), np.full(m, float(S)),
-                          np.full(m, float(G)), Xiv.copy())
+    R_self, S_edge = np.full(n, float(R)), np.full(m, float(S))
+    q = None
     if Xi is None:
-        q = steady_gains(topology, Bv, params.R_self, params.S_edge)
-        if np.any(q <= 0):
-            raise ConfigError("field 'params.B' must be nonzero at every node for the "
-                              f"default Xi = 1/Q*, got {Bv[q <= 0][0]}")
-        params = replace(params, Xi=1.0 / q)
+        # resolved before the one FilterParams is built, whose check of R,
+        # S and G comes first; a refused R or S makes q meaningless
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = steady_gains(topology, Bv, R_self, S_edge)
+            Xi = 1.0 / q
+    params = FilterParams(Bv, R_self, S_edge, np.full(m, float(G)),
+                          np.broadcast_to(np.asarray(Xi, dtype=float), (n,)).copy())
+    if q is not None and np.any(q <= 0):
+        raise ConfigError("field 'params.B' must be nonzero at every node for the "
+                          f"default Xi = 1/Q*, got {Bv[q <= 0][0]}")
     return params
 
 

@@ -5,13 +5,16 @@ on one RK4 grid.  ``ClosedLoop`` holds its coefficients as one set of
 triplets over flat edge arrays, and builds each map from them on first
 read.  Under the steady gain the loop is linear and time-invariant, so
 ``simulate_mef`` and ``simulate_classical`` advance it with precomputed
-RK4 maps (``_propagate``).  Every map is dense when small or more than a
-quarter full, else CSR (``_stored``), and only CSR maps load
-scipy.sparse.  A dynamic gain steps stage by stage (``rk4_step``) only
-until it settles at Q*.  The propagator reads each disturbance once per
-chunk of steps through one input map K(omega h): a sinusoid is an input
-that rotates by e^{i omega h} per step, and a white draw, held over the
-step, is omega = 0 (``_rk4_maps``, ``DisturbanceRealization.chunks``).
+RK4 maps (``_propagate``).  Every map of the state is dense when small
+or more than a tenth full, else CSR (``_stored``), and only CSR maps
+load scipy.sparse.  The noise maps are read from their slots
+(``_SlotMap``), so a mid-size run, such as the benchmark pipeline's
+100-node digraph, loads no scipy module.  A dynamic gain steps stage by
+stage (``rk4_step``) only until it settles at Q*.  The propagator reads
+each disturbance once per chunk of steps through one input map K(omega
+h): a sinusoid is an input that rotates by e^{i omega h} per step, and a
+white draw, held over the step, is omega = 0 (``_rk4_maps``,
+``DisturbanceRealization.chunks``).
 
 A run reads its noise in one pass in step order (``_pass``), in the
 blocks of its realization, which draws white noise a block at a time as
@@ -175,7 +178,7 @@ def _check_finite(Z: np.ndarray, ts) -> None:
 # A map is stored dense if it has at most this many entries, or if more
 # than this share of its entries are nonzero; otherwise CSR (``_stored``).
 _DENSE_ENTRIES = 1 << 12
-_DENSE_FILL = 0.25
+_DENSE_FILL = 0.1
 
 
 def _is_dense(shape, nnz: int) -> bool:
@@ -196,22 +199,33 @@ def _csr(M, shape=None):
 
 
 def _stored(M):
-    """M dense if it has at most 2^12 entries or more than a quarter of
+    """M dense if it has at most 2^12 entries or more than a tenth of
     them are nonzero, else CSR.
 
-    Measured against scipy's CSR on one BLAS thread, in microseconds per
-    product with a vector and with 20 columns:
+    Measured against scipy's CSR on a shared 2-core host, in
+    microseconds per product with a vector and with 20 columns, on 1 and
+    2 BLAS threads (1 / 2):
 
-    ==================  =====  ============  ==========  ==========  ========
-    map                 fill   dense matvec  CSR matvec  dense x 20  CSR x 20
-    ==================  =====  ============  ==========  ==========  ========
-    64 x 64 (4 096)     2-25%  3.1-3.3       7.7-8.7     11.0-11.1   13.6-25.5
-    90 x 90 (8 100)     2%     4.2           8.0         18.9        15.0
-    256 x 256 (65 536)  2%     13.7          10.1        133         38
-    ==================  =====  ============  ==========  ==========  ========
+    ==========  =====  ============  ==========  ===========  ===========
+    map         fill   dense matvec  CSR matvec  dense x 20   CSR x 20
+    ==========  =====  ============  ==========  ===========  ===========
+    64 x 64     2-25%  3.1-3.3       7.7-8.7     11.0-11.1    13.6-25.5
+    128 x 128   2%     3.1 / 3.6     3.9 / 4.4   13.7 / 13.4  7.6 / 7.7
+    128 x 128   10%    3.2 / 3.5     4.8 / 5.3   13.4 / 13.2  17.7 / 18.0
+    128 x 128   16%    3.2 / 3.6     5.2 / 5.9   13.5 / 13.3  23.4 / 26.9
+    200 x 200   2%     6.7 / 7.1     4.2 / 4.8   29.4 / 31.9  11.9 / 12.5
+    200 x 200   10%    5.4 / 5.5     6.1 / 7.1   30.6 / 30.0  30.9 / 33.8
+    200 x 200   16%    6.7 / 7.2     7.4 / 8.1   30.9 / 29.5  47.1 / 58.0
+    256 x 256   2%     10.2 / 12.0   4.7 / 5.2   85.6 / 59.9  15.3 / 17.6
+    256 x 256   10%    10.1 / 10.7   10.1 / 8.8  106 / 54.7   48.9 / 51.6
+    256 x 256   16%    10.3 / 10.4   10.4 / 10.7 86.5 / 55.0  74.3 / 73.7
+    ==========  =====  ============  ==========  ===========  ===========
 
     Up to 2^12 entries dense was never slower; a larger bound would lose
-    on mid-size sparse maps such as rings.
+    on mid-size sparse maps such as rings, where CSR wins from 200 rows
+    at 2% fill.  A tenth is where dense stops losing up to 200 rows and
+    ties at 256; the benchmark pipeline's A (200 x 200, 16% nonzero) and
+    u map from the state (100 x 200) are dense under it.
     """
     if isinstance(M, np.ndarray):
         return M if _is_dense(M.shape, np.count_nonzero(M)) else _csr(M)
@@ -233,6 +247,58 @@ def _cut(rows, cols, vals, height: int, lo: int, hi: int, dense: bool = False):
     return _csr((vals, (rows, cols)), shape)
 
 
+class _SlotMap:
+    """A noise map read from its slots, one per column: column j of w adds
+    values[b, j] w_j to row b N + nodes[j], for each row block b of N
+    rows (x and x_hat for ``ClosedLoop.inputs``, u for ``u_noise``).
+
+    The node streams, delta and eps_self (columns 0..2N-1, node j mod
+    N), are applied elementwise.  The edge streams are summed per source
+    node, over the edges sorted by source once (a stable sort, skipped
+    when they are in order); a node without an out-edge gets 0.  In
+    ``self @ W``, W is one w, real or complex (a sinusoid's amplitude
+    vector), or a (width, m) block of m of them, as
+    ``DisturbanceRealization.chunks`` passes a block to a matrix; the
+    product is the map's rows by m, or one vector.
+    """
+
+    def __init__(self, n: int, nodes: np.ndarray, values: np.ndarray) -> None:
+        self.n, self.nodes, self.values = n, nodes, values
+        self.shape = (values.shape[0] * n, values.shape[1])
+        # the node streams, by first column, that add anything (u reads none)
+        self._streams = [k for k in (0, n) if np.any(values[:, k:k + n])]
+        src = nodes[2 * n:]
+        self._order = None if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
+        edge_values = values[:, 2 * n:]
+        if self._order is not None:
+            src, edge_values = src[self._order], edge_values[:, self._order]
+        self._edge_values = edge_values
+        self._starts = np.flatnonzero(np.diff(src, prepend=-1))  # one per source
+        # the nodes the edge sums go to; a slice (no gather) when every
+        # node has an out-edge
+        sources = src[self._starts]
+        self._sources = slice(None) if sources.size == n else sources
+
+    def __matmul__(self, W: np.ndarray) -> np.ndarray:
+        n, V = self.n, self.values
+        X = W.T  # w along the last axis
+        out = np.zeros(X.shape[:-1] + (len(V), n), np.result_type(X, V))
+        if self._starts.size:
+            edges = X[..., 2 * n:] if self._order is None else X[..., 2 * n + self._order]
+            out[..., self._sources] = np.add.reduceat(
+                edges[..., None, :] * self._edge_values, self._starts, axis=-1)
+        for k in self._streams:
+            out += X[..., None, k:k + n] * V[:, k:k + n]
+        return out.reshape(X.shape[:-1] + (self.shape[0],)).T
+
+    def toarray(self) -> np.ndarray:
+        """The map as a new dense array."""
+        M = np.zeros(self.shape)
+        blocks = self.n * np.arange(self.values.shape[0])[:, None]
+        M[blocks + self.nodes, np.arange(self.shape[1])] = self.values
+        return M
+
+
 class ClosedLoop:
     """The filter network's closed loop, linear in (x, x_hat).
 
@@ -251,12 +317,15 @@ class ClosedLoop:
     so A annihilates the constant vector: a consensus state with x_hat =
     x is an exact fixed point.
 
-    Every map is cut by row and column range from one set of (row,
-    column) slots, none repeated: per edge its x_dst and eps_edge
-    columns, per node its x, x_hat, delta and eps_self columns, with the
-    x_hat diagonals summed by ``np.bincount``.  Each map is built on
-    first read and stored by ``_stored``'s rule: dense, or canonical CSR
-    (sorted indices, no explicit zeros).
+    Every map comes from one set of (row, column) slots, none repeated:
+    per edge its x_dst and eps_edge columns, per node its x, x_hat, delta
+    and eps_self columns, with the x_hat diagonals summed by
+    ``np.bincount``.  Each map is built on first read.  The maps of the
+    state z, and ``coupling_map``, are cut by row and column range and
+    stored by ``_stored``'s rule: dense, or canonical CSR (sorted
+    indices, no explicit zeros).  The noise maps ``inputs`` and
+    ``u_noise`` have one slot per column of w and are read from their
+    slots (``_SlotMap``), never built as a matrix.
 
     The certificate of the loop reads the same operator: ``F`` is A in
     (x, e) coordinates and ``nu`` the consensus weights.  Both are dense,
@@ -316,9 +385,11 @@ class ClosedLoop:
         return _cut(*self._triplets(True), 2 * self.n, 0, 2 * self.n)
 
     @cached_property
-    def inputs(self):
-        """The steady loop's input map, from the noise w."""
-        return _cut(*self._triplets(True), 2 * self.n, 2 * self.n, self._width)
+    def inputs(self) -> _SlotMap:
+        """The steady loop's input map, from the noise w, read from its
+        slots (``input_slots``)."""
+        nodes, _, x, x_hat = self.input_slots()
+        return _SlotMap(self.n, nodes, np.stack([x, x_hat]))
 
     @cached_property
     def u_state(self):
@@ -326,11 +397,14 @@ class ClosedLoop:
         return _cut(*self._triplets(False), self.n, 0, 2 * self.n)
 
     @cached_property
-    def u_noise(self):
-        """u's map from the noise w; None when no edge measurement is noisy."""
+    def u_noise(self) -> _SlotMap | None:
+        """u's map from the noise w, read from its slots; None when no
+        edge measurement is noisy."""
         if len(self.noise_sizes) < 3:
             return None
-        return _cut(*self._triplets(False), self.n, 2 * self.n, self._width)
+        rows, cols, u_val, _ = self._slots
+        noise = cols >= 2 * self.n
+        return _SlotMap(self.n, rows[noise], u_val[noise][None])
 
     @cached_property
     def coupling_map(self):
@@ -341,8 +415,8 @@ class ClosedLoop:
     def input_slots(self) -> tuple[np.ndarray, ...]:
         """The slots of ``inputs`` as (nodes, columns, x, x_hat): slot k
         puts x[k] in row nodes[k] and x_hat[k] in row N + nodes[k] of
-        column columns[k], and no two slots share a (node, column) pair.
-        Zero values are kept."""
+        column columns[k] = k, one slot per column of w.  Zero values are
+        kept."""
         rows, cols, *_ = self._slots
         top, bottom = self._steady
         noise = cols >= 2 * self.n
@@ -501,22 +575,22 @@ def _input_maps(K, loop: ClosedLoop) -> tuple:
     """The maps of a white run's input terms K inputs w_k: the one dense
     map K inputs where that costs no more multiply-adds per block of
     draws, dim width <= dim^2 + nnz(inputs) (K dense, dim x dim), else K
-    and ``inputs``.
+    and ``inputs``, which reads the draws from its slots.
 
-    K inputs is built from the slots through a dense ``inputs`` that is
-    dropped after the product, so a run that composes builds no CSR
-    input map.  On the compare config (complete N = 100) that is 200 x
-    200 against 40 000 + 200, so it composes; the benchmark pipeline's
-    edge noise, 200 x 3 251 against 40 000 + 6 302, does not.  A sinusoid
-    maps its amplitude once per pass (``DisturbanceRealization.chunks``),
-    where composing would only add the product.
+    K inputs is built through a dense copy of ``inputs`` that is dropped
+    after the product.  On the compare config (complete N = 100) that is
+    200 x 200 against 40 000 + 200, so it composes; the benchmark
+    pipeline's edge noise, 200 x 3 251 against 40 000 + 6 302, does not.
+    A sinusoid maps its amplitude once per pass
+    (``DisturbanceRealization.chunks``), where composing would only add
+    the product.
     """
-    *_, x, x_hat = loop.input_slots()
-    dim, width = K.shape[0], sum(loop.noise_sizes)
-    nnz = np.count_nonzero(x) + np.count_nonzero(x_hat)
-    if not isinstance(K, np.ndarray) or dim * width > dim * dim + nnz:
-        return K, loop.inputs
-    return (K @ _cut(*loop._triplets(True), dim, dim, dim + width, dense=True),)
+    inputs = loop.inputs
+    dim, width = inputs.shape
+    if not isinstance(K, np.ndarray) or dim * width > dim * dim + np.count_nonzero(
+            inputs.values):
+        return K, inputs
+    return (K @ inputs.toarray(),)
 
 
 def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:

@@ -11,7 +11,7 @@ import pytest
 import yaml
 
 import mefcon
-from mefcon import ConfigError, build_scenario, load_config
+from mefcon import ConfigError, SolverError, build_scenario, load_config
 from mefcon.cli import main
 
 TWO_NODE = """
@@ -93,6 +93,11 @@ def test_resolved_echo_rebuilds_the_scenario():
     config, resolved = build_scenario(yaml.safe_load(TWO_NODE))
     again, echo = build_scenario(resolved)
     assert echo == resolved
+    # Xi is echoed only where the gain reads it, so a steady echo reruns
+    assert resolved["params"]["Xi"] is None
+    dynamic = build_scenario(yaml.safe_load(TWO_NODE), riccati_override="dynamic")[1]
+    assert np.array_equal(dynamic["params"]["Xi"], config.params.Xi)
+    assert build_scenario(dynamic)[1] == dynamic
     assert again.steps == config.steps
     assert np.array_equal(again.x0, config.x0)
     resolved["integration"]["steps"] += 1
@@ -152,19 +157,25 @@ def test_analyze_report(tmp_path):
 
 
 def test_equilibrium_follows_the_gain_mode(tmp_path, capsys):
-    # Xi = 3 is not 1/Q* = sqrt(2); e0 = (0.1, 0.1)
-    cfg = _write(tmp_path, TWO_NODE.replace("G: 1.0}", "G: 1.0, Xi: 3.0}")
-                 .replace("x0: [0.0, 1.0]", "x0: [0.0, 1.0]\n  prior: [0.1, 1.1]"))
+    # e0 = (0.1, 0.1); the steady gain holds Q* = 1/sqrt(2) from t = 0, so
+    # it weights e0 by 1/Q*
+    text = TWO_NODE.replace("x0: [0.0, 1.0]", "x0: [0.0, 1.0]\n  prior: [0.1, 1.1]")
+    cfg = _write(tmp_path, text)
     assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "rep")]) == 0
     x_star = json.loads((tmp_path / "rep" / "report.json").read_text())[
         "equilibrium"]["x_star"]
-    # the steady gain weights e0 by 1/Q*, not by Xi (which would give 0.350)
     assert x_star == pytest.approx((2 - 0.2 * np.sqrt(2)) / 4, abs=1e-12)
     assert x_star == pytest.approx(0.4293, abs=1e-4)
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "st")]) == 0
     _, data = _read_csv(tmp_path / "st" / "trajectory.csv")
     assert data[-1, 1:3] == pytest.approx([x_star, x_star], abs=1e-6)
     capsys.readouterr()
+    # Xi = 3 is not 1/Q* = sqrt(2), and only a dynamic gain reads it: a
+    # steady run refuses it rather than ignore it
+    cfg = _write(tmp_path, text.replace("G: 1.0}", "G: 1.0, Xi: 3.0}"), "xi3.yaml")
+    for verb in ("analyze", "envelope", "simulate", "compare"):
+        assert main([verb, "--config", cfg, "--out", str(tmp_path / "refused" / verb)]) == 2
+        assert "field 'params.Xi'" in capsys.readouterr().err
     # a dynamic gain from Q(0) = 1/3 settles elsewhere, so no x* is reported
     for verb in ("analyze", "envelope"):
         assert main([verb, "--config", cfg, "--out", str(tmp_path / verb),
@@ -174,11 +185,17 @@ def test_equilibrium_follows_the_gain_mode(tmp_path, capsys):
                  "--riccati", "dynamic"]) == 0
     _, data = _read_csv(tmp_path / "dyn" / "trajectory.csv")
     assert data[-1, 1:3] == pytest.approx([0.4134, 0.4134], abs=1e-4)
-    # B = 0 at a node freezes its gain at Q* = 0: there is no x* to report
-    cfg = _write(tmp_path, TWO_NODE.replace("B: 1.0", "B: [1.0, 0.0]")
-                 .replace("G: 1.0}", "G: 1.0, Xi: 1.0}"), "b0.yaml")
-    assert main(["analyze", "--config", cfg, "--out", str(tmp_path / "b0")]) == 4
-    assert "Q*" in capsys.readouterr().err
+    # B = 0 at a node freezes its gain at Q* = 0: there is no default Xi =
+    # 1/Q*, and a dynamic run from a given Xi has no consensus weights, so
+    # no x* to report
+    b0 = TWO_NODE.replace("B: 1.0", "B: [1.0, 0.0]")
+    assert main(["analyze", "--config", _write(tmp_path, b0, "b0.yaml"),
+                 "--out", str(tmp_path / "b0")]) == 2
+    assert "params.B" in capsys.readouterr().err
+    config, _ = build_scenario(yaml.safe_load(b0.replace("G: 1.0}", "G: 1.0, Xi: 1.0}")),
+                               riccati_override="dynamic")
+    with pytest.raises(SolverError, match=r"Q\*"):
+        config.loop.nu
 
 
 def test_analyze_disconnected_graph(tmp_path):
@@ -801,16 +818,20 @@ seed: 11
 
 
 _ROOT = Path(__file__).resolve().parents[1]
-# Runs whose maps are all dense: each, in a fresh interpreter, must leave
-# no scipy module loaded.  The benchmark's workload module builds the
-# pipeline's sinusoid digraph (N = 100, E about 3 000) and the sweep.
+# Runs whose maps are all dense or read from their slots: each, in a fresh
+# interpreter, must leave no scipy module loaded.  The benchmark's
+# workload module builds the pipeline's sinusoid digraph (N = 100, E
+# about 3 000), its white twin (S = 2, G = 1, so u reads the edge noise)
+# and the sweep.
 _DENSE_RUNS = {
     "import": "",
     "compare": "run('compare', CONFIGS / 'complete100_compare.yaml')",
     **{f"analyze-{path.stem}": f"run('analyze', CONFIGS / {path.name!r})"
        for path in sorted((_ROOT / "configs").glob("*.yaml"))},
-    "analyze-pipeline": "work.make_pipeline(1, OUT)\n"
-                        "run('analyze', OUT / 'pipeline_sinusoid.yaml')",
+    **{f"{verb}-pipeline": f"work.make_pipeline(1, OUT)\nrun({verb!r}, OUT / {name!r})"
+       for verb, name in (("analyze", "pipeline_sinusoid.yaml"),
+                          ("envelope", "pipeline_sinusoid.yaml"),
+                          ("simulate", "pipeline_white.yaml"))},
     "sweep-case": "work.sweep_case(work.sweep_cases(1, 1)[0][0])",
 }
 

@@ -136,6 +136,25 @@ def test_filter_params_validation():
                      np.array([1.0, -1.0]))
 
 
+def test_uniform_params_checks_its_params_once(monkeypatch):
+    # the default Xi = 1/Q* is resolved before the one FilterParams is
+    # built, so its check runs once; a refused R is still named before B
+    calls = []
+    check = FilterParams.__post_init__
+    monkeypatch.setattr(FilterParams, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    top = make_graph("undirected_ring", 3)
+    for Xi in (None, 2.0):
+        p = uniform_params(top, S=2.0, G=1.0, Xi=Xi)
+        assert len(calls) == 1 and calls.pop() is p
+    q = steady_gains(top, p.B, p.R_self, p.S_edge)
+    assert np.array_equal(uniform_params(top, S=2.0, G=1.0).Xi, 1.0 / q)
+    with pytest.raises(ConfigError, match="'params.R' must be strictly positive"):
+        uniform_params(top, B=0.0, R=0.0)
+    with pytest.raises(ConfigError, match="'params.B' must be nonzero"):
+        uniform_params(top, B=np.array([1.0, 0.0, 1.0]))
+
+
 def _grid(T=1.0, h=0.01):
     return np.arange(int(round(T / h)) + 1) * h
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from scipy import sparse
 from hypothesis import strategies as st
 
@@ -28,7 +29,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import _input_maps, _pass, _rk4_maps, _stored, _term
+from mefcon.simulate import (_SlotMap, _cut, _input_maps, _pass, _rk4_maps, _stored,
+                             _term)
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -168,8 +170,43 @@ def test_steady_column_blocks_match_coupling(case):
     if loop.u_noise is not None:
         u_maps = u_maps + loop.u_noise @ w
     assert u_maps == pytest.approx(u, rel=1e-12, abs=1e-12)
-    for M in (loop.A, loop.inputs, loop.u_state, loop.u_noise, loop.coupling_map):
-        assert M is None or _in_the_form_the_rule_picks(M)
+    for M in (loop.A, loop.u_state, loop.coupling_map):
+        assert _in_the_form_the_rule_picks(M)
+    assert isinstance(loop.inputs, _SlotMap)
+    assert loop.u_noise is None or isinstance(loop.u_noise, _SlotMap)
+
+
+@given(_noisy_loops(), st.randoms(use_true_random=False), st.booleans())
+@example((*_weighted_digraph(), None), random.Random(0), True)  # unsorted, node 0 dropped
+def test_slot_maps_match_their_dense_cut(case, rnd, drop):
+    # the noise maps read from their slots against the same maps cut dense
+    # from the triplets, on the edges in a shuffled order and, where
+    # ``drop``, with node 0's out-edges removed: for a real and a complex
+    # vector of w and an F-ordered block of them, as a pass reads a block
+    top, params, *_ = case
+    src, dst, w = top.edge_arrays()
+    keep = [k for k in rnd.sample(range(src.size), src.size) if not (drop and src[k] == 0)]
+    top = NetworkTopology(top.node_count, tuple(
+        (int(src[k]), int(dst[k]), float(w[k])) for k in keep))
+    params = FilterParams(params.B, params.R_self, params.S_edge[keep],
+                          params.G_edge[keep], params.Xi)
+    loop = ClosedLoop(top, params)
+    n, width = loop.n, sum(loop.noise_sizes)
+    maps = [(loop.inputs, _cut(*loop._triplets(True), 2 * n, 2 * n, 2 * n + width,
+                               dense=True))]
+    if loop.u_noise is not None:
+        maps.append((loop.u_noise, _cut(*loop._triplets(False), n, 2 * n, 2 * n + width,
+                                        dense=True)))
+    rng = np.random.default_rng(rnd.getrandbits(32))
+    block = rng.normal(size=(5, width))
+    for W in (rng.normal(size=width), rng.normal(size=width) + 1j * rng.normal(size=width),
+              block.T):
+        for slots, dense in maps:
+            assert isinstance(slots, _SlotMap)
+            assert np.array_equal(slots.toarray(), dense)
+            got, want = slots @ W, dense @ W
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def _white_config(n=3, T=0.5, h=0.01, seed=4, **kw):
@@ -399,14 +436,15 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
     # Xi = 1/Q* starts the gain at its fixed point, so the dynamic run is
     # the steady run, byte for byte, and both match the stage-by-stage
     # oracle.  Zero noise fills all of its 200 steps (T = 2) by doubling.
-    # The ring N = 40 runs noise through sparse (CSR) step and input maps;
-    # its 40 x 40 Laplacian, at most 2^12 entries, through dense ones.
+    # The ring N = 100 runs noise through sparse (CSR) step maps, from its
+    # loop (2N = 200, 2% nonzero) and from its Laplacian (3%), with powers
+    # of at most 8% nonzero; the 4-node digraph through dense ones.
     top3 = make_graph("complete", 3)
     top, params = _weighted_digraph()
     x0 = np.array([0.4, -0.3, 0.9, 0.1])
-    ring = make_graph("undirected_ring", 40)
+    ring = make_graph("undirected_ring", 100)
     ring_params = uniform_params(ring, R=0.7, S=2.0, G=1.0)
-    ring_x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 40)
+    ring_x0 = np.random.default_rng(8).uniform(-1.0, 1.0, 100)
     cases = [(top3, uniform_params(top3, B=1.0, R=1.0, S=1.0, G=1.0),
               np.array([0.1, 0.5, -0.2]), None, DisturbanceProfile())]
     for prof in (DisturbanceProfile(),
@@ -422,22 +460,21 @@ def test_default_xi_makes_dynamic_equal_steady(monkeypatch):
         for A in (ClosedLoop(top, params).A, laplacian(top)):
             if prof.kind == "zero":
                 assert _doubled(A, config, monkeypatch) == [config.steps]
-            if top is ring:
-                theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
-                sparse_maps = A.shape[0] * A.shape[1] > 2 ** 12  # the loop's A is 80 x 80
-                assert all(sparse.issparse(M) == sparse_maps
-                           for M in _rk4_maps(A, config.h, theta))
+            theta = 2 * np.pi * prof.frequency * config.h * (prof.kind == "sinusoid")
+            assert all(sparse.issparse(M) == (top is ring)
+                       for M in _rk4_maps(A, config.h, theta))
         steady = simulate_mef(config)
         dynamic = simulate_mef(replace(config, riccati="dynamic"))
         for name in ("x", "x_hat", "u"):
             assert getattr(dynamic, name).tobytes() == getattr(steady, name).tobytes()
-        assert dynamic.Q == pytest.approx(steady.Q, rel=0, abs=1e-12)
+        # |got - want| <= 1e-12 at every entry, as pytest.approx(rel=0,
+        # abs=1e-12) checks it, without its per-entry Python loop
+        assert np.abs(dynamic.Q - steady.Q).max() <= 1e-12
         for name, want in zip(("x", "x_hat", "u"), _filter_stages(config)):
-            assert getattr(steady, name) == pytest.approx(
-                want, rel=0, abs=1e-12), (prof.kind, name)
+            assert np.abs(getattr(steady, name) - want).max() <= 1e-12, (prof.kind, name)
         base = simulate_classical(config)
         for got, want in zip((base.x, base.u), _classical_stages(config)):
-            assert got == pytest.approx(want, rel=0, abs=1e-12), prof.kind
+            assert np.abs(got - want).max() <= 1e-12, prof.kind
     assert np.abs(steady.u).max() > 1.0  # the noise reaches u
 
 
@@ -720,13 +757,21 @@ def _three_stages(A, inputs, real, h, steps):
     return (K1 @ g(t) + K2 @ g(t + 0.5 * h) + (h / 6.0) * g(t + h)).T
 
 
-@pytest.mark.parametrize("family, n, sparse_maps",
-                         [("undirected_ring", 40, True), ("complete", 20, False)])
+# (family, n, whether A is CSR): the ring of 40 nodes steps with dense
+# maps from its CSR A (4% nonzero; the RK4 maps fill 15-20%), the ring of
+# 100 with CSR maps (2% nonzero, the RK4 maps at most 8%), and the complete
+# graph with dense ones; only the ring of 100 keeps its RK4 maps CSR
+_STORAGE_CASES = pytest.mark.parametrize("family, n, sparse_A", [
+    ("undirected_ring", 40, True), ("undirected_ring", 100, True),
+    ("complete", 20, False)])
+
+
+@_STORAGE_CASES
 @pytest.mark.parametrize("profile", [
     DisturbanceProfile("white", sigma=0.5),
     DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
     ids=["white", "sinusoid"])
-def test_input_terms_match_the_three_stages(family, n, sparse_maps, profile):
+def test_input_terms_match_the_three_stages(family, n, sparse_A, profile):
     # the one input map K(omega h), held white (theta = 0) and rotating
     # sinusoid, against the three stage reads, over several chunks of steps
     top = make_graph(family, n)
@@ -735,16 +780,16 @@ def test_input_terms_match_the_three_stages(family, n, sparse_maps, profile):
     assert steps > 2 * (CHUNK_ENTRIES // loop.inputs.shape[1])
     real = sample_disturbances(profile, loop.noise_sizes, steps, h, 3)
     maps = _rk4_maps(loop.A, h, real.omega * h)
-    assert all(sparse.issparse(M) == sparse_maps for M in maps)
+    assert sparse.issparse(loop.A) == sparse_A
+    assert all(sparse.issparse(M) == (n == 100) for M in maps)
     H = np.empty((steps, 2 * n))
     _pass(real, steps, _term(H, np.arange(steps) * h, maps[1], loop.inputs))
     want = _three_stages(loop.A, loop.inputs, real, h, steps)
     assert np.abs(H - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("family, n, sparse_maps",
-                         [("undirected_ring", 40, True), ("complete", 20, False)])
-def test_input_map_is_the_three_stage_sum(family, n, sparse_maps):
+@_STORAGE_CASES
+def test_input_map_is_the_three_stage_sum(family, n, sparse_A):
     # K(theta) = K1 + K2 e^{i theta/2} + (h/6) e^{i theta}: real and the
     # held-input map bit for bit at theta = 0, the stage sum elsewhere
     top = make_graph(family, n)
@@ -760,12 +805,13 @@ def test_input_map_is_the_three_stage_sum(family, n, sparse_maps):
         return X.toarray() if sparse.issparse(X) else X
 
     K = _rk4_maps(A, h, 0.0)[1]
-    assert np.isrealobj(K) and sparse.issparse(K) == sparse.issparse(held) == sparse_maps
+    assert sparse.issparse(A) == sparse_A
+    assert np.isrealobj(K) and sparse.issparse(K) == sparse.issparse(held) == (n == 100)
     assert np.array_equal(dense(K), dense(held))
     K1, K2 = _stage_maps(A, h)
     for theta in (1e-8, 0.3, np.pi):
         K = _rk4_maps(A, h, theta)[1]
-        assert sparse.issparse(K) == sparse.issparse(_stored(K)) == sparse_maps
+        assert sparse.issparse(K) == sparse.issparse(_stored(K)) == (n == 100)
         want = (K1 + K2 * np.exp(0.5j * theta)
                 + (h / 6) * np.exp(1j * theta) * np.eye(2 * n))
         assert np.abs(dense(K) - want).max() <= 1e-15 * np.abs(want).max(), theta
@@ -779,9 +825,10 @@ def test_u_reads_noise_only_through_edge_measurements():
     # G < S: eps_edge is a stream, and u reads it
     top, params = _weighted_digraph()
     loop = ClosedLoop(top, params)
-    assert loop.noise_sizes == (4, 4, 6) and isinstance(loop.u_noise, np.ndarray)
-    assert np.count_nonzero(loop.u_noise[:, :8]) == 0  # never delta or eps_self
-    assert np.count_nonzero(loop.u_noise) > 0
+    assert loop.noise_sizes == (4, 4, 6) and isinstance(loop.u_noise, _SlotMap)
+    u_noise = loop.u_noise.toarray()
+    assert np.count_nonzero(u_noise[:, :8]) == 0  # never delta or eps_self
+    assert np.count_nonzero(u_noise) > 0
 
 
 def test_consensus_is_exact_on_weighted_digraph():
@@ -818,25 +865,27 @@ def test_propagator_storage_follows_fill(monkeypatch):
 
 
 def test_storage_rule_at_its_bounds():
-    # dense up to 2^12 entries at any fill; above, CSR up to a quarter nonzero
+    # dense up to 2^12 entries at any fill; above, CSR up to a tenth nonzero
     for shape in ((64, 64), (64, 65)):
         M = np.zeros(shape)
         M[0, 0] = 1.0
         assert isinstance(_stored(M), np.ndarray) == (M.size <= 2 ** 12), shape
         assert isinstance(_stored(sparse.csr_array(M)), np.ndarray) == (M.size <= 2 ** 12)
     M = np.zeros((80, 80))
-    M.flat[:1600] = 1.0  # a quarter of 6 400
+    M.flat[:640] = 1.0  # a tenth of 6 400
     assert sparse.issparse(_stored(M)) and sparse.issparse(_stored(sparse.csr_array(M)))
-    M.flat[1600] = 1.0
+    M.flat[640] = 1.0
     assert isinstance(_stored(M), np.ndarray)
     assert isinstance(_stored(sparse.csr_array(M)), np.ndarray)
-    # the loop's maps take the same rule: A is 64 x 64 at N = 32, 66 x 66 at 33
+    # the loop's maps of the state take the same rule: A is 64 x 64 at
+    # N = 32, 66 x 66 at 33 (5% nonzero); its noise maps are slot forms
     for n, dense in ((32, True), (33, False)):
         ring = make_graph("undirected_ring", n)
         loop = ClosedLoop(ring, uniform_params(ring, S=2.0, G=1.0))
         assert isinstance(loop.A, np.ndarray) == dense, n
-        for M in (loop.A, loop.inputs, loop.u_state, loop.u_noise, loop.coupling_map):
+        for M in (loop.A, loop.u_state, loop.coupling_map):
             assert _in_the_form_the_rule_picks(M), n
+        assert isinstance(loop.inputs, _SlotMap) and isinstance(loop.u_noise, _SlotMap)
 
 
 def _white_term(maps, real, steps, h):
@@ -849,8 +898,9 @@ def _white_term(maps, real, steps, h):
 def test_white_input_map_composes_where_it_is_cheaper():
     # K inputs is one dense map where dim width <= dim^2 + nnz(inputs):
     # the compare shape, 200 x 200 against 40 000 + 200, composes, from a
-    # dense inputs that is not kept; the benchmark pipeline's edge noise,
-    # 200 x (200 + E) against 40 000 + nnz, does not
+    # dense copy of the slot form that is not kept; the benchmark
+    # pipeline's edge noise, 200 x (200 + E) against 40 000 + nnz, keeps
+    # the slot form
     white = DisturbanceProfile("white", sigma=1.0)
     complete = make_graph("complete", 100)
     config = ScenarioConfig(complete, uniform_params(complete), np.zeros(100),
@@ -859,8 +909,8 @@ def test_white_input_map_composes_where_it_is_cheaper():
     K = _rk4_maps(loop.A, config.h, 0.0)[1]
     composed = _input_maps(K, loop)
     assert len(composed) == 1 and composed[0].shape == (200, 200)
-    assert "inputs" not in vars(loop)  # no CSR input map was built
-    assert sparse.issparse(loop.inputs) and loop.inputs.nnz == 200
+    assert isinstance(loop.inputs, _SlotMap)
+    assert np.count_nonzero(loop.inputs.toarray()) == 200
     real = sample_disturbances(white, loop.noise_sizes, config.steps, config.h, 3)
     want = _white_term((K, loop.inputs), real, config.steps, config.h)
     got = _white_term(composed, real, config.steps, config.h)
@@ -875,7 +925,7 @@ def test_white_input_map_composes_where_it_is_cheaper():
     K = _rk4_maps(loop.A, 0.01, 0.0)[1]
     assert isinstance(K, np.ndarray) and loop.noise_sizes == (100, 100, len(edges))
     assert _input_maps(K, loop) == (K, loop.inputs)
-    assert sparse.issparse(loop.inputs)
+    assert isinstance(loop.inputs, _SlotMap)
 
 
 def _sparse_weighted_digraph():
@@ -895,17 +945,20 @@ def _sparse_weighted_digraph():
     DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
     ids=["zero", "white", "sinusoid"])
 def test_dense_and_sparse_maps_give_the_same_runs(profile, monkeypatch):
-    # every map dense (bound 2^30) against every map by its fill (bound 0):
-    # filter and baseline runs agree to rounding
+    # every map dense (bound 2^30) against every map CSR (bound 0, and no
+    # fill that stores a map dense): filter and baseline runs agree to
+    # rounding; the noise maps are slot forms either way
     top, params = _sparse_weighted_digraph()
     x0 = np.random.default_rng(2).uniform(-1.0, 1.0, 12)
     config = ScenarioConfig(top, params, x0, -x0, profile, h=0.01, T=3.0, seed=4)
     runs = {}
+    monkeypatch.setattr(simulate_module, "_DENSE_FILL", 1.0)
     for bound in (0, 2 ** 30):
         monkeypatch.setattr(simulate_module, "_DENSE_ENTRIES", bound)
         cfg = replace(config)  # a new config builds its own loop
         assert sparse.issparse(cfg.loop.A) == (bound == 0)
-        assert sparse.issparse(cfg.loop.u_noise) == (bound == 0)
+        assert sparse.issparse(cfg.loop.u_state) == (bound == 0)
+        assert isinstance(cfg.loop.u_noise, _SlotMap)
         runs[bound] = simulate_mef(cfg), simulate_classical(cfg)
     for sparse_run, dense_run in zip(runs[0], runs[2 ** 30]):
         for name in ("x", "x_hat", "u"):
