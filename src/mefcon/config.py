@@ -329,10 +329,6 @@ def build_scenario(raw: dict, seed_override: int | None = None,
 
     riccati = str(top["riccati"]) if riccati_override is None \
         else str(riccati_override)
-    if riccati == "steady" and p["Xi"] is not None:
-        raise ConfigError("field 'params.Xi' is read only by riccati: dynamic, whose "
-                          "gain starts at Q(0) = 1/Xi; a steady run holds Q* from "
-                          "t = 0, so leave Xi null")
     algorithm = str(top["algorithm"])
     if algorithm not in ("filter", "baseline"):
         raise ConfigError("field 'algorithm' must be 'filter' or 'baseline'")
@@ -348,6 +344,14 @@ def build_scenario(raw: dict, seed_override: int | None = None,
 
     config = ScenarioConfig(topology, params, x0, prior, profile, it["h"],
                             it["T"], seed, riccati)
+    # a steady run is the dynamic run from Xi = 1/Q* (to 1e-9, as
+    # ``certify`` reads it); any other Xi would be ignored.  Echoes of
+    # steady runs listed that Xi before they wrote null, and still rerun.
+    if riccati == "steady" and p["Xi"] is not None and not np.allclose(
+            params.Xi * config.loop.q_star, 1.0, rtol=0.0, atol=1e-9):
+        raise ConfigError("field 'params.Xi' is read only by riccati: dynamic, whose "
+                          "gain starts at Q(0) = 1/Xi; a steady run holds Q* from "
+                          "t = 0, the gain of Xi = 1/Q*, so leave Xi null")
     if it["steps"] not in (None, config.steps):
         raise ConfigError(f"field 'integration.steps' is {it['steps']}, "
                           f"but T/h gives {config.steps} steps")

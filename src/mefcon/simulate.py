@@ -6,15 +6,15 @@ triplets over flat edge arrays, and builds each map from them on first
 read.  Under the steady gain the loop is linear and time-invariant, so
 ``simulate_mef`` and ``simulate_classical`` advance it with precomputed
 RK4 maps (``_propagate``).  Every map of the state is dense when small
-or more than a tenth full, else CSR (``_stored``), and only CSR maps
-load scipy.sparse.  The noise maps are read from their slots
-(``_SlotMap``), so a mid-size run, such as the benchmark pipeline's
-100-node digraph, loads no scipy module.  A dynamic gain steps stage by
-stage (``rk4_step``) only until it settles at Q*.  The propagator reads
-each disturbance once per chunk of steps through one input map K(omega
-h): a sinusoid is an input that rotates by e^{i omega h} per step, and a
-white draw, held over the step, is omega = 0 (``_rk4_maps``,
-``DisturbanceRealization.chunks``).
+or more than a tenth full (a quarter above 200 x 200 entries), else CSR
+(``_stored``), and only CSR maps load scipy.sparse.  The noise maps are
+read from their slots (``_SlotMap``), so a mid-size run, such as the
+benchmark pipeline's 100-node digraph, loads no scipy module.  A dynamic
+gain steps stage by stage (``rk4_step``) only until it settles at Q*.
+The propagator reads each disturbance once per chunk of steps through
+one input map K(omega h): a sinusoid is an input that rotates by e^{i
+omega h} per step, and a white draw, held over the step, is omega = 0
+(``_rk4_maps``, ``DisturbanceRealization.chunks``).
 
 A run reads its noise in one pass in step order (``_pass``), in the
 blocks of its realization, which draws white noise a block at a time as
@@ -175,16 +175,20 @@ def _check_finite(Z: np.ndarray, ts) -> None:
         raise SimulationError(f"non-finite state after the step from t={ts[r]:.6g}")
 
 
-# A map is stored dense if it has at most this many entries, or if more
-# than this share of its entries are nonzero; otherwise CSR (``_stored``).
+# A map is stored dense if it has at most _DENSE_ENTRIES entries, or if
+# more than a share of its entries are nonzero: _MID_FILL up to
+# _MID_ENTRIES entries, _DENSE_FILL above; otherwise CSR (``_stored``).
 _DENSE_ENTRIES = 1 << 12
-_DENSE_FILL = 0.1
+_MID_ENTRIES = 200 * 200
+_MID_FILL = 0.1
+_DENSE_FILL = 0.25
 
 
 def _is_dense(shape, nnz: int) -> bool:
     """Whether a map of ``shape`` with ``nnz`` nonzeros is stored dense."""
     entries = shape[0] * shape[1]
-    return entries <= _DENSE_ENTRIES or nnz > _DENSE_FILL * entries
+    fill = _MID_FILL if entries <= _MID_ENTRIES else _DENSE_FILL
+    return entries <= _DENSE_ENTRIES or nnz > fill * entries
 
 
 def _csr(M, shape=None):
@@ -199,33 +203,45 @@ def _csr(M, shape=None):
 
 
 def _stored(M):
-    """M dense if it has at most 2^12 entries or more than a tenth of
-    them are nonzero, else CSR.
+    """M dense if it has at most 2^12 entries, or if more than a tenth
+    of them are nonzero up to 200 x 200 entries and more than a quarter
+    above, else CSR.
 
     Measured against scipy's CSR on a shared 2-core host, in
-    microseconds per product with a vector and with 20 columns, on 1 and
-    2 BLAS threads (1 / 2):
+    microseconds per product with a vector and with 20 columns (a block
+    of draws), on 1 and 2 BLAS threads (1 / 2), random fill:
 
-    ==========  =====  ============  ==========  ===========  ===========
-    map         fill   dense matvec  CSR matvec  dense x 20   CSR x 20
-    ==========  =====  ============  ==========  ===========  ===========
-    64 x 64     2-25%  3.1-3.3       7.7-8.7     11.0-11.1    13.6-25.5
-    128 x 128   2%     3.1 / 3.6     3.9 / 4.4   13.7 / 13.4  7.6 / 7.7
-    128 x 128   10%    3.2 / 3.5     4.8 / 5.3   13.4 / 13.2  17.7 / 18.0
-    128 x 128   16%    3.2 / 3.6     5.2 / 5.9   13.5 / 13.3  23.4 / 26.9
-    200 x 200   2%     6.7 / 7.1     4.2 / 4.8   29.4 / 31.9  11.9 / 12.5
-    200 x 200   10%    5.4 / 5.5     6.1 / 7.1   30.6 / 30.0  30.9 / 33.8
-    200 x 200   16%    6.7 / 7.2     7.4 / 8.1   30.9 / 29.5  47.1 / 58.0
-    256 x 256   2%     10.2 / 12.0   4.7 / 5.2   85.6 / 59.9  15.3 / 17.6
-    256 x 256   10%    10.1 / 10.7   10.1 / 8.8  106 / 54.7   48.9 / 51.6
-    256 x 256   16%    10.3 / 10.4   10.4 / 10.7 86.5 / 55.0  74.3 / 73.7
-    ==========  =====  ============  ==========  ===========  ===========
+    ============  =====  ============  ============  =============  =============
+    map           fill   dense matvec  CSR matvec    dense x 20     CSR x 20
+    ============  =====  ============  ============  =============  =============
+    64 x 64       2-25%  3.1-3.3       7.7-8.7       11.0-11.1      13.6-25.5
+    128 x 128     2%     3.1 / 3.6     3.9 / 4.4     13.7 / 13.4    7.6 / 7.7
+    128 x 128     10%    3.2 / 3.5     4.8 / 5.3     13.4 / 13.2    17.7 / 18.0
+    128 x 128     16%    3.2 / 3.6     5.2 / 5.9     13.5 / 13.3    23.4 / 26.9
+    200 x 200     2%     6.7 / 7.1     4.2 / 4.8     29.4 / 31.9    11.9 / 12.5
+    200 x 200     10%    5.4 / 5.5     6.1 / 7.1     30.6 / 30.0    30.9 / 33.8
+    200 x 200     16%    6.7 / 7.2     7.4 / 8.1     30.9 / 29.5    47.1 / 58.0
+    256 x 256     2%     10.8 / 12.0   5.0 / 4.9     91.0 / 54.8    23.9 / 18.8
+    256 x 256     10%    12.5 / 9.4    12.3 / 7.7    92.0 / 65.6    61.7 / 52.2
+    256 x 256     16%    11.9 / 9.7    10.8 / 10.0   87.2 / 53.4    89.1 / 73.2
+    256 x 256     25%    11.3 / 9.8    15.2 / 13.7   88.5 / 54.0    185 / 103
+    512 x 512     10%    48.5 / 43.9   23.9 / 19.7   384 / 208      217 / 173
+    512 x 512     16%    48.9 / 41.5   31.6 / 27.6   402 / 195      318 / 276
+    512 x 512     25%    57.6 / 41.5   48.2 / 41.2   373 / 198      476 / 422
+    1024 x 1024   10%    349 / 173     71.4 / 67.7   1 689 / 1 070  807 / 753
+    1024 x 1024   16%    352 / 172     119 / 113     1 725 / 1 069  1 288 / 1 213
+    1024 x 1024   25%    347 / 173     221 / 189     1 713 / 1 046  1 992 / 1 929
+    ============  =====  ============  ============  =============  =============
 
     Up to 2^12 entries dense was never slower; a larger bound would lose
     on mid-size sparse maps such as rings, where CSR wins from 200 rows
-    at 2% fill.  A tenth is where dense stops losing up to 200 rows and
-    ties at 256; the benchmark pipeline's A (200 x 200, 16% nonzero) and
-    u map from the state (100 x 200) are dense under it.
+    at 2% fill.  Up to 200 x 200 entries a tenth is where dense stops
+    losing (a tie at 10%, a win at 16%), and the benchmark pipeline's A
+    (200 x 200, 16% nonzero) and u map from the state (100 x 200) are
+    dense under it.  From 256 rows dense loses the 20-column product at
+    10% on one thread, and from 512 rows at 16% too; at a quarter it
+    wins with 20 columns at every size, and loses the one-thread matvec
+    from 512 rows.  So above 200 x 200 entries the bound is a quarter.
     """
     if isinstance(M, np.ndarray):
         return M if _is_dense(M.shape, np.count_nonzero(M)) else _csr(M)
@@ -254,12 +270,12 @@ class _SlotMap:
 
     The node streams, delta and eps_self (columns 0..2N-1, node j mod
     N), are applied elementwise.  The edge streams are summed per source
-    node, over the edges sorted by source once (a stable sort, skipped
-    when they are in order); a node without an out-edge gets 0.  In
-    ``self @ W``, W is one w, real or complex (a sinusoid's amplitude
-    vector), or a (width, m) block of m of them, as
-    ``DisturbanceRealization.chunks`` passes a block to a matrix; the
-    product is the map's rows by m, or one vector.
+    node, over the edges sorted by source once (a stable sort; the
+    gather of each product is skipped when they are in order); a node
+    without an out-edge gets 0.  In ``self @ W``, W is one w, real or
+    complex (a sinusoid's amplitude vector), or a (width, m) block of m
+    of them, as ``DisturbanceRealization.chunks`` passes a block to a
+    matrix; the product is the map's rows by m, or one vector.
     """
 
     def __init__(self, n: int, nodes: np.ndarray, values: np.ndarray) -> None:
@@ -267,24 +283,25 @@ class _SlotMap:
         self.shape = (values.shape[0] * n, values.shape[1])
         # the node streams, by first column, that add anything (u reads none)
         self._streams = [k for k in (0, n) if np.any(values[:, k:k + n])]
-        src = nodes[2 * n:]
-        self._order = None if np.all(src[:-1] <= src[1:]) else np.argsort(src, kind="stable")
-        edge_values = values[:, 2 * n:]
-        if self._order is not None:
-            src, edge_values = src[self._order], edge_values[:, self._order]
-        self._edge_values = edge_values
+        # the edge columns in source order, None where they are in it: on
+        # the benchmark pipeline's digraph (E = 3 038, listed by source),
+        # shuffling the edges took the ``inputs`` product of a block of 20
+        # draws from 175 to 310-340 us on one thread, for the gather
+        self._order, src = None, nodes[2 * n:]
+        if np.any(src[:-1] > src[1:]):
+            self._order = 2 * n + np.argsort(src, kind="stable")
+            src = nodes[self._order]
+        self._edge_values = values[:, 2 * n:] if self._order is None \
+            else values.take(self._order, axis=1)  # C order, as each product reads it
         self._starts = np.flatnonzero(np.diff(src, prepend=-1))  # one per source
-        # the nodes the edge sums go to; a slice (no gather) when every
-        # node has an out-edge
-        sources = src[self._starts]
-        self._sources = slice(None) if sources.size == n else sources
+        self._sources = src[self._starts]  # the nodes the edge sums go to
 
     def __matmul__(self, W: np.ndarray) -> np.ndarray:
         n, V = self.n, self.values
         X = W.T  # w along the last axis
         out = np.zeros(X.shape[:-1] + (len(V), n), np.result_type(X, V))
         if self._starts.size:
-            edges = X[..., 2 * n:] if self._order is None else X[..., 2 * n + self._order]
+            edges = X[..., 2 * n:] if self._order is None else X.take(self._order, axis=-1)
             out[..., self._sources] = np.add.reduceat(
                 edges[..., None, :] * self._edge_values, self._starts, axis=-1)
         for k in self._streams:

@@ -87,6 +87,18 @@ def test_manifest_round_trip(tmp_path):
     assert main(["simulate", "--config", replay_cfg, "--out", str(second)]) == 0
     assert (first / "trajectory.csv").read_bytes() \
         == (second / "trajectory.csv").read_bytes()
+    # echoes of steady runs used to list the default Xi = 1/Q*, the one Xi
+    # a steady run accepts; such a manifest still reruns byte for byte
+    config, _ = build_scenario(echoed)
+    assert echoed["params"]["Xi"] is None and config.riccati == "steady"
+    echoed["params"] = {**echoed["params"], "Xi": config.params.Xi.tolist()}
+    older = tmp_path / "older"
+    assert main(["simulate", "--config", _write(tmp_path, yaml.safe_dump(echoed),
+                                                "older.yaml"), "--out", str(older)]) == 0
+    assert (older / "trajectory.csv").read_bytes() \
+        == (first / "trajectory.csv").read_bytes()
+    assert json.loads((older / "manifest.json").read_text())["config"] \
+        == manifest["config"]
 
 
 def test_resolved_echo_rebuilds_the_scenario():
@@ -98,6 +110,12 @@ def test_resolved_echo_rebuilds_the_scenario():
     dynamic = build_scenario(yaml.safe_load(TWO_NODE), riccati_override="dynamic")[1]
     assert np.array_equal(dynamic["params"]["Xi"], config.params.Xi)
     assert build_scenario(dynamic)[1] == dynamic
+    # a steady Xi is accepted only at 1/Q*, the gain a steady run holds
+    listed = {**resolved, "params": {**resolved["params"], "Xi": dynamic["params"]["Xi"]}}
+    assert build_scenario(listed)[1] == resolved
+    listed["params"]["Xi"] = [1.001 * xi for xi in dynamic["params"]["Xi"]]
+    with pytest.raises(ConfigError, match="'params.Xi'"):
+        build_scenario(listed)
     assert again.steps == config.steps
     assert np.array_equal(again.x0, config.x0)
     resolved["integration"]["steps"] += 1

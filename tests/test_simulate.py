@@ -865,18 +865,21 @@ def test_propagator_storage_follows_fill(monkeypatch):
 
 
 def test_storage_rule_at_its_bounds():
-    # dense up to 2^12 entries at any fill; above, CSR up to a tenth nonzero
+    # dense up to 2^12 entries at any fill; above, CSR up to a tenth
+    # nonzero, and above 200 x 200 entries up to a quarter
     for shape in ((64, 64), (64, 65)):
         M = np.zeros(shape)
         M[0, 0] = 1.0
         assert isinstance(_stored(M), np.ndarray) == (M.size <= 2 ** 12), shape
         assert isinstance(_stored(sparse.csr_array(M)), np.ndarray) == (M.size <= 2 ** 12)
-    M = np.zeros((80, 80))
-    M.flat[:640] = 1.0  # a tenth of 6 400
-    assert sparse.issparse(_stored(M)) and sparse.issparse(_stored(sparse.csr_array(M)))
-    M.flat[640] = 1.0
-    assert isinstance(_stored(M), np.ndarray)
-    assert isinstance(_stored(sparse.csr_array(M)), np.ndarray)
+    for shape, bound in (((80, 80), 640), ((200, 200), 4_000), ((201, 200), 10_050)):
+        M = np.zeros(shape)
+        M.flat[:bound] = 1.0
+        assert sparse.issparse(_stored(M)), shape
+        assert sparse.issparse(_stored(sparse.csr_array(M)))
+        M.flat[bound] = 1.0
+        assert isinstance(_stored(M), np.ndarray), shape
+        assert isinstance(_stored(sparse.csr_array(M)), np.ndarray)
     # the loop's maps of the state take the same rule: A is 64 x 64 at
     # N = 32, 66 x 66 at 33 (5% nonzero); its noise maps are slot forms
     for n, dense in ((32, True), (33, False)):
@@ -952,6 +955,7 @@ def test_dense_and_sparse_maps_give_the_same_runs(profile, monkeypatch):
     x0 = np.random.default_rng(2).uniform(-1.0, 1.0, 12)
     config = ScenarioConfig(top, params, x0, -x0, profile, h=0.01, T=3.0, seed=4)
     runs = {}
+    monkeypatch.setattr(simulate_module, "_MID_FILL", 1.0)
     monkeypatch.setattr(simulate_module, "_DENSE_FILL", 1.0)
     for bound in (0, 2 ** 30):
         monkeypatch.setattr(simulate_module, "_DENSE_ENTRIES", bound)
