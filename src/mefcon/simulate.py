@@ -7,8 +7,14 @@ read.  Under the steady gain the loop is linear and time-invariant, so
 ``simulate_mef`` and ``simulate_classical`` advance it with precomputed
 RK4 maps (``_propagate``).  Every map of the state is dense when small
 or more than a tenth full (a quarter above 200 x 200 entries), else CSR
-(``_stored``), and only CSR maps load scipy.sparse.  The noise maps are
-read from their slots (``_SlotMap``), so a mid-size run, such as the
+(``_stored``), and only CSR maps load scipy.sparse.  A dense square map
+above 2^12 entries whose N x N node blocks each hold one value on the
+diagonal and one off it, such as a complete uniform loop's A and its
+baseline's -L, is stored as that pair of values per block
+(``_NodeBlocks``), whose products cost O(N) per row: 0.21 ms against
+0.48 ms dense for the 312 rows, one per block of steps, that each phase
+of the compare config's blocks multiplies.  The noise maps are read
+from their slots (``_SlotMap``), so a mid-size run, such as the
 benchmark pipeline's 100-node digraph, loads no scipy module.  A dynamic
 gain steps stage by stage (``rk4_step``) only until it settles at Q*.
 The propagator reads each disturbance once per chunk of steps through
@@ -23,11 +29,11 @@ input terms, the dynamic gain's steps, u's white noise term, and in a
 comparison the baseline's input terms too, from the first N rows of each
 block.
 
-A dense run with enough steps (``_blocks_pay``) steps in blocks of 8
-steps, in three phases (``_blocks``): each block's input sum, over all
-blocks at once; a carry of the block starts with P^8 - I, which is the
-same recurrence again and goes in blocks by the same rule; then the
-states inside the blocks, over all blocks at once.  A zero-noise run
+A dense or node-block run with enough steps (``_blocks_pay``) steps in
+blocks of 8 steps, in three phases (``_blocks``): each block's input
+sum, over all blocks at once; a carry of the block starts with P^8 - I,
+which is the same recurrence again and goes in blocks by the same rule;
+then the states inside the blocks, over all blocks at once.  A zero-noise run
 has no input terms, and its record is the orbit of one map, which
 doubles in log2(steps) levels (``_doubling``).  Sparse maps, and dense
 runs too short to pay for the powers of P, take one product per step.
@@ -191,6 +197,78 @@ def _is_dense(shape, nnz: int) -> bool:
     return entries <= _DENSE_ENTRIES or nnz > fill * entries
 
 
+class _NodeBlocks:
+    """A square map whose N x N node blocks each hold one value on the
+    diagonal and one off it, stored as its coefficient pair (a, e), k x k
+    each: M = a (x) I_N + e (x) 1 1^T, so block (i, j) is a_ij I + e_ij 1
+    1^T.  Sums, scalar multiples, products (1 1^T 1 1^T = N 1 1^T) and
+    transposes keep the form; M @ W and X @ M cost O(k^2 N) per column of
+    W or row of X, and make no BLAS product larger than k x k.  ndarray @
+    M and scalar * M defer to the form (``__array_ufunc__ = None``)."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, a: np.ndarray, e: np.ndarray, n: int) -> None:
+        self.a, self.e, self.n = a, e, n
+        self.shape = (len(a) * n,) * 2
+
+    @property
+    def T(self) -> _NodeBlocks:
+        return _NodeBlocks(self.a.T, self.e.T, self.n)
+
+    def __add__(self, other: _NodeBlocks) -> _NodeBlocks:
+        return _NodeBlocks(self.a + other.a, self.e + other.e, self.n)
+
+    def __mul__(self, c) -> _NodeBlocks:
+        return _NodeBlocks(c * self.a, c * self.e, self.n)
+
+    __rmul__ = __mul__
+
+    def __matmul__(self, W):
+        a, e, n = self.a, self.e, self.n
+        if isinstance(W, _NodeBlocks):
+            return _NodeBlocks(a @ W.a, a @ W.e + e @ W.a + n * (e @ W.e), n)
+        V = W.reshape((len(a), n) + W.shape[1:])  # V[j]: node block j of W
+        out = np.einsum("ij,j...->i...", a, V)
+        out += np.einsum("ij,j...->i...", e, V.sum(axis=1))[:, None]
+        return out.reshape(W.shape)
+
+    def __rmatmul__(self, X: np.ndarray) -> np.ndarray:
+        V = X.reshape(X.shape[:-1] + (len(self.a), self.n))  # V[..., i, :]: block i
+        out = np.einsum("...in,ij->...jn", V, self.a)
+        out += np.einsum("...i,ij->...j", V.sum(axis=-1), self.e)[..., None]
+        return out.reshape(X.shape)
+
+    def toarray(self) -> np.ndarray:
+        """The map as a new dense array."""
+        n = self.n
+        return np.kron(self.a, np.eye(n)) + np.kron(self.e, np.ones((n, n)))
+
+
+def _node_blocks(M: np.ndarray):
+    """M as ``_NodeBlocks`` where it is square with more than 2^12 entries
+    and its node blocks, 1 x 1 or 2 x 2 of them, each hold one value on
+    the diagonal and one off it, by exact equality; else M itself."""
+    dim = M.shape[0]
+    if M.shape != (dim, dim) or M.size <= _DENSE_ENTRIES:
+        return M
+    for k in (1, 2) if dim % 2 == 0 else (1,):
+        n = dim // k
+        blocks = M.reshape(k, n, k, n).swapaxes(1, 2)  # blocks[i, j]: block (i, j)
+        diag, e = blocks[:, :, 0, 0], blocks[:, :, 0, 1]
+        if np.all(np.diagonal(blocks, 0, 2, 3) == diag[..., None]) \
+                and np.all((blocks == e[..., None, None]) | np.eye(n, dtype=bool)):
+            return _NodeBlocks(diag - e, e.copy(), n)
+    return M
+
+
+def _finite(M) -> bool:
+    """Whether every entry of the map M is finite."""
+    if isinstance(M, _NodeBlocks):
+        return bool(np.isfinite(M.a + M.e).all() and np.isfinite(M.e).all())
+    return bool(np.isfinite(M).all())
+
+
 def _csr(M, shape=None):
     """M, an array or (values, (rows, columns)) triplets that repeat no
     pair, as CSR with no stored zero.  The one place that loads
@@ -205,7 +283,10 @@ def _csr(M, shape=None):
 def _stored(M):
     """M dense if it has at most 2^12 entries, or if more than a tenth
     of them are nonzero up to 200 x 200 entries and more than a quarter
-    above, else CSR.
+    above, else CSR.  A dense M that is square, above 2^12 entries, and
+    whose 1 x 1 or 2 x 2 node blocks each hold one value on the diagonal
+    and one off it, by exact equality, is stored in node blocks
+    (``_NodeBlocks``, ``_node_blocks``); M in node blocks stays so.
 
     Measured against scipy's CSR on a shared 2-core host, in
     microseconds per product with a vector and with 20 columns (a block
@@ -242,11 +323,31 @@ def _stored(M):
     10% on one thread, and from 512 rows at 16% too; at a quarter it
     wins with 20 columns at every size, and loses the one-thread matvec
     from 512 rows.  So above 200 x 200 entries the bound is a quarter.
+
+    Node blocks against the dense map, same host and units (1 / 2 BLAS
+    threads; the products of node blocks use no BLAS beyond k x k), with
+    k = 2 blocks of N nodes; "312 rows" is X @ M.T for one row per block
+    of ``_blocks`` on the compare config:
+
+    ==========  ==========  ============  =============  ===============
+    map         form        matvec        x 20           312 rows
+    ==========  ==========  ============  =============  ===============
+    200 x 200   dense       7.3 / 7.7     30.9 / 31.1    478 / 572
+    200 x 200   node        9.1 / 9.0     22.6 / 22.6    213 / 206
+    800 x 800   dense       231 / 109     1 022 / 712    7 781 / 5 212
+    800 x 800   node        10.8 / 10.1   63.2 / 56.6    806 / 683
+    ==========  ==========  ============  =============  ===============
+
+    M @ M takes 7-12 us in node blocks against 237-405 us dense at 200 x
+    200, and 18 ms on one thread at 800 x 800.  Detection reads every
+    entry once where the diagonals agree: 57-79 us at 200 x 200.
     """
+    if isinstance(M, _NodeBlocks):
+        return M
     if isinstance(M, np.ndarray):
-        return M if _is_dense(M.shape, np.count_nonzero(M)) else _csr(M)
+        return _node_blocks(M) if _is_dense(M.shape, np.count_nonzero(M)) else _csr(M)
     M = _csr(M)
-    return M.toarray() if _is_dense(M.shape, M.nnz) else M
+    return _node_blocks(M.toarray()) if _is_dense(M.shape, M.nnz) else M
 
 
 def _cut(rows, cols, vals, height: int, lo: int, hi: int, dense: bool = False):
@@ -259,7 +360,7 @@ def _cut(rows, cols, vals, height: int, lo: int, hi: int, dense: bool = False):
     if dense or _is_dense(shape, vals.size):
         M = np.zeros(shape)
         M[rows, cols] = vals
-        return M
+        return M if dense else _node_blocks(M)
     return _csr((vals, (rows, cols)), shape)
 
 
@@ -340,7 +441,8 @@ class ClosedLoop:
     ``np.bincount``.  Each map is built on first read.  The maps of the
     state z, and ``coupling_map``, are cut by row and column range and
     stored by ``_stored``'s rule: dense, or canonical CSR (sorted
-    indices, no explicit zeros).  The noise maps ``inputs`` and
+    indices, no explicit zeros), or in node blocks where A has them
+    (``_NodeBlocks``).  The noise maps ``inputs`` and
     ``u_noise`` have one slot per column of w and are read from their
     slots (``_SlotMap``), never built as a matrix.
 
@@ -511,11 +613,16 @@ def _rk4_maps(A, h: float, theta: float) -> list:
     real K = h (I + M/2 + M^2/6 + M^3/24), the held-input discretization,
     bit for bit.  Each power of M, and each map, is stored by its fill
     (see ``_stored``); the identity takes the storage of M, so dense maps
-    never mix with a sparse identity.
+    never mix with a sparse identity, and node blocks stay node blocks.
     """
     n, M = A.shape[0], _stored(h * A)
-    eye = (np.ones(n), (np.arange(n), np.arange(n)))
-    powers = [np.eye(n) if isinstance(M, np.ndarray) else _csr(eye, (n, n)), M]
+    if isinstance(M, _NodeBlocks):
+        eye = _NodeBlocks(np.eye(len(M.a)), np.zeros_like(M.e), M.n)
+    elif isinstance(M, np.ndarray):
+        eye = np.eye(n)
+    else:
+        eye = _csr((np.ones(n), (np.arange(n), np.arange(n))), (n, n))
+    powers = [eye, M]
     for _ in range(3):
         powers.append(_stored(powers[1] @ powers[-1]))
 
@@ -545,6 +652,10 @@ def _blocks_pay(steps: int, dim: int) -> bool:
     """Whether ``steps`` steps of a dense dim x dim step map go in blocks
     (``_blocks``): at least two blocks, and at least ``_STEPS_PER_DIM``
     steps per dimension.
+
+    A node-block map (``_NodeBlocks``) is passed as dim = k, the k x k
+    coefficients that its products cost per node, so it goes in blocks
+    from 2 B = 16 steps.
 
     Blocks trade steps matrix-vector products for 7 dense dim x dim
     products that build P^8 - I and 14 matrix-matrix products with one
@@ -592,12 +703,14 @@ def _input_maps(K, loop: ClosedLoop) -> tuple:
     """The maps of a white run's input terms K inputs w_k: the one dense
     map K inputs where that costs no more multiply-adds per block of
     draws, dim width <= dim^2 + nnz(inputs) (K dense, dim x dim), else K
-    and ``inputs``, which reads the draws from its slots.
+    and ``inputs``, which reads the draws from its slots.  K in node
+    blocks or CSR is never composed.
 
     K inputs is built through a dense copy of ``inputs`` that is dropped
-    after the product.  On the compare config (complete N = 100) that is
-    200 x 200 against 40 000 + 200, so it composes; the benchmark
-    pipeline's edge noise, 200 x 3 251 against 40 000 + 6 302, does not.
+    after the product.  A dense 200 x 200 K with 2N = 200 noise columns
+    composes (40 000 against 40 000 + 200); the benchmark pipeline's
+    edge noise, 200 x 3 251 against 40 000 + 6 302, does not, nor does
+    the compare config's K (complete N = 100), which is in node blocks.
     A sinusoid maps its amplitude once per pass
     (``DisturbanceRealization.chunks``), where composing would only add
     the product.
@@ -610,7 +723,7 @@ def _input_maps(K, loop: ClosedLoop) -> tuple:
     return (K @ inputs.toarray(),)
 
 
-def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
+def _blocks(step, z_rec: np.ndarray) -> int:
     """Advance ``z_rec`` over its full blocks of B = 8 steps in place, the
     steps of ``_scan``; returns the steps done, 0 where P^B - I is not
     finite.
@@ -638,7 +751,7 @@ def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
     PB = step
     for _ in range(B - 1):
         PB = PB + step + step @ PB
-    if not np.isfinite(PB).all():
+    if not _finite(PB):
         return 0
     n = step.shape[0]
     blocks = (z_rec.shape[0] - 1) // B
@@ -656,7 +769,7 @@ def _blocks(step: np.ndarray, z_rec: np.ndarray) -> int:
     return blocks * B
 
 
-def _doubling(step: np.ndarray, z_rec: np.ndarray) -> int:
+def _doubling(step, z_rec: np.ndarray) -> int:
     """Fill z_rec, a record without input terms, in place by doubling, the
     steps of ``_scan``; returns the steps done.  With D = P^m - I, level m
     sets rows m..2m-1 to rows 0..m-1 plus D (rows - rows[:, :1]), then D
@@ -665,7 +778,7 @@ def _doubling(step: np.ndarray, z_rec: np.ndarray) -> int:
     block of B steps, so no temporary is larger than ``_blocks``'."""
     rows, D, m = z_rec.shape[0], step, 1
     slab = (rows - 1) // _BLOCK  # at least 2: _blocks_pay admits 16 steps or more
-    while m < rows and np.isfinite(D).all():
+    while m < rows and _finite(D):
         for j in range(0, min(m, rows - m), slab):
             z = z_rec[j:min(j + slab, m, rows - m)]
             z_rec[m + j:m + j + z.shape[0]] = z + (z - z[:, :1]) @ D.T
@@ -681,7 +794,9 @@ def _scan(step, z_rec: np.ndarray, noisy: bool = True) -> None:
     (``_blocks_pay``), a ``noisy`` record in blocks (``_blocks``) and one
     without noise by doubling (``_doubling``); the rest one product per step."""
     steps, done = z_rec.shape[0] - 1, 0
-    if isinstance(step, np.ndarray) and _blocks_pay(steps, step.shape[0]):
+    dense = isinstance(step, np.ndarray)  # or node blocks, which block as k x k
+    if (dense or isinstance(step, _NodeBlocks)) and _blocks_pay(
+            steps, step.shape[0] if dense else len(step.a)):
         done = (_blocks if noisy else _doubling)(step, z_rec)
     z = z_rec[done]
     for k in range(done, steps):
@@ -702,8 +817,9 @@ def _propagate(step, z_rec: np.ndarray, ts: np.ndarray, noisy: bool) -> None:
     has enough steps, blocks of 8 steps over all blocks at once, whose
     carry of the block starts is the same recurrence again (``_blocks``);
     or, for a run without noise (not ``noisy``), doubling
-    (``_doubling``).  Finiteness is checked once over all records after
-    stepping; the first non-finite row names the failing step.
+    (``_doubling``); node-block maps go the ways of dense ones.
+    Finiteness is checked once over all records after stepping; the
+    first non-finite row names the failing step.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # _check_finite reports it
         _scan(step, z_rec, noisy)

@@ -29,8 +29,8 @@ from mefcon import (ClosedLoop, ConfigError, DisturbanceProfile, FilterParams,
 from mefcon.disturbances import CHUNK_ENTRIES
 from mefcon import disturbances as disturbances_module
 from mefcon import simulate as simulate_module
-from mefcon.simulate import (_SlotMap, _cut, _input_maps, _pass, _rk4_maps, _stored,
-                             _term)
+from mefcon.simulate import (_NodeBlocks, _SlotMap, _cut, _input_maps, _pass, _rk4_maps,
+                             _stored, _term)
 
 from conftest import weighted_digraph as _weighted_digraph
 
@@ -527,10 +527,12 @@ def test_dynamic_run_hands_over_once_the_gain_settles(Xi, monkeypatch):
     for config in _gain_cases(Xi):
         traj = simulate_mef(config)
         assert 5.0 < starts[-1] < config.T - 5.0, starts
+        # the bounds of pytest.approx(want, rel=0, abs=1e-12) and
+        # pytest.approx(closed, rel=1e-14, abs=0), without its per-entry loop
         for name, want in zip(("x", "x_hat", "u"), _filter_stages(config)):
-            assert getattr(traj, name) == pytest.approx(want, rel=0, abs=1e-12), name
+            assert np.abs(getattr(traj, name) - want).max() <= 1e-12, name
         closed = _closed_form_gain(config.loop, 1 / Xi, traj.t[:, None])
-        assert traj.Q == pytest.approx(closed, rel=1e-14, abs=0)
+        assert np.all(np.abs(traj.Q - closed) <= 1e-14 * np.abs(closed))
         assert not np.allclose(traj.Q[0], config.loop.q_star)
         assert np.abs(traj.u).max() > 0.1
 
@@ -889,6 +891,111 @@ def test_storage_rule_at_its_bounds():
         for M in (loop.A, loop.u_state, loop.coupling_map):
             assert _in_the_form_the_rule_picks(M), n
         assert isinstance(loop.inputs, _SlotMap) and isinstance(loop.u_noise, _SlotMap)
+    # a complete uniform loop above 2^12 entries (2N = 66) is stored in node
+    # blocks, as is the baseline's -L above 2^12 entries (N = 65); at 2^12
+    # entries (2N = 64, N = 64) both stay dense, and so do the maps that
+    # are not square or that the certificate reads
+    for n, form in ((32, False), (33, True)):
+        complete = make_graph("complete", n)
+        loop = ClosedLoop(complete, uniform_params(complete))
+        assert isinstance(loop.A, _NodeBlocks) == form, n
+        assert all(isinstance(M, np.ndarray)
+                   for M in (loop.u_state, loop.coupling_map, loop.F)), n
+    for n, form in ((64, False), (65, True)):
+        L = laplacian(make_graph("complete", n))
+        Lp = _stored(L)
+        assert isinstance(Lp, _NodeBlocks) == form and Lp.shape == (n, n), n
+        L[3, 3] -= 1.0  # one diagonal entry off
+        assert isinstance(_stored(L), np.ndarray), n
+    # one perturbed edge weight, or one perturbed B, falls back to dense;
+    # so do two out-edges of one node reweighted to the same sum, which
+    # keeps every diagonal uniform and changes only off-diagonal entries
+    complete = make_graph("complete", 33)
+    src, dst, w = complete.edge_arrays()
+    first, second = np.flatnonzero(src == src[0])[:2]
+    cases = [(complete, uniform_params(complete, B=np.where(np.arange(33) == 7, 2.0, 1.0)))]
+    for weights in ({first: 1.5}, {first: 1.5, second: 0.5}):
+        wk = w.copy()
+        wk[list(weights)] = list(weights.values())
+        top = NetworkTopology(33, tuple(zip(src.tolist(), dst.tolist(), wk.tolist())))
+        cases.append((top, uniform_params(top)))
+        assert isinstance(_stored(laplacian(top)), np.ndarray)
+    for top, params in cases:
+        A = ClosedLoop(top, params).A
+        assert isinstance(A, np.ndarray) and A.shape == (66, 66)
+
+
+def _node_block_cases():
+    """(k, N, a, e, c): random k x k coefficient pairs of N x N node
+    blocks, and a complex scalar."""
+    def coeffs(k):
+        return st.lists(st.floats(-10, 10), min_size=k * k, max_size=k * k).map(
+            lambda v: np.reshape(v, (k, k)))
+
+    scalar = st.complex_numbers(max_magnitude=10, allow_nan=False, allow_infinity=False)
+    return st.integers(1, 2).flatmap(lambda k: st.tuples(
+        st.just(k), st.integers(2, 9), coeffs(k), coeffs(k), coeffs(k), coeffs(k), scalar))
+
+
+@given(_node_block_cases(), st.integers(0, 2 ** 32 - 1))
+def test_node_block_algebra_matches_its_dense_array(case, seed):
+    # sums, scalar multiples, products on both sides and transposes of the
+    # node-block form agree with the same operations on toarray()
+    k, n, a, e, a2, e2, c = case
+    M, M2 = _NodeBlocks(a, e, n), _NodeBlocks(a2, e2, n)
+    D, D2 = M.toarray(), M2.toarray()
+    block, node = np.divmod(np.arange(k * n), n)  # entry (r, s) is in block (i, j)
+    i, j = block[:, None], block[None, :]
+    assert np.array_equal(D, a[i, j] * (node[:, None] == node) + e[i, j])
+    rng = np.random.default_rng(seed)
+    W = rng.normal(size=(k * n, 3)) + 1j * rng.normal(size=(k * n, 3))
+    X = rng.normal(size=(4, k * n))
+
+    def close(got, want, scale):
+        assert np.abs(got - want).max() <= 1e-12 * (1 + scale), (got, want)
+
+    close((M + M2).toarray(), D + D2, np.abs(D).max() + np.abs(D2).max())
+    close((c * M).toarray(), c * D, abs(c) * np.abs(D).max())
+    close((M * c).toarray(), D * c, abs(c) * np.abs(D).max())
+    assert np.array_equal(M.T.toarray(), D.T)
+    close((M @ M2).toarray(), D @ D2, (np.abs(D) @ np.abs(D2)).max())
+    close((M @ M).toarray(), D @ D, (np.abs(D) @ np.abs(D)).max())
+    for V in (W, W[:, 0], W.real):
+        close(M @ V, D @ V, (np.abs(D) @ np.abs(V)).max())
+        close(M.T @ V, D.T @ V, (np.abs(D.T) @ np.abs(V)).max())
+    for Y in (X, X[0], X * c):
+        close(Y @ M, Y @ D, (np.abs(Y) @ np.abs(D)).max())
+        close(Y @ M.T, Y @ D.T, (np.abs(Y) @ np.abs(D.T)).max())
+    assert simulate_module._finite(M)
+    assert not simulate_module._finite(_NodeBlocks(a, np.full_like(e, np.inf), n))
+
+
+@pytest.mark.parametrize("profile", [
+    DisturbanceProfile(), DisturbanceProfile("white", sigma=0.5),
+    DisturbanceProfile("sinusoid", delta_max=0.3, eps_max=0.2, frequency=0.8)],
+    ids=["zero", "white", "sinusoid"])
+def test_node_block_runs_match_dense_runs(profile, monkeypatch):
+    # complete N = 70 with G < S: the loop (2N = 140) and the baseline's
+    # -L (N = 70) take the node-block form; the same runs with the form
+    # turned off step dense maps, and x, x_hat and u agree to 1e-12 relative
+    complete = make_graph("complete", 70)
+    x0 = np.random.default_rng(3).uniform(-1.0, 1.0, 70)
+    config = ScenarioConfig(complete, uniform_params(complete, R=0.7, S=2.0, G=1.0),
+                            x0, -x0, profile, h=0.01, T=2.0, seed=4)
+    runs = []
+    for form in (True, False):
+        with monkeypatch.context() as m:
+            if not form:
+                m.setattr(simulate_module, "_node_blocks", lambda M: M)
+            cfg = replace(config)  # a new config builds its own loop
+            maps = _rk4_maps(cfg.loop.A, cfg.h, 0.3) + _rk4_maps(
+                _stored(laplacian(complete)), cfg.h, 0.3)
+            assert all(isinstance(M, _NodeBlocks) == form for M in maps)
+            runs.append([(t.x, t.x_hat, t.u) for t in (simulate_mef(cfg),
+                                                        simulate_classical(cfg))])
+    for got, want in zip(itertools.chain(*runs[0]), itertools.chain(*runs[1])):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), profile.kind
+    assert np.abs(runs[1][0][2]).max() > 0.1
 
 
 def _white_term(maps, real, steps, h):
@@ -896,6 +1003,15 @@ def _white_term(maps, real, steps, h):
     H = np.empty((steps, maps[0].shape[0]))
     _pass(real, steps, _term(H, np.arange(steps) * h, *maps))
     return H
+
+
+def _varied_b_params(top, seed=0):
+    """Uniform params on ``top`` but for B, drawn from [0.5, 2]: Q* then
+    differs by node, so a complete graph's A holds more than one value on
+    the diagonal of its x_hat block and is stored dense, not in node
+    blocks (``_NodeBlocks``)."""
+    B = np.random.default_rng(seed).uniform(0.5, 2.0, top.node_count)
+    return uniform_params(top, B=B)
 
 
 def test_white_input_map_composes_where_it_is_cheaper():
@@ -906,10 +1022,11 @@ def test_white_input_map_composes_where_it_is_cheaper():
     # the slot form
     white = DisturbanceProfile("white", sigma=1.0)
     complete = make_graph("complete", 100)
-    config = ScenarioConfig(complete, uniform_params(complete), np.zeros(100),
+    config = ScenarioConfig(complete, _varied_b_params(complete), np.zeros(100),
                             profile=white, h=0.002, T=0.4)
     loop = config.loop
     K = _rk4_maps(loop.A, config.h, 0.0)[1]
+    assert isinstance(K, np.ndarray)
     composed = _input_maps(K, loop)
     assert len(composed) == 1 and composed[0].shape == (200, 200)
     assert isinstance(loop.inputs, _SlotMap)
@@ -929,6 +1046,10 @@ def test_white_input_map_composes_where_it_is_cheaper():
     assert isinstance(K, np.ndarray) and loop.noise_sizes == (100, 100, len(edges))
     assert _input_maps(K, loop) == (K, loop.inputs)
     assert isinstance(loop.inputs, _SlotMap)
+    # a K in node blocks (the compare config's uniform loop) is not composed
+    loop = ClosedLoop(complete, uniform_params(complete))
+    K = _rk4_maps(loop.A, 0.002, 0.0)[1]
+    assert isinstance(K, _NodeBlocks) and _input_maps(K, loop) == (K, loop.inputs)
 
 
 def _sparse_weighted_digraph():
@@ -1125,9 +1246,12 @@ def test_noisy_blocks_match_the_dynamic_gain(profile, monkeypatch):
 
 
 def test_noisy_blocks_stay_near_the_step_loop(monkeypatch):
-    # on the compare config the blocked run may drift from the stage-by-stage
-    # oracle at most 5 times as far as the one-product-per-step loop does
+    # on the compare config, with B varied so that its maps are dense, the
+    # blocked run may drift from the stage-by-stage oracle at most 5 times
+    # as far as the one-product-per-step loop does
     config, _ = build_scenario(load_config(CONFIGS / "complete100_compare.yaml"))
+    config = replace(config, params=_varied_b_params(config.topology))
+    assert isinstance(_rk4_maps(config.loop.A, config.h, 0.0)[0], np.ndarray)
 
     def distance(run, oracle):
         return max(np.abs(run.x - oracle[0]).max(), np.abs(run.x_hat - oracle[1]).max())
@@ -1180,7 +1304,7 @@ def test_blocks_start_at_the_steps_per_dimension(monkeypatch):
     # steps on; its carry of about 100 blocks steps one by one
     complete = make_graph("complete", 100)
     x0 = np.random.default_rng(4).uniform(-1.0, 1.0, 100)
-    config = ScenarioConfig(complete, uniform_params(complete), x0,
+    config = ScenarioConfig(complete, _varied_b_params(complete), x0,
                             profile=DisturbanceProfile("white", sigma=0.5))
     assert isinstance(_rk4_maps(config.loop.A, config.h, 0.0)[0], np.ndarray)
     edge = simulate_module._STEPS_PER_DIM * 200
@@ -1271,6 +1395,7 @@ def test_doubling_allocates_no_more_than_blocks():
     # no more than the blocks of the same record, and less than half the
     # record, which the temporaries of its last level would take unslabbed
     config = basic_scenario(200, T=40.0, seed=1)
+    config = replace(config, params=_varied_b_params(config.topology))
     step = _rk4_maps(config.loop.A, config.h, 0.0)[0]
     assert isinstance(step, np.ndarray) and step.shape == (400, 400)
     peaks = []
